@@ -10,13 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import sylvester
-from .trees import Node, clone, labels, nodes, serialize
+from .trees import Node, labels, nodes, serialize
 from .words import DEFAULT_MAX_CLASS, LimitExceededError, Word
-
-
-def left_insert(root: Node | None, a: int) -> Node:
-    fresh = clone(root)
-    return _left_insert_mut(fresh, a)
 
 
 def _left_insert_mut(root: Node | None, a: int) -> Node:
@@ -151,7 +146,8 @@ def readings(pair: TwinPair, limit: int | None = None) -> set[Word]:
 
     def rec(forest: tuple[Node, ...], right: Node | None) -> frozenset[Word]:
         if not forest:
-            assert right is None
+            if right is not None:
+                raise RuntimeError("readings: the right tree outlived the left forest")
             return frozenset({()})
         state = (forest_key(forest), serialize(right))
         hit = memo.get(state)

@@ -195,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (ValueError, LimitExceededError, KeyError) as exc:
+    except (ValueError, LimitExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

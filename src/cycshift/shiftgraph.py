@@ -1,8 +1,11 @@
 """Cyclic shift graphs over any monoid handle.
 
 Vertices are canonical class keys; two classes are adjacent when some member
-of one, rotated, lands in the other.  All words sharing an evaluation are
-enumerated once and mapped to keys, after which every rotation is a lookup.
+of one, rotated, lands in the other.  All rotations of a word are pairwise
+adjacent, so the graph is the union of one clique per necklace (rotation
+class): each necklace is visited once, at its least rotation, and its
+members' keys are joined pairwise.  Diameters grow one reachability bitset
+per vertex by a round of neighbour ORs until every bitset is full.
 Self-loops are implicit and excluded from edge lists and diameters.
 """
 
@@ -50,7 +53,7 @@ class ShiftGraph:
 
     def distances_from(self, start: str) -> dict[str, int]:
         if start not in self.adjacency:
-            raise KeyError(f"unknown vertex {start!r}")
+            raise ValueError(f"unknown vertex {start!r}")
         dist = {start: 0}
         queue = deque([start])
         while queue:
@@ -85,32 +88,27 @@ def distance(g: ShiftGraph, a: str, b: str) -> int:
 
 
 def diameter(g: ShiftGraph) -> int:
-    """Largest eccentricity; the graph must be connected."""
+    """Largest eccentricity; the graph must be connected.
+
+    Round r leaves each vertex's bitset holding its ball of radius r.
+    """
     verts = g.vertices
-    if not verts:
-        return 0
     index = {v: i for i, v in enumerate(verts)}
     adj = [[index[w] for w in g.adjacency[v]] for v in verts]
-    best = 0
-    n = len(verts)
-    for s in range(n):
-        dist = [-1] * n
-        dist[s] = 0
-        queue = deque([s])
-        far = 0
-        seen = 1
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    far = dist[w] if dist[w] > far else far
-                    seen += 1
-                    queue.append(w)
-        if seen != n:
+    full = (1 << len(verts)) - 1
+    reach = [1 << i for i in range(len(verts))]
+    rounds = 0
+    while any(r != full for r in reach):
+        grown = []
+        for r, nbrs in zip(reach, adj):
+            for j in nbrs:
+                r |= reach[j]
+            grown.append(r)
+        if grown == reach:
             raise ValueError("diameter of a disconnected graph is undefined")
-        best = far if far > best else best
-    return best
+        reach = grown
+        rounds += 1
+    return rounds
 
 
 def evaluation_graph(
@@ -118,13 +116,19 @@ def evaluation_graph(
 ) -> ShiftGraph:
     """The full shift graph on the classes of one evaluation."""
     keys = handle.classes_of_evaluation(ev, limit)
-    g = ShiftGraph(handle.name, len(ev), ev)
-    for w, k in keys.items():
-        g.add_vertex(k)
+    least = next((s + 1 for s, c in enumerate(ev) if c), None)
+    adj: dict[str, set[str]] = {}
+    for w in keys:
         n = len(w)
-        for i in range(1, n):
-            g.add_edge(k, keys[w[i:] + w[:i]])
-    return g
+        # visit each necklace once, at its least rotation, which starts with the least symbol
+        if (n and w[0] != least) or any(w[i:] + w[:i] < w for i in range(1, n)):
+            continue
+        clique = {keys[w[i:] + w[:i]] for i in range(n or 1)}
+        for k in clique:
+            adj.setdefault(k, set()).update(clique)
+    for k, nbrs in adj.items():
+        nbrs.discard(k)
+    return ShiftGraph(handle.name, len(ev), ev, adj)
 
 
 def neighbors(handle: MonoidHandle, word: Word, rank: int, limit: int | None = None) -> set[str]:

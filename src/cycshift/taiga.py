@@ -78,13 +78,6 @@ def drop_multiplicities(root: Node | None) -> Node | None:
     return Node(root.label, 1, drop_multiplicities(root.left), drop_multiplicities(root.right))
 
 
-def evaluation_of(root: Node | None, rank: int) -> tuple[int, ...]:
-    counts = [0] * rank
-    for node in postfix(root):
-        counts[node.label - 1] += node.mult
-    return tuple(counts)
-
-
 def shift_path(t: Node | None, u: Node | None) -> ShiftPath:
     """Lift the stripped-tree shift path, repeating each symbol per the evaluation."""
     ev_t = sorted((x.label, x.mult) for x in postfix(t))

@@ -67,14 +67,6 @@ def postfix(root: Node | None) -> Iterator[Node]:
                 stack.append((node.left, False))
 
 
-def infix(root: Node | None) -> Iterator[Node]:
-    if root is None:
-        return
-    yield from infix(root.left)
-    yield root
-    yield from infix(root.right)
-
-
 def nodes(root: Node | None) -> list[Node]:
     return list(postfix(root))
 

@@ -549,6 +549,9 @@ CRITERIA: dict[int, Callable[[], list[CheckResult]]] = {
 def run(numbers: Iterable[int] | None = None, echo: Callable[[str], None] = print) -> bool:
     """Run the selected criteria (all by default); True when everything passed."""
     selected = sorted(numbers) if numbers else sorted(CRITERIA)
+    unknown = [n for n in selected if n not in CRITERIA]
+    if unknown:
+        raise ValueError(f"unknown criteria {unknown}; choose from {sorted(CRITERIA)}")
     all_ok = True
     for n in selected:
         results = CRITERIA[n]()

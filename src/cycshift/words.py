@@ -13,11 +13,23 @@ from typing import Iterator
 Word = tuple[int, ...]
 Evaluation = tuple[int, ...]
 
+
+def _limit_from_env(name: str, default: int) -> int:
+    text = os.environ.get(name, str(default))
+    try:
+        value = int(text)
+        if value < 0:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"{name} must be a non-negative integer, got {text!r}") from None
+    return value
+
+
 #: Global guard for exponential enumerations (number of symbols enumerated).
-DEFAULT_MAX_TOTAL = int(os.environ.get("CYCSHIFT_MAX_TOTAL", "10"))
+DEFAULT_MAX_TOTAL = _limit_from_env("CYCSHIFT_MAX_TOTAL", 10)
 
 #: Guard for per-object searches (readings, class enumeration by node count).
-DEFAULT_MAX_CLASS = int(os.environ.get("CYCSHIFT_MAX_CLASS", "12"))
+DEFAULT_MAX_CLASS = _limit_from_env("CYCSHIFT_MAX_CLASS", 12)
 
 
 class LimitExceededError(ValueError):
@@ -116,10 +128,11 @@ def cocharge_seq(word: Word) -> tuple[int, ...]:
 
 
 def _check_cocharge(seq: tuple[int, ...]) -> None:
-    if seq:
-        assert seq[0] == 0
-        for a, b in zip(seq, seq[1:]):
-            assert b in (a, a + 1)
+    if seq and seq[0] != 0:
+        raise ValueError(f"cocharge sequence must start at 0, got {seq}")
+    for a, b in zip(seq, seq[1:]):
+        if b not in (a, a + 1):
+            raise ValueError(f"cocharge sequence must grow by 0 or 1 per step, got {seq}")
 
 
 def parse_word(text: str) -> Word:
@@ -152,12 +165,3 @@ def format_word(word: Word) -> str:
 def format_run(symbols) -> str:
     """Format a run of symbols the same way words are formatted."""
     return format_word(tuple(symbols))
-
-
-def parse_evaluation(text: str) -> Evaluation:
-    """Parse comma-separated counts ("2,0,1")."""
-    parts = [p.strip() for p in text.split(",") if p.strip() != ""]
-    ev = tuple(int(p) for p in parts)
-    if any(c < 0 for c in ev):
-        raise ValueError(f"counts must be non-negative, got {ev}")
-    return ev

@@ -12,7 +12,7 @@ from cycshift.baxter import (
 )
 from cycshift.rewrite import presentation
 from cycshift.sylvester import right_bst
-from cycshift.trees import serialize
+from cycshift.trees import Node, serialize
 from cycshift.words import LimitExceededError, parse_word, words_with_evaluation
 
 PAIR_WORD = parse_word("42531643")
@@ -91,3 +91,10 @@ def test_agreement_with_presentation():
     for w in words_with_evaluation((1, 2, 1)):
         cls = {v for v in words_with_evaluation((1, 2, 1)) if word_key(v) == word_key(w)}
         assert cls == set(baxt.close(w).members)
+
+
+def test_readings_detect_a_right_tree_grown_after_validation():
+    pair = twin_pair((1,))
+    pair.right.left = Node(1)  # trees are mutable; the pair was checked at construction
+    with pytest.raises(RuntimeError, match="outlived"):
+        readings(pair)

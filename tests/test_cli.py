@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cycshift import cli
 from cycshift.cli import main
 
 
@@ -129,3 +130,21 @@ def test_verify_criterion_3_exit_code(capsys):
     code, out, _ = run_cli(capsys, "verify", "--criteria", "3")
     assert code == 0
     assert out.splitlines()[0] == "criterion 3: PASS"
+
+
+def test_user_errors_exit_2(capsys):
+    code, out, err = run_cli(capsys, "component", "--monoid", "plac", "--word", "123", "--rank", "2")
+    assert code == 2 and out == ""
+    assert err == "error: symbol 3 outside alphabet 1..2\n"
+    code, _, err = run_cli(capsys, "verify", "--criteria", "99")
+    assert code == 2
+    assert err.startswith("error: unknown criteria [99]")
+
+
+def test_key_error_in_a_command_is_not_a_usage_error(monkeypatch):
+    def broken(args):
+        raise KeyError("internal")
+
+    monkeypatch.setitem(cli.COMMANDS, "psymbol", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["psymbol", "--monoid", "plac", "--word", "1"])

@@ -5,6 +5,7 @@ from cycshift.rewrite import (
     B_SYM,
     X_SYM,
     Y_SYM,
+    _window,
     in_factor_language,
     parse_factors,
     presentation,
@@ -118,3 +119,9 @@ def test_invariant_constant_on_small_classes():
         for member in m.close(w).members:
             assert in_factor_language(member)
             assert xy_cycle_invariant(member) == mu
+
+
+def test_window_refuses_a_rewrite_that_changes_the_evaluation():
+    assert _window((1, 2, 3), 1, (3, 2)) == (1, 3, 2)
+    with pytest.raises(RuntimeError, match="changes the evaluation"):
+        _window((1, 2, 3), 1, (3, 3))

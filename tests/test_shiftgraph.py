@@ -1,9 +1,13 @@
+import itertools
+from types import SimpleNamespace
+
 import pytest
 
 from cycshift import stalactic
-from cycshift.handles import handle
+from cycshift.handles import HANDLES, handle
 from cycshift.plactic import word_key as plac_key
 from cycshift.shiftgraph import (
+    ShiftGraph,
     component,
     diameter,
     diameter_scan,
@@ -138,3 +142,79 @@ def test_constructive_paths_upper_bound_bfs():
             for kb, wb in reps.items():
                 steps = path_fn(build(wa), build(wb)).steps
                 assert dists[kb] <= steps
+
+
+# ---------------------------------------------------------------------------
+# differential check of the engine against the word-by-word construction
+
+
+def reference_graph(h, ev, keys):
+    """One lookup per rotation of every word, as the engine used to build."""
+    g = ShiftGraph(h.name, len(ev), ev)
+    for w, k in keys.items():
+        g.add_vertex(k)
+        for i in range(1, len(w)):
+            g.add_edge(k, keys[w[i:] + w[:i]])
+    return g
+
+
+def reference_diameter(g):
+    """Largest eccentricity, one BFS per source."""
+    best = 0
+    for v in g.vertices:
+        dist = g.distances_from(v)
+        if len(dist) != len(g.adjacency):
+            raise ValueError("disconnected")
+        best = max(best, max(dist.values()))
+    return best
+
+
+#: every evaluation of rank 4 and total <= 6; one of lower rank has the same
+#: words as its zero-padded rank-4 form, whose keys it reuses
+DIFFERENTIAL_EVALUATIONS = [ev for ev in itertools.product(range(7), repeat=4) if sum(ev) <= 6]
+
+
+@pytest.mark.parametrize("name", sorted(set(HANDLES) - {"counterexample"}))
+def test_engine_matches_reference(name):
+    h = handle(name)
+    cases = []
+    for ev in DIFFERENTIAL_EVALUATIONS:
+        keys = h.classes_of_evaluation(ev)
+        cases += [(ev[:rank], keys) for rank in range(4, 0, -1) if not any(ev[rank:])]
+    cases.append(((1,) * 6, h.classes_of_evaluation((1,) * 6)))
+    for ev, keys in cases:
+        # the engine gets the same keys without computing them again
+        cached = SimpleNamespace(name=h.name, classes_of_evaluation=lambda ev, limit, keys=keys: keys)
+        g = evaluation_graph(cached, ev)
+        ref = reference_graph(h, ev, keys)
+        assert g.adjacency == ref.adjacency, ev
+        assert to_json(g) == to_json(ref) and to_dot(g) == to_dot(ref), ev
+        comps, ref_comps = g.components(), ref.components()
+        assert [c.adjacency for c in comps] == [c.adjacency for c in ref_comps], ev
+        assert [diameter(c) for c in comps] == [reference_diameter(c) for c in ref_comps], ev
+
+
+def _graph(n, edges):
+    g = ShiftGraph("test", 0, ())
+    for v in range(n):
+        g.add_vertex(str(v))
+    for a, b in edges:
+        g.add_edge(str(a), str(b))
+    return g
+
+
+def test_diameter_small_graphs():
+    assert diameter(_graph(0, [])) == 0
+    assert diameter(_graph(1, [])) == 0
+    for k in range(1, 8):
+        assert diameter(_graph(k, [(i, i + 1) for i in range(k - 1)])) == k - 1
+    assert diameter(_graph(5, [(i, (i + 1) % 5) for i in range(5)])) == 2
+    with pytest.raises(ValueError, match="disconnected"):
+        diameter(_graph(3, [(0, 1)]))
+    with pytest.raises(ValueError, match="disconnected"):
+        diameter(_graph(2, []))
+
+
+def test_distances_from_unknown_vertex_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown vertex"):
+        _graph(2, [(0, 1)]).distances_from("7")
