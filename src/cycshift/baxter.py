@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import sylvester
-from .trees import Node, labels, nodes, serialize
+from .trees import Node, labels, nodes, serialize, to_json as tree_json
 from .words import DEFAULT_MAX_CLASS, LimitExceededError, Word
 
 
@@ -88,6 +88,9 @@ class TwinPair:
     right: Node | None
 
     def __post_init__(self):
+        self.check()
+
+    def check(self) -> None:
         if (self.left is None) != (self.right is None):
             raise ValueError("twin trees must be empty together")
         if self.left is None:
@@ -102,6 +105,9 @@ class TwinPair:
     def key(self) -> str:
         return f"{serialize(self.left)}|{serialize(self.right)}"
 
+    def symbols(self) -> list[int]:
+        return labels(self.left)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, TwinPair) and self.key() == other.key()
 
@@ -115,6 +121,9 @@ class TwinPair:
             + "\nright strict:\n"
             + sylvester.draw(self.right)
         )
+
+    def to_json(self) -> dict:
+        return {"left": tree_json(self.left), "right": tree_json(self.right)}
 
 
 def twin_pair(word: Word) -> TwinPair:
@@ -216,8 +225,3 @@ def conjugacy_witness(p: Word, q: Word) -> tuple[Word, Word]:
     if word_key(h + p) != word_key(q + h):
         raise AssertionError("right witness fails")
     return g, h
-
-
-def symbols_of(word: Word) -> list[int]:
-    """Symbols stored in the left tree of ``word``."""
-    return labels(left_bst(word))

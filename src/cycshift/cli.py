@@ -1,7 +1,8 @@
 """Command line interface.
 
 Commands: psymbol, class, neighbors, component, diameter, path, scan, verify.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
+error (any other exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -9,8 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
-from . import hypoplactic, stalactic, sylvester, taiga, verify
+from . import verify
 from .handles import HANDLES, handle
 from .shiftgraph import component, diameter, distance, diameter_scan, evaluation_graph, export, neighbors
 from .words import (
@@ -39,12 +41,12 @@ def _emit(args, text: str) -> None:
 
 def cmd_psymbol(args) -> int:
     h = handle(args.monoid)
-    word = parse_word(args.word)
+    el = h.element(parse_word(args.word))
     if args.format == "json":
-        payload = {"monoid": h.name, "key": h.key_of(word), "object": h.json_of(word)}
+        payload = {"monoid": h.name, "key": h.key(el), "object": h.to_json(el)}
         _emit(args, json.dumps(payload, indent=2, sort_keys=True))
     else:
-        _emit(args, f"key: {h.key_of(word)}\n{h.display(word)}")
+        _emit(args, f"key: {h.key(el)}\n{h.draw(el)}")
     return 0
 
 
@@ -100,20 +102,8 @@ def cmd_path(args) -> int:
     if sorted(w1) != sorted(w2):
         raise ValueError("the two words must share an evaluation")
     lines = []
-    builders = {
-        "hypo": lambda: hypoplactic.shift_path(
-            hypoplactic.quasi_ribbon(w1), hypoplactic.quasi_ribbon(w2)
-        ),
-        "sylv": lambda: sylvester.shift_path(
-            sylvester.right_bst(w1), sylvester.right_bst(w2)
-        ),
-        "taig": lambda: taiga.shift_path(taiga.mult_bst(w1), taiga.mult_bst(w2)),
-        "stal": lambda: stalactic.shift_path(
-            stalactic.stalactic_tableau(w1), stalactic.stalactic_tableau(w2)
-        ),
-    }
-    if args.monoid in builders:
-        path = builders[args.monoid]()
+    if h.shift_path is not None:
+        path = h.shift_path(h.element(w1), h.element(w2))
         lines.append(f"constructive path: {path.steps} steps")
         for uv, vu in path.step_words():
             lines.append(f"  {format_word(uv)} ~ {format_word(vu)}")
@@ -148,30 +138,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, word_args=("--word",)):
+    def command(name, help, word_args=("--word",), enumerates=True):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--monoid", required=True, choices=sorted(HANDLES))
         for wa in word_args:
             p.add_argument(wa, required=True)
-        p.add_argument("--rank", type=int, default=None)
-        p.add_argument("--max-total", type=int, default=DEFAULT_MAX_TOTAL, dest="max_total")
-        p.add_argument("--max-class", type=int, default=DEFAULT_MAX_CLASS, dest="max_class")
-        p.add_argument("--format", choices=("text", "dot", "json"), default="text")
+        if enumerates:
+            p.add_argument("--rank", type=int, default=None)
+            p.add_argument("--max-total", type=int, default=DEFAULT_MAX_TOTAL, dest="max_total")
         p.add_argument("--out", default=None)
+        return p
 
-    common(sub.add_parser("psymbol", help="print the canonical key and a drawing"))
-    common(sub.add_parser("class", help="list every word of the congruence class"))
-    common(sub.add_parser("neighbors", help="canonical keys one shift away"))
-    common(sub.add_parser("component", help="the connected component of the class"))
-    common(sub.add_parser("diameter", help="diameter of the component"))
-    common(sub.add_parser("path", help="constructive and shortest paths"), ("--word1", "--word2"))
+    psymbol = command("psymbol", "print the canonical key and a drawing", enumerates=False)
+    psymbol.add_argument("--format", choices=("text", "json"), default="text")
+    cls = command("class", "list every word of the congruence class")
+    cls.add_argument("--max-class", type=int, default=DEFAULT_MAX_CLASS, dest="max_class")
+    command("neighbors", "canonical keys one shift away")
+    comp = command("component", "the connected component of the class")
+    comp.add_argument("--format", choices=("text", "dot", "json"), default="text")
+    command("diameter", "diameter of the component")
+    command("path", "constructive and shortest paths", ("--word1", "--word2"))
 
-    scan = sub.add_parser("scan", help="per-evaluation component census")
-    scan.add_argument("--monoid", required=True, choices=sorted(HANDLES))
+    scan = command("scan", "per-evaluation component census", (), enumerates=False)
     scan.add_argument("--rank", type=int, required=True)
     scan.add_argument("--max-total", type=int, default=DEFAULT_MAX_TOTAL, dest="max_total")
     scan.add_argument("--distinct", action="store_true",
                       help="one evaluation per count multiset (relabeling symmetry)")
-    scan.add_argument("--out", default=None)
 
     ver = sub.add_parser("verify", help="run the acceptance suite")
     ver.add_argument("--criteria", default=None, help="comma separated subset, e.g. 1,3,7")
@@ -198,6 +190,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, LimitExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,28 +1,57 @@
-"""A uniform facade over the monoids, consumed by the graph engine.
+"""The monoid registry: one ``MonoidHandle`` record per monoid.
 
-A handle maps words to canonical class keys; classes are enumerated by
+A record maps words to canonical class keys (classes are enumerated by
 filtering the arrangements of the evaluation, one mechanism for every monoid,
-cross-checked in the tests against the presentation oracle.
+cross-checked in the tests against the presentation oracle) and names the
+monoid's object, a tableau, tree or twin pair: its insertion, key, drawing,
+JSON form, validation, symbols, and the constructive shift path with its
+bound.  The graph engine, the CLI and ``verify`` read the monoids from
+``HANDLES`` alone; the rewriting oracle keeps its own ``rewrite.PRESENTATIONS``
+so that it shares no code with what it checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from . import baxter, hypoplactic, plactic, rewrite, stalactic, sylvester, taiga
-from .trees import to_json as tree_json
+from .baxter import TwinPair
+from .hypoplactic import QuasiRibbonTableau
+from .paths import ShiftPath
+from .plactic import YoungTableau
+from .stalactic import StalacticTableau
+from .trees import labels, to_json as tree_json
 from .words import Evaluation, Word, evaluation, format_word, words_with_evaluation
 
 
 @dataclass(frozen=True)
 class MonoidHandle:
     name: str
+    #: the fast word -> class key function the graph engine calls per word
     key_of: Callable[[Word], str]
-    display: Callable[[Word], str]
-    json_of: Callable[[Word], object]
+    #: the object a word inserts to; ``key``, ``draw`` and ``to_json`` act on it
+    element: Callable[[Word], object]
+    key: Callable[[object], str]
+    draw: Callable[[object], str]
+    to_json: Callable[[object], object]
+    #: symbols stored in an object, with multiplicity
+    symbols: Callable[[object], list[int]] | None = None
+    #: raises ValueError when an object breaks its structural invariants
+    check: Callable[[object], None] | None = None
+    shift_path: Callable[[object, object], ShiftPath] | None = None
+    #: the shift path's length bound ``a*n + b`` as ``(a, b)``, n distinct symbols
+    path_law: tuple[int, int] | None = None
     #: order-preserving relabelings of the alphabet leave the congruence alone
     relabel_invariant: bool = True
+
+    def path_bound(self, n_distinct: int) -> int:
+        """Most shifts ``shift_path`` takes between objects on ``n_distinct`` symbols."""
+        if self.path_law is None:
+            raise ValueError(f"{self.name} has no constructive shift path")
+        slope, offset = self.path_law
+        return slope * n_distinct + offset
 
     def class_of(self, word: Word, rank: int, limit: int | None = None) -> set[Word]:
         target = self.key_of(word)
@@ -36,30 +65,6 @@ class MonoidHandle:
         return {w: self.key_of(w) for w in words_with_evaluation(ev, limit)}
 
 
-def _draw_plac(word: Word) -> str:
-    return plactic.young_tableau(word).draw()
-
-
-def _draw_hypo(word: Word) -> str:
-    return hypoplactic.quasi_ribbon(word).draw()
-
-
-def _draw_sylv(word: Word) -> str:
-    return sylvester.draw(sylvester.right_bst(word))
-
-
-def _draw_taig(word: Word) -> str:
-    return sylvester.draw(taiga.mult_bst(word), with_mult=True)
-
-
-def _draw_stal(word: Word) -> str:
-    return stalactic.stalactic_tableau(word).draw()
-
-
-def _draw_baxt(word: Word) -> str:
-    return baxter.twin_pair(word).draw()
-
-
 _COUNTER = rewrite.presentation("counterexample")
 
 
@@ -69,37 +74,42 @@ def _counter_key(word: Word) -> str:
 
 HANDLES: dict[str, MonoidHandle] = {
     "plac": MonoidHandle(
-        "plac", plactic.word_key, _draw_plac,
-        lambda w: plactic.young_tableau(w).to_json(),
+        "plac", plactic.word_key, plactic.young_tableau,
+        YoungTableau.key, YoungTableau.draw, YoungTableau.to_json,
+        YoungTableau.symbols, YoungTableau.check,
     ),
     "hypo": MonoidHandle(
-        "hypo", hypoplactic.word_key, _draw_hypo,
-        lambda w: hypoplactic.quasi_ribbon(w).to_json(),
+        "hypo", hypoplactic.word_key, hypoplactic.quasi_ribbon,
+        QuasiRibbonTableau.key, QuasiRibbonTableau.draw, QuasiRibbonTableau.to_json,
+        QuasiRibbonTableau.symbols, QuasiRibbonTableau.check,
+        hypoplactic.shift_path, path_law=(1, -1),
     ),
     "sylv": MonoidHandle(
-        "sylv", sylvester.word_key, _draw_sylv,
-        lambda w: tree_json(sylvester.right_bst(w)),
+        "sylv", sylvester.word_key, sylvester.right_bst,
+        sylvester.key, sylvester.draw, tree_json,
+        labels, sylvester.check_right_strict,
+        sylvester.shift_path, path_law=(1, 0),
     ),
     "stal": MonoidHandle(
-        "stal", stalactic.word_key, _draw_stal,
-        lambda w: stalactic.stalactic_tableau(w).to_json(),
+        "stal", stalactic.word_key, stalactic.stalactic_tableau,
+        StalacticTableau.key, StalacticTableau.draw, StalacticTableau.to_json,
+        StalacticTableau.symbols, StalacticTableau.check,
+        stalactic.shift_path, path_law=(0, 3),
     ),
     "taig": MonoidHandle(
-        "taig", taiga.word_key, _draw_taig,
-        lambda w: tree_json(taiga.mult_bst(w), with_mult=True),
+        "taig", taiga.word_key, taiga.mult_bst,
+        taiga.key, partial(sylvester.draw, with_mult=True), partial(tree_json, with_mult=True),
+        taiga.symbols, taiga.check_mult_bst,
+        taiga.shift_path, path_law=(1, 0),
     ),
     "baxt": MonoidHandle(
-        "baxt", baxter.word_key, _draw_baxt,
-        lambda w: {
-            "left": tree_json(baxter.left_bst(w)),
-            "right": tree_json(sylvester.right_bst(w)),
-        },
+        "baxt", baxter.word_key, baxter.twin_pair,
+        TwinPair.key, TwinPair.draw, TwinPair.to_json,
+        TwinPair.symbols, TwinPair.check,
     ),
+    # the object is the class's canonical word, already formatted as its key
     "counterexample": MonoidHandle(
-        "counterexample",
-        _counter_key,
-        lambda w: _counter_key(w),
-        lambda w: _counter_key(w),
+        "counterexample", _counter_key, _counter_key, str, str, str,
         relabel_invariant=False,
     ),
 }

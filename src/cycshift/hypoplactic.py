@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .paths import ShiftPath, compress_path
-from .words import Word, evaluation, format_run, words_with_evaluation
+from .words import Word, format_run
 
 
 def _insert_into_rows(rows: list[list[int]], a: int) -> None:
@@ -131,12 +131,6 @@ def hypo_insert(t: QuasiRibbonTableau, a: int) -> QuasiRibbonTableau:
 def quasi_ribbon(word: Word) -> QuasiRibbonTableau:
     """Insert the symbols of ``word`` left to right into the empty tableau."""
     return QuasiRibbonTableau(tuple(tuple(r) for r in _rows_of_word(word)))
-
-
-def hypo_class(word: Word, rank: int, limit: int | None = None) -> set[Word]:
-    k = word_key(word)
-    ev = evaluation(word, rank)
-    return {w for w in words_with_evaluation(ev, limit) if word_key(w) == k}
 
 
 def distinct_symbols(word: Word) -> list[int]:

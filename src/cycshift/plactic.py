@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import Word, cocharge_seq, evaluation, format_run, is_standard, words_with_evaluation
+from .words import Word, cocharge_seq, format_run, is_standard
 
 
 def _insert_into_rows(rows: list[list[int]], a: int) -> None:
@@ -65,10 +65,6 @@ class YoungTableau:
                 if any(row[j] >= below[j] for j in range(len(below))):
                     raise ValueError("columns must strictly increase")
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(r) for r in self.rows)
-
     def key(self) -> str:
         return "/".join(format_run(r) for r in self.rows)
 
@@ -81,9 +77,6 @@ class YoungTableau:
         for row in reversed(self.rows):
             out.extend(row)
         return tuple(out)
-
-    def is_standard(self) -> bool:
-        return is_standard(tuple(self.symbols()))
 
     def draw(self) -> str:
         return "\n".join(" ".join(str(a) for a in row) for row in self.rows) or "(empty)"
@@ -103,24 +96,19 @@ def young_tableau(word: Word) -> YoungTableau:
     return YoungTableau(tuple(tuple(r) for r in _rows_of_word(word)))
 
 
-def plactic_class(word: Word, rank: int, limit: int | None = None) -> set[Word]:
-    """All words with the same evaluation and the same tableau as ``word``."""
-    k = word_key(word)
-    ev = evaluation(word, rank)
-    return {w for w in words_with_evaluation(ev, limit) if word_key(w) == k}
-
-
 def tableau_cocharge(t: YoungTableau) -> tuple[int, ...]:
     """Cocharge sequence of a standard tableau.
 
     Well-definedness on the plactic class is asserted by recomputing the
     sequence for every word of the class and requiring agreement.
     """
+    from .handles import handle  # handles imports this module
+
     symbols = t.symbols()
     if not is_standard(tuple(sorted(symbols))):
         raise ValueError("tableau is not standard")
     rank = len(symbols)
-    readings = plactic_class(t.row_reading(), rank)
+    readings = handle("plac").class_of(t.row_reading(), rank)
     seqs = {cocharge_seq(w) for w in readings}
     if len(seqs) != 1:
         raise AssertionError(f"cocharge sequence not constant on class of {t.key()}")

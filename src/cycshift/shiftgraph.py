@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .handles import MonoidHandle
-from .words import Evaluation, Word
+from .words import Evaluation, Word, evaluation as ev_of
 
 
 @dataclass
@@ -133,8 +133,6 @@ def evaluation_graph(
 
 def neighbors(handle: MonoidHandle, word: Word, rank: int, limit: int | None = None) -> set[str]:
     """Keys of every rotation of every class member (the class itself included)."""
-    from .words import evaluation as ev_of
-
     ev = ev_of(word, rank)
     keys = handle.classes_of_evaluation(ev, limit)
     target = keys[word]
@@ -147,8 +145,6 @@ def neighbors(handle: MonoidHandle, word: Word, rank: int, limit: int | None = N
 
 
 def component(handle: MonoidHandle, word: Word, rank: int, limit: int | None = None) -> ShiftGraph:
-    from .words import evaluation as ev_of
-
     ev = ev_of(word, rank)
     g = evaluation_graph(handle, ev, limit)
     return g.component_of(handle.key_of(word))

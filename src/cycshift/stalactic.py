@@ -35,6 +35,9 @@ class StalacticTableau:
     columns: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        self.check()
+
+    def check(self) -> None:
         syms = [a for a, _ in self.columns]
         if len(set(syms)) != len(syms):
             raise ValueError("stalactic columns carry pairwise distinct symbols")

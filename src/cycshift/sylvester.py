@@ -1008,8 +1008,3 @@ def shift_path(t: Node | None, u: Node | None) -> ShiftPath:
     elements = [_relabel(x, up) for x in trees]
     back_moves = [(tuple(up[a] for a in w), k) for w, k in moves]
     return compress_path(elements, back_moves, key=serialize)
-
-
-def labels_of(word: Word) -> list[int]:
-    """Symbols stored in the tree of ``word`` (sanity hook for invariant tests)."""
-    return labels(right_bst(word))

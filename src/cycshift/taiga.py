@@ -108,6 +108,6 @@ def shift_path(t: Node | None, u: Node | None) -> ShiftPath:
     return compress_path(elements, moves, key=key)
 
 
-def symbols_of(word: Word) -> list[int]:
-    """Symbols with multiplicity stored in the tree of ``word``."""
-    return [x.label for x in postfix(mult_bst(word)) for _ in range(x.mult)]
+def symbols(root: Node | None) -> list[int]:
+    """Symbols stored in the tree, each repeated to its multiplicity."""
+    return [x.label for x in postfix(root) for _ in range(x.mult)]

@@ -11,11 +11,10 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable
 
-from . import baxter, hypoplactic, plactic, rewrite, stalactic, sylvester, taiga
-from .handles import handle
+from . import baxter, rewrite, stalactic
+from .handles import MonoidHandle, handle
 from .rewrite import A_SYM, B_SYM, X_SYM, Y_SYM, in_factor_language, presentation, xy_cycle_invariant
 from .shiftgraph import (
-    ShiftGraph,
     component,
     diameter,
     diameter_scan,
@@ -23,7 +22,7 @@ from .shiftgraph import (
     evaluation_graph,
     full_support_evaluations,
 )
-from .words import Word, cocharge_seq, parse_word, words_with_evaluation
+from .words import Evaluation, Word, cocharge_seq, parse_word, words_with_evaluation
 
 
 @dataclass
@@ -46,10 +45,17 @@ def _fail(name: str, detail: str) -> CheckResult:
     return CheckResult(name, False, detail)
 
 
+def _show(value) -> str:
+    """``str(value)``, except that a set lists its elements in sorted order."""
+    if isinstance(value, (set, frozenset)) and value:
+        return "{" + ", ".join(repr(x) for x in sorted(value)) + "}"
+    return str(value)
+
+
 def _expect(name: str, got, want) -> CheckResult:
     if got == want:
-        return _ok(name, f"= {want}")
-    return _fail(name, f"got {got}, expected {want}")
+        return _ok(name, f"= {_show(want)}")
+    return _fail(name, f"got {_show(got)}, expected {_show(want)}")
 
 
 def _standard_ev(n: int) -> tuple[int, ...]:
@@ -186,119 +192,59 @@ def criterion_4(max_total: int = 7) -> list[CheckResult]:
 # criterion 5: constructive paths
 
 
-def _path_checks(
-    name: str,
-    graph: ShiftGraph,
-    path,
-    key_fn: Callable,
-    source_key: str,
-    target_key: str,
-    bound: int,
-) -> str | None:
-    keys = [key_fn(el) for el in path.elements]
-    if keys[0] != source_key or keys[-1] != target_key:
-        return "endpoints wrong"
-    if path.steps > bound:
-        return f"{path.steps} steps exceeds bound {bound}"
-    for a, b in zip(keys, keys[1:]):
-        if b not in graph.adjacency[a]:
-            return f"step {a} -> {b} is not an edge"
-    return None
+def _elements(h: MonoidHandle, ev: Evaluation) -> dict[str, object]:
+    """One object per class of the evaluation, by class key."""
+    reps = {h.key_of(w): w for w in words_with_evaluation(ev)}
+    return {k: h.element(w) for k, w in reps.items()}
+
+
+def _path_census(name: str, ev: Evaluation) -> tuple[int, int]:
+    """(bad, pairs) over the shift paths between every two classes of one component.
+
+    A path is bad when its endpoints are wrong, it is longer than the handle's
+    bound, or one of its steps is not an edge of the evaluation's graph.
+    """
+    h = handle(name)
+    g = evaluation_graph(h, ev)
+    elements = _elements(h, ev)
+    bound = h.path_bound(sum(1 for c in ev if c))
+    bad = pairs = 0
+    for comp in g.components():
+        for source in comp.vertices:
+            for target in comp.vertices:
+                pairs += 1
+                path = h.shift_path(elements[source], elements[target])
+                keys = [h.key(el) for el in path.elements]
+                ends_ok = keys[0] == source and keys[-1] == target
+                edges_ok = all(b in g.adjacency[a] for a, b in zip(keys, keys[1:]))
+                if not (ends_ok and edges_ok and path.steps <= bound):
+                    bad += 1
+    return bad, pairs
 
 
 def criterion_5() -> list[CheckResult]:
     out = []
-    # hypoplactic, standard elements, ranks 2..5
-    for n in range(2, 6):
-        ev = _standard_ev(n)
-        g = evaluation_graph(handle("hypo"), ev)
-        reps: dict[str, Word] = {}
-        for w in words_with_evaluation(ev):
-            reps.setdefault(hypoplactic.word_key(w), w)
-        tabs = {k: hypoplactic.quasi_ribbon(w) for k, w in reps.items()}
-        bad = 0
-        for kt, t in tabs.items():
-            for ku, u in tabs.items():
-                path = hypoplactic.shift_path(t, u)
-                err = _path_checks(
-                    "hypo", g, path, lambda el: el.key(), kt, ku, n - 1
-                )
-                if err:
-                    bad += 1
+    # standard elements, ranks 2..5 (the sylvester invariants are checked internally)
+    for name, detail in (("hypo", ""), ("sylv", "internal invariants asserted")):
+        for n in range(2, 6):
+            bad, _ = _path_census(name, _standard_ev(n))
+            out.append(
+                _ok(f"c5 {name} paths rank {n}", detail)
+                if bad == 0
+                else _fail(f"c5 {name} paths rank {n}", f"{bad} bad")
+            )
+    # every pattern of totals <= 6 up to rank 4
+    for name in ("stal", "taig"):
+        bad = pairs = 0
+        for rank in range(1, 5):
+            for ev in full_support_evaluations(rank, 6):
+                b, p = _path_census(name, ev)
+                bad, pairs = bad + b, pairs + p
         out.append(
-            _ok(f"c5 hypo paths rank {n}") if bad == 0 else _fail(f"c5 hypo paths rank {n}", f"{bad} bad")
-        )
-    # sylvester, standard elements, ranks 2..5 (invariants checked internally)
-    for n in range(2, 6):
-        ev = _standard_ev(n)
-        g = evaluation_graph(handle("sylv"), ev)
-        reps = {}
-        for w in words_with_evaluation(ev):
-            reps.setdefault(sylvester.word_key(w), w)
-        trees = {k: sylvester.right_bst(w) for k, w in reps.items()}
-        bad = 0
-        for kt, t in trees.items():
-            for ku, u in trees.items():
-                path = sylvester.shift_path(t, u)
-                err = _path_checks("sylv", g, path, sylvester.key, kt, ku, n)
-                if err:
-                    bad += 1
-        out.append(
-            _ok(f"c5 sylv paths rank {n}", "internal invariants asserted")
+            _ok(f"c5 {name} paths", f"{pairs} pairs, totals <= 6")
             if bad == 0
-            else _fail(f"c5 sylv paths rank {n}", f"{bad} bad")
+            else _fail(f"c5 {name} paths", f"{bad} of {pairs} bad")
         )
-    # stalactic: every pattern of totals <= 6 up to rank 4, pairs per component key
-    bad = 0
-    pairs = 0
-    for rank in range(1, 5):
-        for ev in full_support_evaluations(rank, 6):
-            g = evaluation_graph(handle("stal"), ev)
-            reps = {}
-            for w in words_with_evaluation(ev):
-                reps.setdefault(stalactic.word_key(w), w)
-            tabs = {k: stalactic.stalactic_tableau(w) for k, w in reps.items()}
-            groups: dict[object, list[str]] = {}
-            for k, t in tabs.items():
-                groups.setdefault(stalactic.component_key(t), []).append(k)
-            for ks in groups.values():
-                for kt in ks:
-                    for ku in ks:
-                        pairs += 1
-                        path = stalactic.shift_path(tabs[kt], tabs[ku])
-                        err = _path_checks(
-                            "stal", g, path, lambda el: el.key(), kt, ku, 3
-                        )
-                        if err:
-                            bad += 1
-    out.append(
-        _ok("c5 stal paths", f"{pairs} pairs, totals <= 6")
-        if bad == 0
-        else _fail("c5 stal paths", f"{bad} of {pairs} bad")
-    )
-    # taiga: every pattern of totals <= 6 up to rank 4, all pairs per evaluation
-    bad = 0
-    pairs = 0
-    for rank in range(1, 5):
-        for ev in full_support_evaluations(rank, 6):
-            support = sum(1 for c in ev if c)
-            g = evaluation_graph(handle("taig"), ev)
-            reps = {}
-            for w in words_with_evaluation(ev):
-                reps.setdefault(taiga.word_key(w), w)
-            trees = {k: taiga.mult_bst(w) for k, w in reps.items()}
-            for kt, t in trees.items():
-                for ku, u in trees.items():
-                    pairs += 1
-                    path = taiga.shift_path(t, u)
-                    err = _path_checks("taig", g, path, taiga.key, kt, ku, support)
-                    if err:
-                        bad += 1
-    out.append(
-        _ok("c5 taig paths", f"{pairs} pairs, totals <= 6")
-        if bad == 0
-        else _fail("c5 taig paths", f"{bad} of {pairs} bad")
-    )
     return out
 
 
@@ -439,10 +385,7 @@ def criterion_9() -> list[CheckResult]:
     bad = 0
     for rank in range(1, 5):
         for ev in full_support_evaluations(rank, 6):
-            reps: dict[str, Word] = {}
-            for w in words_with_evaluation(ev):
-                reps.setdefault(stalactic.word_key(w), w)
-            words = [stalactic.stalactic_tableau(w).reading() for w in reps.values()]
+            words = [t.reading() for t in _elements(handle("stal"), ev).values()]
             for u in words:
                 for v in words:
                     pairs += 1
@@ -491,29 +434,15 @@ def _random_words(count: int, max_len: int, rank: int, seed: int) -> list[Word]:
 def criterion_10(count: int = 10_000, max_len: int = 10, rank: int = 8) -> list[CheckResult]:
     words = _random_words(count, max_len, rank, seed=20260808)
     out = []
-    checks: dict[str, Callable[[Word], None]] = {
-        "plac": lambda w: plactic.young_tableau(w).check(),
-        "hypo": lambda w: hypoplactic.quasi_ribbon(w).check(),
-        "sylv": lambda w: sylvester.check_right_strict(sylvester.right_bst(w)),
-        "stal": lambda w: stalactic.stalactic_tableau(w),
-        "taig": lambda w: taiga.check_mult_bst(taiga.mult_bst(w)),
-        "baxt": lambda w: baxter.twin_pair(w),
-    }
-    symbol_count: dict[str, Callable[[Word], list[int]]] = {
-        "plac": lambda w: plactic.young_tableau(w).symbols(),
-        "hypo": lambda w: hypoplactic.quasi_ribbon(w).symbols(),
-        "sylv": lambda w: sylvester.labels_of(w),
-        "stal": lambda w: stalactic.stalactic_tableau(w).symbols(),
-        "taig": lambda w: taiga.symbols_of(w),
-        "baxt": lambda w: baxter.symbols_of(w),
-    }
     for name in ("plac", "hypo", "sylv", "stal", "taig", "baxt"):
+        h = handle(name)
         bad = 0
         moves = rewrite.PRESENTATIONS[name]
         for w in words:
             try:
-                checks[name](w)
-                if sorted(symbol_count[name](w)) != sorted(w):
+                el = h.element(w)
+                h.check(el)
+                if sorted(h.symbols(el)) != sorted(w):
                     bad += 1
                 for w2 in moves(w):
                     if sorted(w2) != sorted(w):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -141,10 +145,44 @@ def test_user_errors_exit_2(capsys):
     assert err.startswith("error: unknown criteria [99]")
 
 
-def test_key_error_in_a_command_is_not_a_usage_error(monkeypatch):
+def test_key_error_in_a_command_is_not_a_usage_error(monkeypatch, capsys):
     def broken(args):
         raise KeyError("internal")
 
     monkeypatch.setitem(cli.COMMANDS, "psymbol", broken)
-    with pytest.raises(KeyError, match="internal"):
-        main(["psymbol", "--monoid", "plac", "--word", "1"])
+    code, out, err = run_cli(capsys, "psymbol", "--monoid", "plac", "--word", "1")
+    assert code == 3 and out == ""
+    assert "Traceback" in err and "KeyError: 'internal'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("neighbors", "--monoid", "plac", "--word", "12", "--format", "dot"),
+        ("neighbors", "--monoid", "plac", "--word", "12", "--max-class", "3"),
+        ("diameter", "--monoid", "plac", "--word", "12", "--format", "json"),
+        ("path", "--monoid", "sylv", "--word1", "12", "--word2", "21", "--format", "text"),
+        ("component", "--monoid", "plac", "--word", "12", "--max-class", "3"),
+        ("psymbol", "--monoid", "plac", "--word", "12", "--format", "dot"),
+        ("psymbol", "--monoid", "plac", "--word", "12", "--rank", "3"),
+        ("psymbol", "--monoid", "plac", "--word", "12", "--max-total", "3"),
+    ],
+)
+def test_options_a_command_ignores_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+
+
+def test_verify_output_does_not_follow_the_hash_seed():
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cycshift.cli", "verify", "--criteria", "7"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    assert "c7 component of 1243" in outputs.pop()

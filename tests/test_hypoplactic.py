@@ -1,9 +1,9 @@
 import pytest
 
+from cycshift.handles import handle
 from cycshift.hypoplactic import (
     QuasiRibbonTableau,
     has_inversion,
-    hypo_class,
     hypo_insert,
     quasi_ribbon,
     shift_path,
@@ -81,7 +81,7 @@ def test_inversion_matches_row_split():
 def test_agreement_with_presentation():
     hypo = presentation("hypo")
     for w in words_with_evaluation((2, 1, 1)):
-        assert hypo_class(w, 3) == set(hypo.close(w).members)
+        assert handle("hypo").class_of(w, 3) == set(hypo.close(w).members)
 
 
 def test_worked_path():

@@ -1,8 +1,8 @@
 import pytest
 
+from cycshift.handles import handle
 from cycshift.plactic import (
     YoungTableau,
-    plactic_class,
     schensted_insert,
     tableau_cocharge,
     word_key,
@@ -54,9 +54,10 @@ def test_key_style():
 
 def test_class_against_oracle():
     plac = presentation("plac")
-    assert plactic_class(parse_word("132"), 3) == {parse_word("132"), parse_word("312")}
+    h = handle("plac")
+    assert h.class_of(parse_word("132"), 3) == {parse_word("132"), parse_word("312")}
     for w in words_with_evaluation((1, 1, 1, 1)):
-        assert plactic_class(w, 4) == set(plac.close(w).members)
+        assert h.class_of(w, 4) == set(plac.close(w).members)
 
 
 def test_cocharge_of_tableaux():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycshift import baxter, hypoplactic, plactic, rewrite, stalactic, sylvester, taiga
+from cycshift.trees import labels
 from cycshift.words import evaluation, rotate
 
 words = st.lists(st.integers(1, 6), max_size=10).map(tuple)
@@ -36,13 +37,14 @@ def test_quasi_ribbon_valid_and_readings_insert_back(w):
 def test_right_bst_valid(w):
     t = sylvester.right_bst(w)
     sylvester.check_right_strict(t)
-    assert sorted(sylvester.labels_of(w)) == sorted(w)
+    assert sorted(labels(t)) == sorted(w)
 
 
 @given(words)
 def test_mult_bst_valid(w):
-    taiga.check_mult_bst(taiga.mult_bst(w))
-    assert sorted(taiga.symbols_of(w)) == sorted(w)
+    t = taiga.mult_bst(w)
+    taiga.check_mult_bst(t)
+    assert sorted(taiga.symbols(t)) == sorted(w)
 
 
 @given(words)

@@ -124,24 +124,20 @@ def test_every_neighbor_shares_the_evaluation():
 
 
 def test_constructive_paths_upper_bound_bfs():
-    from cycshift import hypoplactic, sylvester, taiga
-
     ev = (1, 1, 1, 1)
-    for name, build, path_fn, key_fn in (
-        ("hypo", hypoplactic.quasi_ribbon, hypoplactic.shift_path, lambda t: t.key()),
-        ("sylv", sylvester.right_bst, sylvester.shift_path, sylvester.key),
-        ("taig", taiga.mult_bst, taiga.shift_path, taiga.key),
-    ):
-        h = handle(name)
+    for h in HANDLES.values():
+        if h.shift_path is None:
+            continue
         g = evaluation_graph(h, ev)
         reps = {}
         for w in words_with_evaluation(ev):
             reps.setdefault(h.key_of(w), w)
-        for ka, wa in reps.items():
-            dists = g.distances_from(ka)
-            for kb, wb in reps.items():
-                steps = path_fn(build(wa), build(wb)).steps
-                assert dists[kb] <= steps
+        for comp in g.components():
+            for ka in comp.vertices:
+                dists = g.distances_from(ka)
+                for kb in comp.vertices:
+                    steps = h.shift_path(h.element(reps[ka]), h.element(reps[kb])).steps
+                    assert dists[kb] <= steps <= h.path_bound(len(ev)), (h.name, ka, kb)
 
 
 # ---------------------------------------------------------------------------
