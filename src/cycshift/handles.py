@@ -23,7 +23,7 @@ from .paths import ShiftPath
 from .plactic import YoungTableau
 from .stalactic import StalacticTableau
 from .trees import labels, to_json as tree_json
-from .words import Evaluation, Word, evaluation, format_word, words_with_evaluation
+from .words import Word, evaluation, format_word, words_with_evaluation
 
 
 @dataclass(frozen=True)
@@ -57,12 +57,6 @@ class MonoidHandle:
         target = self.key_of(word)
         ev = evaluation(word, rank)
         return {w for w in words_with_evaluation(ev, limit) if self.key_of(w) == target}
-
-    def classes_of_evaluation(
-        self, ev: Evaluation, limit: int | None = None
-    ) -> dict[Word, str]:
-        """Map every word with evaluation ``ev`` to its class key."""
-        return {w: self.key_of(w) for w in words_with_evaluation(ev, limit)}
 
 
 _COUNTER = rewrite.presentation("counterexample")

@@ -17,6 +17,10 @@ from typing import Callable, Iterator
 
 from .words import DEFAULT_MAX_TOTAL, LimitExceededError, Word, rotations
 
+#: most words a closure cache holds; it is emptied before an insertion would
+#: pass this, so long-lived presentations (``handles._COUNTER``) stay bounded
+_CACHE_WORDS = 1 << 16
+
 MoveFn = Callable[[Word], Iterator[Word]]
 
 A_SYM, B_SYM, X_SYM, Y_SYM = 1, 2, 3, 4
@@ -163,8 +167,11 @@ class PresentedMonoid:
                             nxt.append(w2)
                 frontier = nxt
             cached = frozenset(seen)
-            for w in cached:
-                self._cache[w] = cached
+            if len(self._cache) + len(cached) > _CACHE_WORDS:
+                self._cache.clear()
+            if len(cached) <= _CACHE_WORDS:
+                for w in cached:
+                    self._cache[w] = cached
         return CongruenceClass(cached, min(cached))
 
     def equivalent(self, u: Word, v: Word, limit: int | None = None) -> bool:

@@ -3,10 +3,13 @@
 Vertices are canonical class keys; two classes are adjacent when some member
 of one, rotated, lands in the other.  All rotations of a word are pairwise
 adjacent, so the graph is the union of one clique per necklace (rotation
-class): each necklace is visited once, at its least rotation, and its
-members' keys are joined pairwise.  Diameters grow one reachability bitset
-per vertex by a round of neighbour ORs until every bitset is full.
-Self-loops are implicit and excluded from edge lists and diameters.
+class).  The necklaces of an evaluation are streamed, each at its least
+rotation (``words.necklaces``), and the keys of its distinct rotations are
+joined pairwise: every word is keyed once, and no map from words to keys is
+kept, so memory follows the classes and edges, not the words.  Diameters
+grow one reachability bitset per vertex by a round of neighbour ORs until
+every bitset is full.  Self-loops are implicit and excluded from edge lists
+and diameters.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from math import gcd
 
 from .handles import MonoidHandle
-from .words import Evaluation, Word, evaluation as ev_of
+from .words import Evaluation, Word, evaluation as ev_of, necklaces
 
 
 @dataclass
@@ -111,37 +115,58 @@ def diameter(g: ShiftGraph) -> int:
     return rounds
 
 
+def _cliques(handle: MonoidHandle, ev: Evaluation, limit: int | None):
+    """Each necklace of ``ev`` with the keys of its distinct rotations.
+
+    The keys are listed in rotation order, ``w[i:] + w[:i]`` for i = 0, 1, ...
+    up to the necklace's period, so every word of ``ev`` is keyed exactly once.
+    A period divides the length n, and n/period divides every count of ``ev``.
+    """
+    n = sum(ev)
+    folds = gcd(*ev)
+    periods = [n // f for f in range(folds, 1, -1) if folds % f == 0]
+    key_of = handle.key_of
+    for w in necklaces(ev, limit):
+        p = next((d for d in periods if w[d:] + w[:d] == w), n or 1)
+        yield w, [key_of(w[i:] + w[:i]) for i in range(p)]
+
+
+def _join(adj: dict[str, set[str]], keys: list[str]) -> None:
+    """Add the clique on ``keys``: each key's entry takes all of them, itself included."""
+    clique = set(keys)
+    for k in clique:
+        adj.setdefault(k, set()).update(clique)
+
+
 def evaluation_graph(
     handle: MonoidHandle, ev: Evaluation, limit: int | None = None
 ) -> ShiftGraph:
     """The full shift graph on the classes of one evaluation."""
-    keys = handle.classes_of_evaluation(ev, limit)
-    least = next((s + 1 for s, c in enumerate(ev) if c), None)
     adj: dict[str, set[str]] = {}
-    for w in keys:
-        n = len(w)
-        # visit each necklace once, at its least rotation, which starts with the least symbol
-        if (n and w[0] != least) or any(w[i:] + w[:i] < w for i in range(1, n)):
-            continue
-        clique = {keys[w[i:] + w[:i]] for i in range(n or 1)}
-        for k in clique:
-            adj.setdefault(k, set()).update(clique)
+    for _, keys in _cliques(handle, ev, limit):
+        _join(adj, keys)
     for k, nbrs in adj.items():
         nbrs.discard(k)
     return ShiftGraph(handle.name, len(ev), ev, adj)
 
 
 def neighbors(handle: MonoidHandle, word: Word, rank: int, limit: int | None = None) -> set[str]:
-    """Keys of every rotation of every class member (the class itself included)."""
+    """Keys of every rotation of every class member (the class itself included).
+
+    That is the union of the necklace cliques holding the class's key, which
+    is read from the clique of the word's own necklace.
+    """
     ev = ev_of(word, rank)
-    keys = handle.classes_of_evaluation(ev, limit)
-    target = keys[word]
-    out = set()
-    for w, k in keys.items():
-        if k == target:
-            for i in range(len(w) + 1):
-                out.add(keys[w[i:] + w[:i]])
-    return out
+    n = len(word)
+    # word[j:] + word[:j] is the word's necklace, and word is its rotation by n - j
+    j = min(range(n or 1), key=lambda i: word[i:] + word[:i])
+    own = word[j:] + word[:j]
+    adj: dict[str, set[str]] = {}
+    for w, keys in _cliques(handle, ev, limit):
+        if w == own:
+            target = keys[(n - j) % len(keys)]
+        _join(adj, keys)
+    return adj[target]
 
 
 def component(handle: MonoidHandle, word: Word, rank: int, limit: int | None = None) -> ShiftGraph:

@@ -79,31 +79,69 @@ def multinomial(ev: Evaluation) -> int:
     return n
 
 
-def words_with_evaluation(ev: Evaluation, limit: int | None = None) -> Iterator[Word]:
-    """Yield every word with the given evaluation, in lexicographic order.
-
-    The total sum(ev) is bounded by ``limit`` (default DEFAULT_MAX_TOTAL).
-    """
+def _check_total(ev: Evaluation, limit: int | None) -> None:
     bound = DEFAULT_MAX_TOTAL if limit is None else limit
     total = sum(ev)
     if total > bound:
         raise LimitExceededError(
             f"evaluation total {total} exceeds enumeration limit {bound} (evaluation {ev})"
         )
-    counts = list(ev)
-    word: list[int] = []
+
+
+def _arrangements(a: list[int]) -> Iterator[Word]:
+    """Every arrangement of the sorted list ``a``, in lexicographic order.
+
+    Knuth's Algorithm L: ``a`` steps to the next permutation in place.
+    """
+    n = len(a)
+    while True:
+        yield tuple(a)
+        j = n - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        k = n - 1
+        while a[j] >= a[k]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1 :] = a[:j:-1]
+
+
+def _sorted_symbols(ev: Evaluation) -> list[int]:
+    return [s + 1 for s, c in enumerate(ev) for _ in range(c)]
+
+
+def words_with_evaluation(ev: Evaluation, limit: int | None = None) -> Iterator[Word]:
+    """Yield every word with the given evaluation, in lexicographic order.
+
+    The total sum(ev) is bounded by ``limit`` (default DEFAULT_MAX_TOTAL);
+    the bound is checked when this is called, before the first word.
+    """
+    _check_total(ev, limit)
+    return _arrangements(_sorted_symbols(ev))
+
+
+def necklaces(ev: Evaluation, limit: int | None = None) -> Iterator[Word]:
+    """Yield each word with evaluation ``ev`` that is the least of its rotations.
+
+    Every rotation class (necklace) appears once, at its least rotation, in
+    lexicographic order.  A least rotation starts with the least symbol, so
+    only the arrangements of the rest follow it, and only the rotations that
+    also start with that symbol can be smaller.  The limit is checked as in
+    ``words_with_evaluation``.
+    """
+    _check_total(ev, limit)
+    symbols = _sorted_symbols(ev)
+    if not symbols:
+        return iter([()])
+    least, n = symbols[0], len(symbols)
 
     def gen() -> Iterator[Word]:
-        if len(word) == total:
-            yield tuple(word)
-            return
-        for s in range(len(counts)):
-            if counts[s]:
-                counts[s] -= 1
-                word.append(s + 1)
-                yield from gen()
-                word.pop()
-                counts[s] += 1
+        for tail in _arrangements(symbols[1:]):
+            w = (least,) + tail
+            if all(w <= w[i:] + w[:i] for i in range(1, n) if w[i] == least):
+                yield w
 
     return gen()
 
@@ -155,11 +193,8 @@ def parse_word(text: str) -> Word:
 
 def format_word(word: Word) -> str:
     """Compact digit string when all symbols are single digits, else comma-separated."""
-    if not word:
-        return ""
-    if all(a <= 9 for a in word):
-        return "".join(str(a) for a in word)
-    return ",".join(str(a) for a in word)
+    text = "".join(map(str, word))
+    return text if len(text) == len(word) else ",".join(map(str, word))
 
 
 def format_run(symbols) -> str:

@@ -1,5 +1,6 @@
 import pytest
 
+from cycshift import rewrite
 from cycshift.rewrite import (
     A_SYM,
     B_SYM,
@@ -32,6 +33,21 @@ def test_close_respects_limit():
     plac = presentation("plac")
     with pytest.raises(LimitExceededError):
         plac.close(tuple([1, 2] * 6))
+
+
+def test_close_cache_stays_within_its_cap(monkeypatch):
+    words = list(words_with_evaluation((1, 1, 2, 2)))
+    for name in ("plac", "sylv", "counterexample"):
+        want = [presentation(name).close(w) for w in words]
+        sizes = {len(c) for c in want}
+        cap = 4
+        assert min(sizes) < cap < max(sizes), sizes  # small classes cached, large ones not
+        monkeypatch.setattr(rewrite, "_CACHE_WORDS", cap)
+        capped = presentation(name)
+        for w, cls in zip(words, want):
+            assert capped.close(w) == cls
+            assert len(capped._cache) <= cap
+        monkeypatch.undo()
 
 
 def test_equivalent_examples():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from types import SimpleNamespace
 
@@ -19,7 +20,7 @@ from cycshift.shiftgraph import (
     to_dot,
     to_json,
 )
-from cycshift.words import parse_word, words_with_evaluation
+from cycshift.words import multinomial, parse_word, words_with_evaluation
 
 
 def test_neighbors_of_plactic_row():
@@ -40,6 +41,44 @@ def test_neighbors_contains_self():
 def test_neighbors_of_empty_word():
     h = handle("plac")
     assert neighbors(h, (), 3) == {h.key_of(())}
+
+
+def _counting(h):
+    calls = []
+
+    def key_of(w):
+        calls.append(w)
+        return h.key_of(w)
+
+    return dataclasses.replace(h, key_of=key_of), calls
+
+
+@pytest.mark.parametrize("ev", [(), (1,), (2, 2), (3, 3), (2, 1, 2), (1, 1, 1, 1, 1), (2, 2, 2)])
+def test_every_word_is_keyed_once(ev):
+    for name in ("plac", "stal", "counterexample"):
+        counted, calls = _counting(handle(name))
+        evaluation_graph(counted, ev)
+        assert sorted(calls) == list(words_with_evaluation(ev)), (name, ev)
+        assert len(calls) == multinomial(ev)
+        for word in words_with_evaluation(ev):
+            calls.clear()
+            neighbors(counted, word, len(ev))
+            assert len(calls) == multinomial(ev), (name, word)
+
+
+def test_neighbors_checks_the_alphabet_first():
+    with pytest.raises(ValueError, match="outside alphabet"):
+        neighbors(handle("plac"), (1, 5), 3)
+
+
+def test_neighbors_is_every_rotation_of_every_class_member():
+    for name in ("plac", "sylv", "baxt"):
+        h = handle(name)
+        for ev in [(2, 2), (3, 3), (2, 1, 2), (1, 2, 1, 1)]:
+            for word in words_with_evaluation(ev):
+                cls = h.class_of(word, len(ev))
+                want = {h.key_of(w[i:] + w[:i]) for w in cls for i in range(len(w))}
+                assert neighbors(h, word, len(ev)) == want, (name, word)
 
 
 def test_component_sizes_and_diameters():
@@ -175,12 +214,12 @@ def test_engine_matches_reference(name):
     h = handle(name)
     cases = []
     for ev in DIFFERENTIAL_EVALUATIONS:
-        keys = h.classes_of_evaluation(ev)
+        keys = {w: h.key_of(w) for w in words_with_evaluation(ev)}
         cases += [(ev[:rank], keys) for rank in range(4, 0, -1) if not any(ev[rank:])]
-    cases.append(((1,) * 6, h.classes_of_evaluation((1,) * 6)))
+    cases.append(((1,) * 6, {w: h.key_of(w) for w in words_with_evaluation((1,) * 6)}))
     for ev, keys in cases:
         # the engine gets the same keys without computing them again
-        cached = SimpleNamespace(name=h.name, classes_of_evaluation=lambda ev, limit, keys=keys: keys)
+        cached = SimpleNamespace(name=h.name, key_of=keys.__getitem__)
         g = evaluation_graph(cached, ev)
         ref = reference_graph(h, ev, keys)
         assert g.adjacency == ref.adjacency, ev

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from cycshift.words import (
     format_word,
     is_standard,
     multinomial,
+    necklaces,
     parse_word,
     rotate,
     words_with_evaluation,
@@ -75,8 +77,45 @@ def test_words_with_evaluation_counts_match_multinomial():
 
 def test_words_with_evaluation_limit():
     with pytest.raises(LimitExceededError):
-        list(words_with_evaluation((6, 6)))
+        words_with_evaluation((6, 6))  # raised at the call, before any word
     assert len(list(words_with_evaluation((6, 6), limit=12))) == multinomial((6, 6))
+
+
+#: every evaluation of rank <= 4 and total <= 7, the empty and all-zero ones
+#: among them, plus the rank-7 standard evaluation
+SMALL_EVALUATIONS = [
+    ev for rank in range(5) for ev in itertools.product(range(8), repeat=rank) if sum(ev) <= 7
+] + [(1,) * 7]
+
+
+def _symbols(ev):
+    return [s + 1 for s, c in enumerate(ev) for _ in range(c)]
+
+
+def test_words_with_evaluation_are_the_distinct_permutations():
+    assert (0, 0) in SMALL_EVALUATIONS and () in SMALL_EVALUATIONS
+    for ev in SMALL_EVALUATIONS:
+        assert list(words_with_evaluation(ev)) == sorted(set(itertools.permutations(_symbols(ev)))), ev
+
+
+def test_necklaces_are_the_least_rotations():
+    for ev in SMALL_EVALUATIONS:
+        want = [
+            w for w in words_with_evaluation(ev)
+            if all(w <= w[i:] + w[:i] for i in range(len(w)))
+        ]
+        got = list(necklaces(ev))
+        assert got == sorted(want) and len(set(got)) == len(got), ev
+
+
+def test_necklaces_limit_is_checked_at_the_call():
+    with pytest.raises(LimitExceededError) as enum_error:
+        words_with_evaluation((6, 6))
+    with pytest.raises(LimitExceededError) as necklace_error:
+        necklaces((6, 6))
+    assert str(necklace_error.value) == str(enum_error.value)
+    # binary necklaces of content (6, 6): sum over d | 6 of phi(d) * C(12/d, 6/d), over 12
+    assert len(list(necklaces((6, 6), limit=12))) == (924 + 1 * 20 + 2 * 6 + 2 * 2) // 12
 
 
 def test_cocharge_worked_example():
@@ -132,6 +171,8 @@ def test_word_parse_and_format():
     assert parse_word("") == ()
     assert format_word((1, 3, 2, 5)) == "1325"
     assert format_word((10, 3, 12)) == "10,3,12"
+    assert format_word((9, 10)) == "9,10"
+    assert format_word((1, 9)) == "19"
     assert format_word(()) == ""
     with pytest.raises(ValueError):
         parse_word("1,x")
