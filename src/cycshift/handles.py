@@ -47,11 +47,14 @@ class MonoidHandle:
     relabel_invariant: bool = True
 
     def path_bound(self, n_distinct: int) -> int:
-        """Most shifts ``shift_path`` takes between objects on ``n_distinct`` symbols."""
+        """Most shifts ``shift_path`` takes between objects on ``n_distinct`` symbols.
+
+        Never negative: hypo's ``n - 1`` would read -1 for the empty word.
+        """
         if self.path_law is None:
             raise ValueError(f"{self.name} has no constructive shift path")
         slope, offset = self.path_law
-        return slope * n_distinct + offset
+        return max(0, slope * n_distinct + offset)
 
     def class_of(self, word: Word, rank: int, limit: int | None = None) -> set[Word]:
         target = self.key_of(word)

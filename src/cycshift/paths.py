@@ -27,6 +27,30 @@ class ShiftPath:
         return [(w, w[k:] + w[:k]) for w, k in self.moves]
 
 
+def check_path(handle, path: ShiftPath, source: str, target: str, graph=None) -> None:
+    """Raise ValueError unless ``path`` is a witnessed path from ``source`` to ``target``.
+
+    ``handle`` is the monoid's ``MonoidHandle`` and the endpoints are class
+    keys.  Each step's witness ``(w, k)`` must key to the step's source and
+    its rotation ``w[k:] + w[:k]`` to the step's target; each step must be an
+    edge of ``graph`` when one is given; and the path may take at most
+    ``handle.path_bound(n)`` steps, ``n`` the number of distinct symbols.
+    """
+    keys = [handle.key(el) for el in path.elements]
+    if (keys[0], keys[-1]) != (source, target):
+        raise ValueError(f"path runs {keys[0]} -> {keys[-1]}, not {source} -> {target}")
+    if len(path.moves) != path.steps:
+        raise ValueError(f"{path.steps} steps but {len(path.moves)} witnesses")
+    for (a, b), (w, k) in zip(zip(keys, keys[1:]), path.moves):
+        if (handle.key_of(w), handle.key_of(w[k:] + w[:k])) != (a, b):
+            raise ValueError(f"witness {w}|{k} does not shift {a} to {b}")
+        if graph is not None and b not in graph.adjacency.get(a, ()):
+            raise ValueError(f"step {a} -> {b} is not an edge")
+    bound = handle.path_bound(len(set(handle.symbols(path.elements[0]))))
+    if path.steps > bound:
+        raise ValueError(f"{path.steps} steps exceed the bound {bound}")
+
+
 def compress_path(elements: list, moves: list[tuple[Word, int]], key=None) -> ShiftPath:
     """Drop trivial steps (consecutive equal elements) and their witnesses.
 

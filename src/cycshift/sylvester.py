@@ -5,16 +5,59 @@ A right strict BST has each node >= its left subtree and < its right subtree,
 so equal labels stack on one descending path and only the uppermost of them
 can own a right subtree.  Words insert right to left by leaf insertion.
 
-The path construction walks the target tree in left-to-right postfix order
+The path construction walks the target tree U in left-to-right postfix order
 restricted to uppermost label occurrences; the shift done for each visited
 symbol is a rotation of an explicitly factorized reading of the current tree.
 Every factorization and every intermediate invariant is checked at runtime:
 a violation raises AssertionError and means a bug, never a silent fallback.
+
+Each shift reads the current tree as ``moved + rest`` and moves on to
+``rest + moved``.  The base step moves the first visited symbol with its
+subtrees (``_visit_split``).  Step h -> h+1 visits ``u`` while step h's
+anchor sits at the root with left and right attachments ``lambda`` and
+``rho``; it splits by where step h's node lies in U relative to ``u``'s:
+
+1. not below it: ``u`` with its subtrees comes off ``rho`` (``_visit_split``);
+2. in its left subtree: the primary occurrences of ``u`` move, the others
+   lead the rest;
+3. in its right subtree, no earlier visit left of ``u``: ``u`` comes off
+   as in case 1, and the pieces of ``lambda`` between step h's duplicated
+   minima follow: ``moved = head + prefix + u`` and
+   ``rest = rest_head + minima + suffix``;
+4. in its right subtree, earlier visits left of ``u``:
+   ``moved = prefix + middle_moved`` and ``rest = middle_rest + m^r2 + suffix``.
+
+Cases 3 and 4 share the (prefix, suffix) of step h's upper bound ``q``: of
+its ``s`` occurrences outside the core, ``s2`` lie between the two visits
+in U and ``s1`` do not.
+
+- ``q`` inserted into the anchor: ``q^s2`` and ``q^s1 rho core`` (case 3)
+  or ``rho q^s1 core`` (case 4);
+- ``q`` a chain in ``rho`` (``beta`` right of its top, ``delta`` the rest of
+  ``rho``): ``beta q^s2`` and ``q^s1 delta anchor``, or, when ``s2 == 0``,
+  nothing and ``beta q^s1 delta anchor`` (``_upper_chain``);
+- no ``q``: nothing and ``rho anchor``.
+
+Case 4's middle places ``t`` occurrences of ``u`` (all of them, or the ones
+inserted into the previous pending anchor) around ``gamma``, that anchor
+read with its left attachment: ``t2`` as many as are primary in U and
+``t1 = t - t2``.  Of all ``u``, ``o1`` hang below the previous anchor and
+``o2`` on the spine above it, as do ``r1`` and ``r2`` duplicated minima
+``m`` of step h's block:
+
+- ``o2 == 0`` (always when the previous anchor holds inserted ``u``):
+  ``u^t2`` and ``u^t1 m^r1 gamma``;
+- ``o2 >= t2``: ``u^o1 gamma u^t2`` and ``u^(o2-t2)``;
+- ``o2 < t2``: ``u^(t2-o2)`` and ``u^(o1+o2-t2) gamma u^o2``.
+
+When both anchors hold inserted occurrences, ``rho`` reads before ``m^r2``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterator
 
 from .paths import ShiftPath, compress_path
 from .trees import (
@@ -171,24 +214,24 @@ def classify_nodes(root: Node | None, label: int) -> tuple[list[Node], list[Node
     Primary: the uppermost occurrence and the run of occurrences consecutive
     with it.  Tertiary: a childless bottom occurrence together with the run
     consecutive with it, when not already primary.  Secondary: the rest.
+    An occurrence is consecutive with the one above it when it is that one's
+    left child, the only place an equal label can hang.
     """
     chain = nodes_with_label(root, label)
     if not chain:
         raise ValueError(f"symbol {label} does not occur in the tree")
-    parents = parent_map(root)
     primary = [chain[0]]
     for nd in chain[1:]:
-        if parents.get(id(nd)) is primary[-1]:
-            primary.append(nd)
-        else:
+        if primary[-1].left is not nd:
             break
+        primary.append(nd)
     primary_ids = {id(x) for x in primary}
     tertiary: list[Node] = []
     bottom = chain[-1]
     if bottom.left is None and bottom.right is None:
         run = [bottom]
         i = len(chain) - 2
-        while i >= 0 and parents.get(id(run[-1])) is chain[i]:
+        while i >= 0 and chain[i].left is run[-1]:
             run.append(chain[i])
             i -= 1
         tertiary = [nd for nd in run if id(nd) not in primary_ids]
@@ -240,14 +283,24 @@ def _clone_with_map(node: Node | None) -> tuple[Node | None, dict[int, Node]]:
     return rec(node), mapping
 
 
+def _ancestors(parents: dict[int, Node], node: Node) -> Iterator[Node]:
+    """The ancestors of ``node``, from its parent up to the root."""
+    par = parents.get(id(node))
+    while par is not None:
+        yield par
+        par = parents.get(id(par))
+
+
+def _index(root: Node) -> tuple[dict[int, Node], Counter[int], dict[int, Node]]:
+    """Parent map, label counts and the topmost node of each label."""
+    count = Counter(labels(root))
+    return parent_map(root), count, {lbl: search_topmost(root, lbl) for lbl in count}
+
+
 def traversal_plan(u_root: Node) -> list[PlanStep]:
     """Plan the topmost-occurrence postfix walk of ``u_root``; one step per symbol."""
     _require(u_root is not None, "plan needs a non-empty tree")
-    parents = parent_map(u_root)
-    count: dict[int, int] = {}
-    for lbl in labels(u_root):
-        count[lbl] = count.get(lbl, 0) + 1
-    topmost = {lbl: search_topmost(u_root, lbl) for lbl in count}
+    parents, count, topmost = _index(u_root)
     order = [x for x in postfix(u_root) if topmost[x.label] is x]
     _require(len(order) == len(count), "one walk step per distinct symbol")
 
@@ -257,13 +310,14 @@ def traversal_plan(u_root: Node) -> list[PlanStep]:
         m = min(x.label for x in sub)
         upper = lower = None
         child = visited
-        par = parents.get(id(child))
-        while par is not None and (upper is None or lower is None):
+        for par in _ancestors(parents, visited):
             if par.left is child and upper is None:
                 upper = par.label
             if par.right is child and lower is None:
                 lower = par.label
-            child, par = par, parents.get(id(par))
+            if upper is not None and lower is not None:
+                break
+            child = par
         _require(lower is None or lower < m, "lower bound below the block minimum")
         _require(upper is None or visited.label < upper, "upper bound above the visited symbol")
 
@@ -279,7 +333,7 @@ def traversal_plan(u_root: Node) -> list[PlanStep]:
             )
             kept.left = None
         core, cmap = _clone_with_map(single)
-        if upper is not None and count.get(upper):
+        if upper is not None:
             tert = classify_nodes(u_root, upper)[2]
             sub_ids = {id(x) for x in sub}
             inside = [bmap[id(x)] for x in tert if id(x) in sub_ids]
@@ -404,26 +458,6 @@ def _upset(order_below: list[set[int]], h: int) -> list[int]:
 # the path construction
 
 
-def _has_ancestor(parents: dict[int, Node], node: Node, lbl: int) -> bool:
-    par = parents.get(id(node))
-    while par is not None:
-        if par.label == lbl:
-            return True
-        par = parents.get(id(par))
-    return False
-
-
-def _between_on_path(u_parents: dict[int, Node], low_node: Node, high_node: Node) -> list[Node]:
-    """Nodes strictly between ``low_node`` and its ancestor ``high_node``."""
-    out: list[Node] = []
-    par = u_parents.get(id(low_node))
-    while par is not None and par is not high_node:
-        out.append(par)
-        par = u_parents.get(id(par))
-    _require(par is high_node, "expected an ancestor path")
-    return out
-
-
 def _chain_down(start: Node | None) -> list[Node]:
     """Follow a pure left chain, asserting empty right subtrees throughout."""
     out = []
@@ -440,24 +474,14 @@ class _PathBuilder:
         self.u_root = u_root
         self.plan = traversal_plan(u_root)
         self.n = len(self.plan)
-        self.u_parents = parent_map(u_root)
-        self.count: dict[int, int] = {}
-        for lbl in labels(u_root):
-            self.count[lbl] = self.count.get(lbl, 0) + 1
-        self.topmost = {lbl: search_topmost(u_root, lbl) for lbl in self.count}
+        self.u_parents, self.count, self.topmost = _index(u_root)
         # which earlier visits are below which later ones, for the pending set
         order = [self.topmost[s.label] for s in self.plan]
-        anc_sets: list[set[int]] = []
         pos_of = {id(nd): i + 1 for i, nd in enumerate(order)}
-        for nd in order:
-            anc: set[int] = set()
-            par = self.u_parents.get(id(nd))
-            while par is not None:
-                if id(par) in pos_of:
-                    anc.add(pos_of[id(par)])
-                par = self.u_parents.get(id(par))
-            anc_sets.append(anc)
-        self.order_below = anc_sets
+        self.order_below = [
+            {pos_of[id(par)] for par in _ancestors(self.u_parents, nd) if id(par) in pos_of}
+            for nd in order
+        ]
         self.primary_count = {
             lbl: len(classify_nodes(u_root, lbl)[0]) for lbl in self.count
         }
@@ -477,65 +501,104 @@ class _PathBuilder:
         self.moves.append((w1, len(moved)))
         self.trees.append(right_bst(w2))
 
-    def _secondary_between(self, h: int) -> int:
-        """Occurrences of step h's upper bound between visits h and h+1 in U."""
-        cur, nxt = self.plan[h - 1], self.plan[h]
-        between = _between_on_path(
-            self.u_parents, self.topmost[cur.label], self.topmost[nxt.label]
-        )
-        for nd in between:
-            _require(nd.label == cur.upper, "only upper-bound symbols separate the visits")
-        return len(between)
-
-    # -- base step -------------------------------------------------------
-
-    def base_step(self) -> None:
-        t_cur = self.trees[-1]
-        step = self.plan[0]
-        u1 = step.label
-        parents = parent_map(t_cur)
-        below = (
-            step.lower is not None
-            and any(
-                _has_ancestor(parents, nd, step.lower)
-                for nd in nodes_with_label(t_cur, u1)
-            )
-        )
-        if below:
-            p_node = search_topmost(t_cur, step.lower)
-            y = next(
-                nd
-                for nd in nodes_with_label(t_cur, u1)
-                if _has_ancestor(parents, nd, step.lower)
-            )
-            _require(
-                p_node is not None and p_node.right is not None
-                and id(y) in subtree_ids(p_node.right),
-                "distinguished node sits in the right subtree of the bound",
-            )
-            zeta = subtree_ids(t_cur) - subtree_ids(p_node)
-            alpha = subtree_ids(p_node.left)
-            delta = subtree_ids(p_node.right) - subtree_ids(y)
-            beta = subtree_ids(y.left)
-            gamma = subtree_ids(y.right)
-            moved = self._reads(beta, gamma) + [u1]
-            rest = self._reads(delta, alpha) + [step.lower] + self._reads(zeta)
-        else:
-            y = search_topmost(t_cur, u1)
-            _require(y is not None, "target symbol occurs in the start tree")
-            zeta = subtree_ids(t_cur) - subtree_ids(y)
-            beta = subtree_ids(y.left)
-            gamma = subtree_ids(y.right)
-            moved = self._reads(beta, gamma) + [u1]
-            rest = self._reads(zeta)
-        self._emit(moved, rest)
-
     def _reads(self, *idsets: set[int]) -> list[int]:
         t_cur = self.trees[-1]
         out: list[int] = []
         for ids in idsets:
             out.extend(postfix_reading(t_cur, ids))
         return out
+
+    def _visit_split(self, u1: int, lower: int | None) -> tuple[list[int], list[int], Node]:
+        """Factor the visit symbol ``u1`` off the current tree.
+
+        Returns (head, rest_head, stop): the moved factor reads ``head``
+        right before ``u1``, the rest starts with ``rest_head``, and with
+        ``u1`` the two read exactly the subtree at ``stop``: the topmost ``u1``
+        with its two subtrees, unless some ``u1`` sits below an occurrence of
+        ``lower``: then the uppermost such ``u1`` is pulled out of the right
+        subtree of the topmost ``lower``, which follows in the rest, so that
+        no occurrence re-inserts below its predecessor symbol (all of whose
+        occurrences are that topmost one and its left chain).
+        """
+        t_cur = self.trees[-1]
+        occ = nodes_with_label(t_cur, u1)
+        _require(occ != [], "visit symbol occurs in the current tree")
+        if lower is not None:
+            parents = parent_map(t_cur)
+            y = next(
+                (nd for nd in occ if any(p.label == lower for p in _ancestors(parents, nd))),
+                None,
+            )
+            if y is not None:
+                p_node = search_topmost(t_cur, lower)
+                _require(
+                    p_node is not None and id(y) in subtree_ids(p_node.right),
+                    "pulled occurrence sits in the right subtree of the bound",
+                )
+                head = self._reads(subtree_ids(y.left), subtree_ids(y.right))
+                rest_head = self._reads(
+                    subtree_ids(p_node.right) - subtree_ids(y), subtree_ids(p_node.left)
+                )
+                return head, rest_head + [lower], p_node
+        y = occ[0]
+        return self._reads(subtree_ids(y.left), subtree_ids(y.right)), [], y
+
+    def _between_counts(self, h: int, s: int) -> tuple[int, int]:
+        """Split ``s`` occurrences of step h's upper bound into (s2, s1).
+
+        ``s2`` counts those between visits h and h+1 in U, which move to the
+        front of the shift; ``s1`` are the rest.
+        """
+        cur, nxt = self.plan[h - 1], self.plan[h]
+        high = self.topmost[nxt.label]
+        s2 = 0
+        for par in _ancestors(self.u_parents, self.topmost[cur.label]):
+            if par is high:
+                break
+            _require(par.label == cur.upper, "only upper-bound symbols separate the visits")
+            s2 += 1
+        else:
+            _require(False, "expected an ancestor path")
+        _require(s - s2 >= 0, "between-count fits in the upper occurrences")
+        return s2, s - s2
+
+    def _upper_chain(self, h: int, rm: Node | None, anchor_ids: set[int]):
+        """(prefix, suffix) of a shift when step h's core holds no upper bound.
+
+        The occurrences of the upper bound ``q`` then form one chain in the
+        right attachment ``rm`` of the anchor.  Those between visits h and
+        h+1 move up front behind the subtree right of the chain; with none
+        to move, the block around the chain stays contiguous in the suffix
+        so that it lands right of the new root.
+        """
+        q = self.plan[h - 1].upper
+        if q is None:
+            return [], self._reads(subtree_ids(rm), anchor_ids)
+        qnodes = nodes_with_label(self.trees[-1], q)
+        _require(qnodes != [], "upper bound occurs somewhere")
+        _require(
+            all(id(x) not in anchor_ids for x in qnodes),
+            "upper occurrences sit outside the anchor",
+        )
+        for a, b in zip(qnodes, qnodes[1:]):
+            _require(a.left is b, "upper occurrences form one consecutive chain")
+        _require(len(qnodes) == self.count[q], "all upper occurrences located")
+        top = qnodes[0]
+        _require(id(top) in subtree_ids(rm), "upper chain right of the anchor")
+        s2, s1 = self._between_counts(h, len(qnodes))
+        beta = self._reads(subtree_ids(top.right))
+        tail = self._reads(subtree_ids(rm) - subtree_ids(top), anchor_ids)
+        if s2:
+            return beta + [q] * s2, [q] * s1 + tail
+        return [], beta + [q] * s1 + tail
+
+    # -- base step -------------------------------------------------------
+
+    def base_step(self) -> None:
+        step = self.plan[0]
+        head, rest_head, stop = self._visit_split(step.label, step.lower)
+        outside = subtree_ids(self.trees[-1]) - subtree_ids(stop)
+        self._emit(head + [step.label], rest_head + self._reads(outside))
 
     # -- induction cases ---------------------------------------------------
 
@@ -560,84 +623,43 @@ class _PathBuilder:
         check_spine_invariants(self.trees[-1], self.plan, upset)
 
     def _subtree_side(self, anc: Node, nd: Node) -> str | None:
-        chain = _between_on_path(self.u_parents, nd, anc) if self._is_ancestor(anc, nd) else None
-        if chain is None:
-            return None
-        top_child = chain[-1] if chain else nd
-        return "left" if anc.left is top_child else "right"
-
-    def _is_ancestor(self, anc: Node, nd: Node) -> bool:
-        par = self.u_parents.get(id(nd))
-        while par is not None:
+        """The side of ``anc`` whose subtree holds ``nd`` in U; None when not below."""
+        child = nd
+        for par in _ancestors(self.u_parents, nd):
             if par is anc:
-                return True
-            par = self.u_parents.get(id(par))
-        return False
+                return "left" if par.left is child else "right"
+            child = par
+        return None
 
     def _anchor_parts(self, step: PlanStep):
         """Embed the step's anchor at the current root; split core vs inserted."""
-        t_cur = self.trees[-1]
-        found = _embed_at(step.anchor, t_cur)
+        found = _embed_at(step.anchor, self.trees[-1])
         _require(found is not None, f"anchor of step {step.index} absent at the root")
         mapping, lm, rm = found
         all_ids = {id(v) for v in mapping.values()}
         core_ids = {id(mapping[i]) for i in step.anchor_core_ids}
-        return mapping, lm, rm, all_ids, core_ids
+        return lm, rm, all_ids, core_ids
 
     def _case1(self, h: int) -> None:
         cur, nxt = self.plan[h - 1], self.plan[h]
         u1 = nxt.label
         _require(len(nodes(nxt.anchor)) == 1, "fresh visit carries a single-node anchor")
-        t_cur = self.trees[-1]
-        _, lm, rm, anchor_ids, _ = self._anchor_parts(cur)
-        lam = subtree_ids(lm)
-        parents = parent_map(t_cur)
-        below = (
-            nxt.lower is not None
-            and any(
-                _has_ancestor(parents, nd, nxt.lower)
-                for nd in nodes_with_label(t_cur, u1)
-            )
-        )
+        lm, rm, anchor_ids, _ = self._anchor_parts(cur)
         # the pull-to-front surgery needs every next-lower occurrence outside
         # the anchor; that fails only when the bounds collide and the anchor
         # absorbed those occurrences
-        if below and (cur.upper != nxt.lower or cur.anchor_extra == 0):
-            p_node = search_topmost(t_cur, nxt.lower)
-            _require(id(p_node) in subtree_ids(rm), "bound lives right of the anchor")
-            y = next(
-                nd
-                for nd in nodes_with_label(t_cur, u1)
-                if _has_ancestor(parents, nd, nxt.lower)
-            )
-            _require(id(y) in subtree_ids(p_node.right), "distinguished node right of the bound")
-            zeta = subtree_ids(rm) - subtree_ids(p_node)
-            alpha = subtree_ids(p_node.left)
-            delta = subtree_ids(p_node.right) - subtree_ids(y)
-            beta = subtree_ids(y.left)
-            gamma = subtree_ids(y.right)
-            moved = self._reads(beta, gamma) + [u1]
-            rest = (
-                self._reads(delta, alpha)
-                + [nxt.lower]
-                + self._reads(zeta, lam, anchor_ids)
-            )
-        else:
-            y = search_topmost(t_cur, u1)
-            _require(y is not None and id(y) in subtree_ids(rm), "visit symbol right of anchor")
-            zeta = subtree_ids(rm) - subtree_ids(y)
-            beta = subtree_ids(y.left)
-            gamma = subtree_ids(y.right)
-            moved = self._reads(beta, gamma) + [u1]
-            rest = self._reads(zeta, lam, anchor_ids)
-        self._emit(moved, rest)
+        collide = cur.upper == nxt.lower and cur.anchor_extra > 0
+        head, rest_head, stop = self._visit_split(u1, None if collide else nxt.lower)
+        _require(id(stop) in subtree_ids(rm), "visit symbol and its bound right of the anchor")
+        zeta = subtree_ids(rm) - subtree_ids(stop)
+        self._emit(head + [u1], rest_head + self._reads(zeta, subtree_ids(lm), anchor_ids))
 
     def _case2(self, h: int) -> None:
         cur = self.plan[h - 1]
         u1 = self.plan[h].label
         _require(cur.upper == u1, "upper bound of the old block is the next visit")
         t_cur = self.trees[-1]
-        _, lm, rm, anchor_ids, core_ids = self._anchor_parts(cur)
+        lm, rm, anchor_ids, core_ids = self._anchor_parts(cur)
         lam = subtree_ids(lm)
         s2 = self.primary_count[u1]
         if cur.anchor_extra:
@@ -702,103 +724,24 @@ class _PathBuilder:
             if i:
                 frag.append(m)
             frag.extend(self._reads(region))
-        return frag, len(ext)
-
-    def _external_upper_chain(self, anchor_ids: set[int], upper: int | None):
-        """The chain of upper-bound occurrences in the right-maximal subtree.
-
-        Used when the core holds no upper occurrences: returns (top node,
-        count, beta ids, delta ids relative to the right attach) for the
-        topmost occurrence, or a trivial record when ``upper`` is None.
-        """
-        t_cur = self.trees[-1]
-        if upper is None:
-            return None, 0
-        qnodes = nodes_with_label(t_cur, upper)
-        _require(qnodes != [], "upper bound occurs somewhere")
-        _require(
-            all(id(q) not in anchor_ids for q in qnodes),
-            "upper occurrences sit outside the anchor",
-        )
-        for a, b in zip(qnodes, qnodes[1:]):
-            _require(a.left is b, "upper occurrences form one consecutive chain")
-        _require(len(qnodes) == self.count[upper], "all upper occurrences located")
-        return qnodes[0], len(qnodes)
+        return frag
 
     def _case3(self, h: int) -> None:
         cur, nxt = self.plan[h - 1], self.plan[h]
-        u1, m = nxt.label, cur.min_sym
+        u1 = nxt.label
         _require(cur.lower == u1, "lower bound of the old block is the next visit")
-        t_cur = self.trees[-1]
-        _, lm, rm, anchor_ids, core_ids = self._anchor_parts(cur)
-        y = nodes_with_label(t_cur, u1)[0]
+        lm, rm, anchor_ids, core_ids = self._anchor_parts(cur)
+        y = nodes_with_label(self.trees[-1], u1)[0]
         _require(y.right is None, "uppermost visit symbol has an empty right subtree")
-        parents = parent_map(t_cur)
-        below = (
-            nxt.lower is not None
-            and any(
-                _has_ancestor(parents, nd, nxt.lower)
-                for nd in nodes_with_label(t_cur, u1)
-            )
-        )
-        if below:
-            # an occurrence of the visit symbol sits below its predecessor
-            # symbol; pull the uppermost such occurrence to the root so no
-            # occurrence re-inserts below a predecessor (all predecessor
-            # occurrences are the topmost one plus its left chain)
-            p_node = search_topmost(t_cur, nxt.lower)
-            y_low = next(
-                nd
-                for nd in nodes_with_label(t_cur, u1)
-                if _has_ancestor(parents, nd, nxt.lower)
-            )
-            _require(
-                p_node.right is not None and id(y_low) in subtree_ids(p_node.right),
-                "distinguished occurrence right of the topmost predecessor",
-            )
-            head = self._reads(subtree_ids(y_low.left), subtree_ids(y_low.right))
-            rest_head = self._reads(
-                subtree_ids(p_node.right) - subtree_ids(y_low),
-                subtree_ids(p_node.left),
-            ) + [nxt.lower]
-            stop = p_node
-        else:
-            head = self._reads(subtree_ids(y.left))
-            rest_head = []
-            stop = y
-        frag, _r = self._m_chain_pieces(lm, anchor_ids, m, stop)
-        frag = rest_head + frag
+        head, rest_head, stop = self._visit_split(u1, nxt.lower)
+        middle = rest_head + self._m_chain_pieces(lm, anchor_ids, cur.min_sym, stop)
         if cur.anchor_extra:
+            s2, s1 = self._between_counts(h, cur.anchor_extra)
             q = cur.upper
-            s = cur.anchor_extra
-            s2 = self._secondary_between(h)
-            s1 = s - s2
-            _require(s1 >= 0, "between-count fits in the inserted set")
-            beta = subtree_ids(rm)
-            moved = head + [q] * s2 + [u1]
-            rest = frag + [q] * s1 + self._reads(beta, core_ids)
-        elif cur.upper is not None:
-            q_top, sq = self._external_upper_chain(anchor_ids, cur.upper)
-            _require(id(q_top) in subtree_ids(rm), "upper chain right of the anchor")
-            s2 = self._secondary_between(h)
-            s1 = sq - s2
-            _require(s1 >= 0, "between-count fits in the external chain")
-            beta = subtree_ids(q_top.right)
-            delta = subtree_ids(rm) - subtree_ids(q_top)
-            if s2 > 0:
-                moved = head + self._reads(beta) + [cur.upper] * s2 + [u1]
-                rest = frag + [cur.upper] * s1 + self._reads(delta, anchor_ids)
-            else:
-                # with no occurrences to pull up front, the block around the
-                # chain must stay contiguous so it lands right of the new root
-                moved = head + [u1]
-                rest = frag + self._reads(beta) + [cur.upper] * sq + self._reads(
-                    delta, anchor_ids
-                )
+            prefix, suffix = [q] * s2, [q] * s1 + self._reads(subtree_ids(rm), core_ids)
         else:
-            moved = head + [u1]
-            rest = frag + self._reads(subtree_ids(rm), anchor_ids)
-        self._emit(moved, rest)
+            prefix, suffix = self._upper_chain(h, rm, anchor_ids)
+        self._emit(head + prefix + [u1], middle + suffix)
 
     def _case4(self, h: int) -> None:
         cur, nxt = self.plan[h - 1], self.plan[h]
@@ -808,8 +751,7 @@ class _PathBuilder:
         _require(len(upset) >= 2, "an earlier pending visit exists")
         gstep = self.plan[upset[-2] - 1]
         _require(gstep.upper == u1, "previous pending block is bounded by the next visit")
-        t_cur = self.trees[-1]
-        _, lm_h, rm_h, anchor_ids_h, core_ids_h = self._anchor_parts(cur)
+        lm_h, rm_h, anchor_ids_h, core_ids_h = self._anchor_parts(cur)
 
         # walk the spine below the anchor down to the previous anchor
         spine: list[Node] = []
@@ -827,7 +769,6 @@ class _PathBuilder:
         gmap, lm_g, rm_g = found
         g_all_ids = {id(v) for v in gmap.values()}
         g_core_ids = {id(gmap[i]) for i in gstep.anchor_core_ids}
-        lam = subtree_ids(lm_g)
 
         r2 = sum(1 for nd in spine if nd.label == m)
         o2 = len(spine) - r2
@@ -846,10 +787,10 @@ class _PathBuilder:
         _require(r1 + r2 == self.count[m] - 1, "all duplicated minima located")
 
         t2 = self.primary_count[u1]
-        eh_ext = cur.anchor_extra > 0
         eg_ext = gstep.anchor_extra > 0
         if eg_ext:
             _require(o1 == 0 and o2 == 0, "next visits all live inside the previous anchor")
+            _require(not below, "nothing hangs below the previous anchor here")
             t = gstep.anchor_extra
             _require(len(g_all_ids - g_core_ids) == t, "inserted next visits accounted for")
         else:
@@ -858,115 +799,29 @@ class _PathBuilder:
         t1 = t - t2
         _require(t1 >= 0, "primary occurrences fit")
 
-        if eh_ext:
-            s = cur.anchor_extra
-            s2 = self._secondary_between(h)
-            s1 = s - s2
-            _require(s1 >= 0, "between-count fits in the inserted set")
-            beta = self._reads(subtree_ids(rm_h))
-            q = cur.upper
-            dh = self._reads(core_ids_h)
-            if eg_ext:
-                # sub-case (a): both anchors carry inserted upper occurrences
-                _require(not below, "nothing hangs below the previous anchor here")
-                moved = [q] * s2 + [u1] * t2
-                rest = (
-                    [u1] * t1
-                    + self._reads(lam, g_core_ids)
-                    + beta
-                    + [m] * (r1 + r2)
-                    + [q] * s1
-                    + dh
-                )
-            else:
-                dg = self._reads(g_core_ids)
-                if o2 == 0:
-                    moved = [q] * s2 + [u1] * t2
-                    rest = (
-                        [u1] * t1 + [m] * r1 + self._reads(lam) + dg
-                        + [m] * r2 + beta + [q] * s1 + dh
-                    )
-                elif o2 >= t2:
-                    _require(r1 == 0, "minima sit above once next visits reach the spine")
-                    moved = [q] * s2 + [u1] * o1 + self._reads(lam) + dg + [u1] * t2
-                    rest = [u1] * (o2 - t2) + [m] * r2 + beta + [q] * s1 + dh
-                else:
-                    _require(r1 == 0, "minima sit above once next visits reach the spine")
-                    moved = [q] * s2 + [u1] * (t2 - o2)
-                    rest = (
-                        [u1] * (o1 + o2 - t2) + self._reads(lam) + dg + [u1] * o2
-                        + [m] * r2 + beta + [q] * s1 + dh
-                    )
+        # the middle: next visits around the previous anchor's reading
+        gamma = self._reads(subtree_ids(lm_g), g_core_ids)
+        if o2 == 0:
+            moved, rest = [u1] * t2, [u1] * t1 + [m] * r1 + gamma
         else:
+            _require(r1 == 0, "minima sit above once next visits reach the spine")
+            if o2 >= t2:
+                moved, rest = [u1] * o1 + gamma + [u1] * t2, [u1] * (o2 - t2)
+            else:
+                moved = [u1] * (t2 - o2)
+                rest = [u1] * (o1 + o2 - t2) + gamma + [u1] * o2
+        minima = [m] * r2
+        if cur.anchor_extra:
+            s2, s1 = self._between_counts(h, cur.anchor_extra)
             q = cur.upper
-            q_top, sq = self._external_upper_chain(anchor_ids_h, q)
-            if q_top is not None:
-                _require(id(q_top) in subtree_ids(rm_h), "upper chain right of the anchor")
-                beta = self._reads(subtree_ids(q_top.right))
-                delta = self._reads(subtree_ids(rm_h) - subtree_ids(q_top))
-            else:
-                beta = []
-                delta = self._reads(subtree_ids(rm_h))
-            s2 = self._secondary_between(h) if q is not None else 0
-            s1 = sq - s2
-            _require(s1 >= 0, "between-count fits in the external chain")
-            dh = self._reads(anchor_ids_h)
-            if eg_ext:
-                # sub-case (c)
-                _require(not below, "nothing hangs below the previous anchor here")
-                rr = r1 + r2
-                dg = self._reads(lam, g_core_ids)
-                u_inside = len(g_all_ids - g_core_ids)
-                _require(u_inside == gstep.anchor_extra, "inserted next visits accounted for")
-                tt = gstep.anchor_extra
-                tt1 = tt - t2
-                _require(tt1 >= 0, "primary occurrences fit")
-                if s2 > 0:
-                    moved = beta + [q] * s2 + [u1] * t2
-                    rest = [u1] * tt1 + dg + [m] * rr + [q] * s1 + delta + dh
-                else:
-                    moved = [u1] * t2
-                    rest = [u1] * tt1 + dg + [m] * rr + beta + [q] * sq + delta + dh
-            else:
-                dg = self._reads(g_core_ids)
-                lamr = self._reads(lam)
-                if s2 > 0:
-                    if o2 == 0:
-                        moved = beta + [q] * s2 + [u1] * t2
-                        rest = (
-                            [u1] * t1 + [m] * r1 + lamr + dg + [m] * r2
-                            + [q] * s1 + delta + dh
-                        )
-                    elif o2 >= t2:
-                        _require(r1 == 0, "minima sit above once next visits reach the spine")
-                        moved = beta + [q] * s2 + [u1] * o1 + lamr + dg + [u1] * t2
-                        rest = [u1] * (o2 - t2) + [m] * r2 + [q] * s1 + delta + dh
-                    else:
-                        _require(r1 == 0, "minima sit above once next visits reach the spine")
-                        moved = beta + [q] * s2 + [u1] * (t2 - o2)
-                        rest = (
-                            [u1] * (o1 + o2 - t2) + lamr + dg + [u1] * o2 + [m] * r2
-                            + [q] * s1 + delta + dh
-                        )
-                else:
-                    if o2 == 0:
-                        moved = [u1] * t2
-                        rest = (
-                            [u1] * t1 + [m] * r1 + lamr + dg + [m] * r2
-                            + beta + [q] * sq + delta + dh
-                        )
-                    elif o2 >= t2:
-                        _require(r1 == 0, "minima sit above once next visits reach the spine")
-                        moved = [u1] * o1 + lamr + dg + [u1] * t2
-                        rest = [u1] * (o2 - t2) + [m] * r2 + beta + [q] * sq + delta + dh
-                    else:
-                        _require(r1 == 0, "minima sit above once next visits reach the spine")
-                        moved = [u1] * (t2 - o2)
-                        rest = (
-                            [u1] * (o1 + o2 - t2) + lamr + dg + [u1] * o2 + [m] * r2
-                            + beta + [q] * sq + delta + dh
-                        )
-        self._emit(moved, rest)
+            rho = self._reads(subtree_ids(rm_h))
+            # with both anchors padded the right attachment reads before the minima
+            tail = rho + minima if eg_ext else minima + rho
+            prefix, suffix = [q] * s2, tail + [q] * s1 + self._reads(core_ids_h)
+        else:
+            prefix, suffix = self._upper_chain(h, rm_h, anchor_ids_h)
+            suffix = minima + suffix
+        self._emit(prefix + moved, rest + suffix)
 
     def run(self) -> tuple[list[Node], list[tuple[Word, int]]]:
         self.base_step()

@@ -13,6 +13,7 @@ from typing import Callable, Iterable
 
 from . import baxter, rewrite, stalactic
 from .handles import MonoidHandle, handle
+from .paths import check_path
 from .rewrite import A_SYM, B_SYM, X_SYM, Y_SYM, in_factor_language, presentation, xy_cycle_invariant
 from .shiftgraph import (
     component,
@@ -201,23 +202,21 @@ def _elements(h: MonoidHandle, ev: Evaluation) -> dict[str, object]:
 def _path_census(name: str, ev: Evaluation) -> tuple[int, int]:
     """(bad, pairs) over the shift paths between every two classes of one component.
 
-    A path is bad when its endpoints are wrong, it is longer than the handle's
-    bound, or one of its steps is not an edge of the evaluation's graph.
+    A path is bad when ``paths.check_path`` rejects it against the
+    evaluation's graph.
     """
     h = handle(name)
     g = evaluation_graph(h, ev)
     elements = _elements(h, ev)
-    bound = h.path_bound(sum(1 for c in ev if c))
     bad = pairs = 0
     for comp in g.components():
         for source in comp.vertices:
             for target in comp.vertices:
                 pairs += 1
                 path = h.shift_path(elements[source], elements[target])
-                keys = [h.key(el) for el in path.elements]
-                ends_ok = keys[0] == source and keys[-1] == target
-                edges_ok = all(b in g.adjacency[a] for a, b in zip(keys, keys[1:]))
-                if not (ends_ok and edges_ok and path.steps <= bound):
+                try:
+                    check_path(h, path, source, target, g)
+                except ValueError:
                     bad += 1
     return bad, pairs
 

@@ -27,5 +27,6 @@ def test_record_functions_agree(name):
 def test_path_bounds_are_the_papers_laws():
     bounds = {name: h.path_bound(5) for name, h in HANDLES.items() if h.shift_path}
     assert bounds == {"hypo": 4, "sylv": 5, "stal": 3, "taig": 5}
+    assert HANDLES["hypo"].path_bound(0) == 0
     with pytest.raises(ValueError, match="no constructive shift path"):
         HANDLES["plac"].path_bound(5)

@@ -9,7 +9,9 @@ from cycshift.hypoplactic import (
     shift_path,
     word_key,
 )
+from cycshift.paths import check_path
 from cycshift.rewrite import presentation
+from cycshift.shiftgraph import evaluation_graph
 from cycshift.words import parse_word, words_with_evaluation
 
 QRT = quasi_ribbon(parse_word("113246546"))
@@ -118,12 +120,11 @@ def test_paths_standard_rank_5():
     reps = {}
     for w in words_with_evaluation((1, 1, 1, 1, 1)):
         reps.setdefault(word_key(w), w)
-    tabs = [quasi_ribbon(w) for w in reps.values()]
-    assert len(tabs) == 16
-    for t in tabs:
-        for u in tabs:
-            path = shift_path(t, u)
+    assert len(reps) == 16
+    hypo = handle("hypo")
+    graph = evaluation_graph(hypo, (1, 1, 1, 1, 1))
+    for kt, wt in reps.items():
+        for ku, wu in reps.items():
+            path = shift_path(quasi_ribbon(wt), quasi_ribbon(wu))
+            check_path(hypo, path, kt, ku, graph)
             assert path.steps <= 4
-            assert path.elements[0] == t and path.elements[-1] == u
-            for (uv, vu), (a, b) in zip(path.step_words(), zip(path.elements, path.elements[1:])):
-                assert quasi_ribbon(uv) == a and quasi_ribbon(vu) == b

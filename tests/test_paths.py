@@ -1,0 +1,48 @@
+from types import SimpleNamespace
+
+import pytest
+
+from cycshift.handles import handle
+from cycshift.paths import ShiftPath, check_path
+from cycshift.shiftgraph import evaluation_graph
+
+SYLV = handle("sylv")
+T, U = SYLV.element((1, 2)), SYLV.element((2, 1))
+KT, KU = SYLV.key(T), SYLV.key(U)
+GRAPH = evaluation_graph(SYLV, (1, 1))
+
+
+def test_check_path_accepts_a_constructive_path():
+    path = SYLV.shift_path(T, U)
+    assert path.moves == (((1, 2), 1),)
+    check_path(SYLV, path, KT, KU, GRAPH)
+
+
+def test_check_path_rejects_wrong_endpoints():
+    with pytest.raises(ValueError, match="runs"):
+        check_path(SYLV, SYLV.shift_path(T, U), KU, KT)
+
+
+def test_check_path_rejects_a_false_witness():
+    with pytest.raises(ValueError, match="witness"):
+        check_path(SYLV, ShiftPath((T, U), (((1, 2), 2),)), KT, KU)
+    with pytest.raises(ValueError, match="witnesses"):
+        check_path(SYLV, ShiftPath((T, U), ()), KT, KU)
+
+
+def test_check_path_rejects_a_step_off_the_graph():
+    with pytest.raises(ValueError, match="not an edge"):
+        check_path(SYLV, SYLV.shift_path(T, U), KT, KU, SimpleNamespace(adjacency={}))
+
+
+def test_check_path_rejects_a_path_over_the_bound():
+    moves = (((1, 2), 1), ((2, 1), 1), ((1, 2), 1))
+    with pytest.raises(ValueError, match="exceed the bound 2"):
+        check_path(SYLV, ShiftPath((T, U, T, U), moves), KT, KU, GRAPH)
+
+
+def test_check_path_accepts_the_empty_path_of_every_monoid():
+    for name in ("hypo", "sylv", "stal", "taig"):
+        h = handle(name)
+        empty = h.element(())
+        check_path(h, h.shift_path(empty, empty), h.key(empty), h.key(empty))

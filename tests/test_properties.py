@@ -99,3 +99,16 @@ def test_neighbor_symmetry(w, data):
     for a, nbrs in g.adjacency.items():
         for b in nbrs:
             assert a in g.adjacency[b]
+
+
+@given(st.lists(st.integers(1, 5), max_size=8), st.data())
+@settings(max_examples=40, deadline=None)
+def test_tree_shift_paths_pass_the_checker(w, data):
+    from cycshift.handles import handle
+    from cycshift.paths import check_path
+
+    v = data.draw(st.permutations(w))
+    for name in ("sylv", "taig"):
+        h = handle(name)
+        a, b = h.element(tuple(w)), h.element(tuple(v))
+        check_path(h, h.shift_path(a, b), h.key(a), h.key(b))

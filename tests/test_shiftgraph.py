@@ -6,6 +6,7 @@ import pytest
 
 from cycshift import stalactic
 from cycshift.handles import HANDLES, handle
+from cycshift.paths import check_path
 from cycshift.plactic import word_key as plac_key
 from cycshift.shiftgraph import (
     ShiftGraph,
@@ -175,8 +176,9 @@ def test_constructive_paths_upper_bound_bfs():
             for ka in comp.vertices:
                 dists = g.distances_from(ka)
                 for kb in comp.vertices:
-                    steps = h.shift_path(h.element(reps[ka]), h.element(reps[kb])).steps
-                    assert dists[kb] <= steps <= h.path_bound(len(ev)), (h.name, ka, kb)
+                    path = h.shift_path(h.element(reps[ka]), h.element(reps[kb]))
+                    check_path(h, path, ka, kb, g)
+                    assert dists[kb] <= path.steps, (h.name, ka, kb)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import pytest
 
+from cycshift.handles import handle
+from cycshift.paths import check_path
 from cycshift.rewrite import presentation
+from cycshift.shiftgraph import evaluation_graph
 from cycshift.stalactic import (
     StalacticTableau,
     component_key,
@@ -89,16 +92,14 @@ def test_component_of_1233_paths():
     groups = {}
     for t in tabs:
         groups.setdefault(component_key(t), []).append(t)
+    stal = handle("stal")
+    graph = evaluation_graph(stal, (1, 1, 2))
     for group in groups.values():
         for t in group:
             for u in group:
                 path = shift_path(t, u)
+                check_path(stal, path, t.key(), u.key(), graph)
                 assert path.steps <= 3
-                assert path.elements[0] == t and path.elements[-1] == u
-                for (uv, vu), (a, b) in zip(
-                    path.step_words(), zip(path.elements, path.elements[1:])
-                ):
-                    assert stalactic_tableau(uv) == a and stalactic_tableau(vu) == b
 
 
 def test_agreement_with_presentation():

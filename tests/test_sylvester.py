@@ -1,6 +1,9 @@
 import pytest
 
+from cycshift.handles import handle
+from cycshift.paths import check_path
 from cycshift.rewrite import presentation
+from cycshift.shiftgraph import evaluation_graph
 from cycshift.sylvester import (
     Node,
     check_right_strict,
@@ -14,9 +17,10 @@ from cycshift.sylvester import (
     word_key,
 )
 from cycshift.trees import serialize
-from cycshift.words import LimitExceededError, parse_word, words_with_evaluation
+from cycshift.words import LimitExceededError, format_word, parse_word, words_with_evaluation
 
 BSTEG = parse_word("5451761524")
+SYLV = handle("sylv")
 
 
 def test_insert_examples():
@@ -154,20 +158,45 @@ def test_shift_path_trivial_and_errors():
 
 
 @pytest.mark.parametrize(
-    "ev", [(1, 1, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 1, 1), (1, 3, 1, 2)]
+    "ev", [(1, 1, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 1, 1), (1, 3, 1, 2), (1, 1, 2, 1)]
 )
 def test_shift_paths_exhaustive(ev):
+    graph = evaluation_graph(SYLV, ev)
     reps = {}
     for w in words_with_evaluation(ev):
         reps.setdefault(word_key(w), w)
-    trees = [right_bst(w) for w in reps.values()]
-    bound = sum(1 for c in ev if c)
-    for t in trees:
-        for u in trees:
-            path = shift_path(t, u)
-            assert path.steps <= bound
-            assert key(path.elements[0]) == key(t)
-            assert key(path.elements[-1]) == key(u)
+    for kt, wt in reps.items():
+        for ku, wu in reps.items():
+            check_path(SYLV, shift_path(right_bst(wt), right_bst(wu)), kt, ku, graph)
+
+
+# word pairs reaching the builder arms the evaluations above miss
+@pytest.mark.parametrize(
+    "source, target",
+    [
+        ("213455", "453215"),  # case 3, visit symbol below its bound, upper bound in the anchor
+        ("134255", "145325"),  # case 4, upper bound in the anchor, o2 = 0
+        ("123455", "145325"),  # case 4, upper bound in the anchor, o2 >= t2
+        ("123345", "231435"),  # case 4, both bounds outside their anchors, upper chain
+        ("12334566", "23156436"),  # case 4, both anchors padded (smallest such target)
+    ],
+)
+def test_shift_path_arms(source, target):
+    t, u = (right_bst(parse_word(w)) for w in (source, target))
+    check_path(SYLV, shift_path(t, u), key(t), key(u))
+
+
+def test_shift_path_with_both_anchors_padded_reads_rho_before_the_minima():
+    # the fifth shift is 3|231746564: the right attachment 7 of the anchor
+    # reads before the duplicated minimum 4 of the spine (231476564 would
+    # also read the tree, but as another move)
+    t, u = right_bst(parse_word("1233445667")), right_bst(parse_word("2314564376"))
+    path = shift_path(t, u)
+    check_path(SYLV, path, key(t), key(u))
+    assert [(format_word(w), k) for w, k in path.moves] == [
+        ("1233445667", 2), ("3134456672", 2), ("4456673231", 3), ("3231464675", 7),
+        ("3231746564", 1), ("7231465643", 1), ("6231456437", 1),
+    ]
 
 
 def test_repeated_label_structure_on_generated_trees():

@@ -1,6 +1,9 @@
 import pytest
 
+from cycshift.handles import handle
+from cycshift.paths import check_path
 from cycshift.rewrite import presentation
+from cycshift.shiftgraph import evaluation_graph
 from cycshift.sylvester import key as sylv_key
 from cycshift.taiga import (
     check_mult_bst,
@@ -72,16 +75,11 @@ def test_shift_path_requires_equal_evaluation():
 
 @pytest.mark.parametrize("ev", [(2, 1), (2, 2, 1), (1, 2, 1, 1), (3, 2)])
 def test_shift_paths_exhaustive(ev):
+    taig = handle("taig")
+    graph = evaluation_graph(taig, ev)
     reps = {}
     for w in words_with_evaluation(ev):
         reps.setdefault(word_key(w), w)
-    trees = [mult_bst(w) for w in reps.values()]
-    bound = sum(1 for c in ev if c)
-    for t in trees:
-        for u in trees:
-            path = shift_path(t, u)
-            assert path.steps <= bound
-            assert key(path.elements[0]) == key(t)
-            assert key(path.elements[-1]) == key(u)
-            for (uv, vu), (a, b) in zip(path.step_words(), zip(path.elements, path.elements[1:])):
-                assert word_key(uv) == key(a) and word_key(vu) == key(b)
+    for kt, wt in reps.items():
+        for ku, wu in reps.items():
+            check_path(taig, shift_path(mult_bst(wt), mult_bst(wu)), kt, ku, graph)
