@@ -5,16 +5,18 @@ filtering the arrangements of the evaluation, one mechanism for every monoid,
 cross-checked in the tests against the presentation oracle) and names the
 monoid's object, a tableau, tree or twin pair: its insertion, key, drawing,
 JSON form, validation, symbols, and the constructive shift path with its
-bound.  The graph engine, the CLI and ``verify`` read the monoids from
-``HANDLES`` alone; the rewriting oracle keeps its own ``rewrite.PRESENTATIONS``
-so that it shares no code with what it checks.
+bound.  A key takes two steps: ``form_of`` maps each word to a hashable form
+(tuples for plac, hypo and stal, the key itself elsewhere) and ``format_form``
+turns each class's form into its key.  The graph engine, the CLI and
+``verify`` read the monoids from ``HANDLES`` alone; the rewriting oracle keeps
+its own ``rewrite.PRESENTATIONS`` so that it shares no code with what it checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Hashable
 
 from . import baxter, hypoplactic, plactic, rewrite, stalactic, sylvester, taiga
 from .baxter import TwinPair
@@ -45,6 +47,14 @@ class MonoidHandle:
     path_law: tuple[int, int] | None = None
     #: order-preserving relabelings of the alphabet leave the congruence alone
     relabel_invariant: bool = True
+    #: a cheaper word -> class form than ``key_of``, with
+    #: ``format_form(word_form(w)) == key_of(w)``
+    word_form: Callable[[Word], Hashable] | None = None
+    format_form: Callable[[Hashable], str] = str
+
+    @property
+    def form_of(self) -> Callable[[Word], Hashable]:
+        return self.word_form or self.key_of
 
     def path_bound(self, n_distinct: int) -> int:
         """Most shifts ``shift_path`` takes between objects on ``n_distinct`` symbols.
@@ -57,9 +67,10 @@ class MonoidHandle:
         return max(0, slope * n_distinct + offset)
 
     def class_of(self, word: Word, rank: int, limit: int | None = None) -> set[Word]:
-        target = self.key_of(word)
+        form_of = self.form_of
+        target = form_of(word)
         ev = evaluation(word, rank)
-        return {w for w in words_with_evaluation(ev, limit) if self.key_of(w) == target}
+        return {w for w in words_with_evaluation(ev, limit) if form_of(w) == target}
 
 
 _COUNTER = rewrite.presentation("counterexample")
@@ -74,12 +85,14 @@ HANDLES: dict[str, MonoidHandle] = {
         "plac", plactic.word_key, plactic.young_tableau,
         YoungTableau.key, YoungTableau.draw, YoungTableau.to_json,
         YoungTableau.symbols, YoungTableau.check,
+        word_form=plactic.word_form, format_form=plactic.format_form,
     ),
     "hypo": MonoidHandle(
         "hypo", hypoplactic.word_key, hypoplactic.quasi_ribbon,
         QuasiRibbonTableau.key, QuasiRibbonTableau.draw, QuasiRibbonTableau.to_json,
         QuasiRibbonTableau.symbols, QuasiRibbonTableau.check,
         hypoplactic.shift_path, path_law=(1, -1),
+        word_form=hypoplactic.word_form, format_form=hypoplactic.format_form,
     ),
     "sylv": MonoidHandle(
         "sylv", sylvester.word_key, sylvester.right_bst,
@@ -92,6 +105,7 @@ HANDLES: dict[str, MonoidHandle] = {
         StalacticTableau.key, StalacticTableau.draw, StalacticTableau.to_json,
         StalacticTableau.symbols, StalacticTableau.check,
         stalactic.shift_path, path_law=(0, 3),
+        word_form=stalactic.word_form, format_form=stalactic.format_form,
     ),
     "taig": MonoidHandle(
         "taig", taiga.word_key, taiga.mult_bst,

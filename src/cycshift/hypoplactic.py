@@ -38,13 +38,6 @@ def _insert_into_rows(rows: list[list[int]], a: int) -> None:
         row.append(a)
 
 
-def _rows_of_word(word: Word) -> list[list[int]]:
-    rows: list[list[int]] = []
-    for a in word:
-        _insert_into_rows(rows, a)
-    return rows
-
-
 def _offsets(rows) -> list[int]:
     offs = [0]
     for row in rows[:-1]:
@@ -52,10 +45,39 @@ def _offsets(rows) -> list[int]:
     return offs if rows else []
 
 
+def word_form(word: Word) -> tuple[Word, tuple[int, ...]]:
+    """The sorted word and its row breaks, the class's hashable form.
+
+    Of two consecutive distinct symbols ``a < b``, ``b`` starts a new row
+    exactly when some ``b`` stands left of some ``a`` (Novelli 2000).
+    """
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for i, a in enumerate(word):
+        first.setdefault(a, i)
+        last[a] = i
+    syms = sorted(last)
+    return tuple(sorted(word)), tuple(b for a, b in zip(syms, syms[1:]) if first[b] < last[a])
+
+
+def _rows(form: tuple[Word, tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """The sorted word cut into rows before each break."""
+    ordered, breaks = form
+    rows: list[list[int]] = []
+    for a in ordered:
+        if rows and (a == rows[-1][-1] or a not in breaks):
+            rows[-1].append(a)
+        else:
+            rows.append([a])
+    return tuple(map(tuple, rows))
+
+
+def format_form(form: tuple[Word, tuple[int, ...]]) -> str:
+    return QuasiRibbonTableau(_rows(form)).key()
+
+
 def word_key(word: Word) -> str:
-    rows = _rows_of_word(word)
-    offs = _offsets(rows)
-    return "/".join(f"{o}:{format_run(r)}" for o, r in zip(offs, rows))
+    return format_form(word_form(word))
 
 
 @dataclass(frozen=True)
@@ -129,8 +151,8 @@ def hypo_insert(t: QuasiRibbonTableau, a: int) -> QuasiRibbonTableau:
 
 
 def quasi_ribbon(word: Word) -> QuasiRibbonTableau:
-    """Insert the symbols of ``word`` left to right into the empty tableau."""
-    return QuasiRibbonTableau(tuple(tuple(r) for r in _rows_of_word(word)))
+    """The tableau of ``word``, read off its form (as if inserted left to right)."""
+    return QuasiRibbonTableau(_rows(word_form(word)))
 
 
 def distinct_symbols(word: Word) -> list[int]:
@@ -146,14 +168,7 @@ def has_inversion(word: Word, i: int) -> bool:
     syms = distinct_symbols(word)
     if i < 1 or i + 1 > len(syms):
         raise ValueError(f"word has only {len(syms)} distinct symbols, pair {i} undefined")
-    lo, hi = syms[i - 1], syms[i]
-    seen_hi = False
-    for a in word:
-        if a == hi:
-            seen_hi = True
-        elif a == lo and seen_hi:
-            return True
-    return False
+    return syms[i] in word_form(word)[1]
 
 
 def _same_row(t: QuasiRibbonTableau, lo: int, hi: int) -> bool:

@@ -51,19 +51,19 @@ def check_path(handle, path: ShiftPath, source: str, target: str, graph=None) ->
         raise ValueError(f"{path.steps} steps exceed the bound {bound}")
 
 
-def compress_path(elements: list, moves: list[tuple[Word, int]], key=None) -> ShiftPath:
+def compress_path(elements: list, moves: list[tuple[Word, int]], keys=None) -> ShiftPath:
     """Drop trivial steps (consecutive equal elements) and their witnesses.
 
-    ``key`` supplies the equality notion for element types without a
-    structural __eq__ (mutable tree nodes compare by identity).
+    ``keys``, one per element, supplies the equality notion for element
+    types without a structural __eq__ (mutable tree nodes compare by identity).
     """
     if not elements:
         raise ValueError("a path needs at least one element")
-    ident = key if key is not None else (lambda x: x)
+    idents = elements if keys is None else keys
     kept = [elements[0]]
     kept_moves: list[tuple[Word, int]] = []
-    for el, mv in zip(elements[1:], moves):
-        if ident(el) != ident(kept[-1]):
+    for el, ident, prev, mv in zip(elements[1:], idents[1:], idents, moves):
+        if ident != prev:
             kept.append(el)
             kept_moves.append(mv)
     return ShiftPath(tuple(kept), tuple(kept_moves))

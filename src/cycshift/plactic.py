@@ -6,6 +6,7 @@ and row lengths weakly decrease from top to bottom.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .words import Word, cocharge_seq, format_run, is_standard
@@ -13,35 +14,30 @@ from .words import Word, cocharge_seq, format_run, is_standard
 
 def _insert_into_rows(rows: list[list[int]], a: int) -> None:
     """Row-insert ``a``: bump the leftmost strictly greater entry downwards."""
-    i = 0
-    while i < len(rows):
-        row = rows[i]
+    for row in rows:
         if a >= row[-1]:
             row.append(a)
             return
-        # leftmost entry strictly greater than a
-        lo, hi = 0, len(row) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if row[mid] > a:
-                hi = mid
-            else:
-                lo = mid + 1
-        a, row[lo] = row[lo], a
-        i += 1
+        j = bisect_right(row, a)
+        a, row[j] = row[j], a
     rows.append([a])
 
 
-def _rows_of_word(word: Word) -> list[list[int]]:
+def word_form(word: Word) -> tuple[tuple[int, ...], ...]:
+    """The rows of the tableau of ``word``, the class's hashable form."""
     rows: list[list[int]] = []
     for a in word:
         _insert_into_rows(rows, a)
-    return rows
+    return tuple(map(tuple, rows))
+
+
+def format_form(rows) -> str:
+    """Canonical key of a plactic class from its rows (joined by '/')."""
+    return "/".join(map(format_run, rows))
 
 
 def word_key(word: Word) -> str:
-    """Canonical key of the plactic class of ``word`` (rows joined by '/')."""
-    return "/".join(format_run(r) for r in _rows_of_word(word))
+    return format_form(word_form(word))
 
 
 @dataclass(frozen=True)
@@ -66,7 +62,7 @@ class YoungTableau:
                     raise ValueError("columns must strictly increase")
 
     def key(self) -> str:
-        return "/".join(format_run(r) for r in self.rows)
+        return format_form(self.rows)
 
     def symbols(self) -> list[int]:
         return [a for row in self.rows for a in row]
@@ -93,7 +89,7 @@ def schensted_insert(t: YoungTableau, a: int) -> YoungTableau:
 
 def young_tableau(word: Word) -> YoungTableau:
     """Insert the symbols of ``word`` left to right into the empty tableau."""
-    return YoungTableau(tuple(tuple(r) for r in _rows_of_word(word)))
+    return YoungTableau(word_form(word))
 
 
 def tableau_cocharge(t: YoungTableau) -> tuple[int, ...]:

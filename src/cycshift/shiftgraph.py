@@ -5,8 +5,9 @@ of one, rotated, lands in the other.  All rotations of a word are pairwise
 adjacent, so the graph is the union of one clique per necklace (rotation
 class).  The necklaces of an evaluation are streamed, each at its least
 rotation (``words.necklaces``), and the keys of its distinct rotations are
-joined pairwise: every word is keyed once, and no map from words to keys is
-kept, so memory follows the classes and edges, not the words.  Diameters
+joined pairwise: every word is formed once (``handle.form_of``), every class
+formatted once (``handle.format_form``) through a form-to-key table, and no
+map from words is kept, so memory follows the classes and edges.  Diameters
 grow one reachability bitset per vertex by a round of neighbour ORs until
 every bitset is full.  Self-loops are implicit and excluded from edge lists
 and diameters.
@@ -119,16 +120,19 @@ def _cliques(handle: MonoidHandle, ev: Evaluation, limit: int | None):
     """Each necklace of ``ev`` with the keys of its distinct rotations.
 
     The keys are listed in rotation order, ``w[i:] + w[:i]`` for i = 0, 1, ...
-    up to the necklace's period, so every word of ``ev`` is keyed exactly once.
+    up to the necklace's period, so every word of ``ev`` is formed exactly once.
     A period divides the length n, and n/period divides every count of ``ev``.
     """
     n = sum(ev)
     folds = gcd(*ev)
     periods = [n // f for f in range(folds, 1, -1) if folds % f == 0]
-    key_of = handle.key_of
+    form_of, format_form = handle.form_of, handle.format_form
+    keys: dict = {}
     for w in necklaces(ev, limit):
         p = next((d for d in periods if w[d:] + w[:d] == w), n or 1)
-        yield w, [key_of(w[i:] + w[:i]) for i in range(p)]
+        forms = [form_of(w[i:] + w[:i]) for i in range(p)]
+        # only the empty word, alone in its evaluation, has the false key ""
+        yield w, [keys.get(f) or keys.setdefault(f, format_form(f)) for f in forms]
 
 
 def _join(adj: dict[str, set[str]], keys: list[str]) -> None:
@@ -139,12 +143,16 @@ def _join(adj: dict[str, set[str]], keys: list[str]) -> None:
 
 
 def evaluation_graph(
-    handle: MonoidHandle, ev: Evaluation, limit: int | None = None
+    handle: MonoidHandle, ev: Evaluation, limit: int | None = None,
+    representatives: dict[str, Word] | None = None,
 ) -> ShiftGraph:
-    """The full shift graph on the classes of one evaluation."""
+    """The full shift graph of one evaluation; ``representatives`` gets a word per class."""
     adj: dict[str, set[str]] = {}
-    for _, keys in _cliques(handle, ev, limit):
+    for w, keys in _cliques(handle, ev, limit):
         _join(adj, keys)
+        if representatives is not None:
+            for i, key in enumerate(keys):
+                representatives.setdefault(key, w[i:] + w[:i])
     for k, nbrs in adj.items():
         nbrs.discard(k)
     return ShiftGraph(handle.name, len(ev), ev, adj)

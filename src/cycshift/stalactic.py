@@ -7,27 +7,26 @@ order of the rightmost occurrences in the word.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .paths import ShiftPath, compress_path
 from .words import Word, rotations
 
 
-def _columns_of_word(word: Word) -> tuple[tuple[int, int], ...]:
-    counts = Counter(word)
-    seen: set[int] = set()
-    order: list[int] = []
-    for a in reversed(word):
-        if a not in seen:
-            seen.add(a)
-            order.append(a)
-    order.reverse()
-    return tuple((a, counts[a]) for a in order)
+def word_form(word: Word) -> tuple[tuple[int, int], ...]:
+    """The columns ``(symbol, height)``, the class's hashable form.
+
+    Columns follow the rightmost occurrences; heights are the counts.
+    """
+    return tuple((a, word.count(a)) for a in reversed(dict.fromkeys(word[::-1])))
+
+
+def format_form(columns: tuple[tuple[int, int], ...]) -> str:
+    return "|".join(f"{a}^{h}" for a, h in columns)
 
 
 def word_key(word: Word) -> str:
-    return "|".join(f"{a}^{h}" for a, h in _columns_of_word(word))
+    return format_form(word_form(word))
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,7 @@ class StalacticTableau:
             raise ValueError("column heights must be positive")
 
     def key(self) -> str:
-        return "|".join(f"{a}^{h}" for a, h in self.columns)
+        return format_form(self.columns)
 
     def reading(self) -> Word:
         """Column word: each symbol repeated to its height, left to right."""
@@ -77,8 +76,8 @@ def insert(t: StalacticTableau, a: int) -> StalacticTableau:
 
 
 def stalactic_tableau(word: Word) -> StalacticTableau:
-    """Insert the symbols of ``word`` right to left into the empty tableau."""
-    return StalacticTableau(_columns_of_word(word))
+    """The tableau ``word`` inserts to right to left: its columns."""
+    return StalacticTableau(word_form(word))
 
 
 def height_one_word(t: StalacticTableau) -> Word:

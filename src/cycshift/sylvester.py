@@ -291,16 +291,17 @@ def _ancestors(parents: dict[int, Node], node: Node) -> Iterator[Node]:
         par = parents.get(id(par))
 
 
-def _index(root: Node) -> tuple[dict[int, Node], Counter[int], dict[int, Node]]:
-    """Parent map, label counts and the topmost node of each label."""
+def _index(root: Node):
+    """Parent map, label counts, and the topmost node and ``classify_nodes`` of each label."""
     count = Counter(labels(root))
-    return parent_map(root), count, {lbl: search_topmost(root, lbl) for lbl in count}
+    topmost = {lbl: search_topmost(root, lbl) for lbl in count}
+    return parent_map(root), count, topmost, {lbl: classify_nodes(root, lbl) for lbl in count}
 
 
-def traversal_plan(u_root: Node) -> list[PlanStep]:
+def traversal_plan(u_root: Node, index=None) -> list[PlanStep]:
     """Plan the topmost-occurrence postfix walk of ``u_root``; one step per symbol."""
     _require(u_root is not None, "plan needs a non-empty tree")
-    parents, count, topmost = _index(u_root)
+    parents, count, topmost, classes = index or _index(u_root)
     order = [x for x in postfix(u_root) if topmost[x.label] is x]
     _require(len(order) == len(count), "one walk step per distinct symbol")
 
@@ -334,7 +335,7 @@ def traversal_plan(u_root: Node) -> list[PlanStep]:
             kept.left = None
         core, cmap = _clone_with_map(single)
         if upper is not None:
-            tert = classify_nodes(u_root, upper)[2]
+            tert = classes[upper][2]
             sub_ids = {id(x) for x in sub}
             inside = [bmap[id(x)] for x in tert if id(x) in sub_ids]
             # the tertiary run survives the minimum pruning verbatim
@@ -472,9 +473,10 @@ def _chain_down(start: Node | None) -> list[Node]:
 class _PathBuilder:
     def __init__(self, t_root: Node, u_root: Node):
         self.u_root = u_root
-        self.plan = traversal_plan(u_root)
+        index = _index(u_root)
+        self.plan = traversal_plan(u_root, index)
         self.n = len(self.plan)
-        self.u_parents, self.count, self.topmost = _index(u_root)
+        self.u_parents, self.count, self.topmost, classes = index
         # which earlier visits are below which later ones, for the pending set
         order = [self.topmost[s.label] for s in self.plan]
         pos_of = {id(nd): i + 1 for i, nd in enumerate(order)}
@@ -482,24 +484,24 @@ class _PathBuilder:
             {pos_of[id(par)] for par in _ancestors(self.u_parents, nd) if id(par) in pos_of}
             for nd in order
         ]
-        self.primary_count = {
-            lbl: len(classify_nodes(u_root, lbl)[0]) for lbl in self.count
-        }
+        self.primary_count = {lbl: len(split[0]) for lbl, split in classes.items()}
         self.trees: list[Node] = [clone(t_root)]
+        # the serialization of each tree, computed once
+        self.keys = [serialize(t_root)]
         self.moves: list[tuple[Word, int]] = []
 
     # -- helpers on the current tree ------------------------------------
 
     def _emit(self, moved: list[int], rest: list[int]) -> None:
-        t_cur = self.trees[-1]
         w1 = tuple(moved) + tuple(rest)
         _require(
-            serialize(right_bst(w1)) == serialize(t_cur),
+            serialize(right_bst(w1)) == self.keys[-1],
             "factorized reading does not represent the current tree",
         )
         w2 = tuple(rest) + tuple(moved)
         self.moves.append((w1, len(moved)))
         self.trees.append(right_bst(w2))
+        self.keys.append(serialize(self.trees[-1]))
 
     def _reads(self, *idsets: set[int]) -> list[int]:
         t_cur = self.trees[-1]
@@ -823,16 +825,16 @@ class _PathBuilder:
             suffix = minima + suffix
         self._emit(prefix + moved, rest + suffix)
 
-    def run(self) -> tuple[list[Node], list[tuple[Word, int]]]:
+    def run(self) -> tuple[list[Node], list[tuple[Word, int]], list[str]]:
         self.base_step()
         check_spine_invariants(self.trees[-1], self.plan, _upset(self.order_below, 1))
         for h in range(1, self.n):
             self.step(h)
         _require(
-            serialize(self.trees[-1]) == serialize(self.u_root),
+            self.keys[-1] == serialize(self.u_root),
             "path construction must end at the target tree",
         )
-        return self.trees, self.moves
+        return self.trees, self.moves, self.keys
 
 
 def _relabel(root: Node | None, mapping: dict[int, int]) -> Node | None:
@@ -859,7 +861,8 @@ def shift_path(t: Node | None, u: Node | None) -> ShiftPath:
     down = {a: i + 1 for i, a in enumerate(support)}
     up = {i + 1: a for i, a in enumerate(support)}
     builder = _PathBuilder(_relabel(t, down), _relabel(u, down))
-    trees, moves = builder.run()
+    trees, moves, keys = builder.run()
     elements = [_relabel(x, up) for x in trees]
     back_moves = [(tuple(up[a] for a in w), k) for w, k in moves]
-    return compress_path(elements, back_moves, key=serialize)
+    # relabelling is a bijection, so the builder's keys compare the same
+    return compress_path(elements, back_moves, keys)

@@ -86,7 +86,8 @@ def shift_path(t: Node | None, u: Node | None) -> ShiftPath:
         raise ValueError("shift path requires equal evaluations")
     if t is None:
         return ShiftPath((None,), ())
-    if key(t) == key(u):
+    keys, target = [key(t)], key(u)
+    if keys[0] == target:
         return ShiftPath((clone(t),), ())
     mult = {lbl: m for lbl, m in ev_t}
 
@@ -99,13 +100,14 @@ def shift_path(t: Node | None, u: Node | None) -> ShiftPath:
     for w, k in base.moves:
         uv = expand(w)
         split = len(expand(w[:k]))
-        if key(mult_bst(uv)) != key(elements[-1]):
+        if key(mult_bst(uv)) != keys[-1]:
             raise AssertionError("lifted reading does not represent the current tree")
         moves.append((uv, split))
         elements.append(mult_bst(uv[split:] + uv[:split]))
-    if key(elements[-1]) != key(u):
+        keys.append(key(elements[-1]))
+    if keys[-1] != target:
         raise AssertionError("lifted path did not reach its target")
-    return compress_path(elements, moves, key=key)
+    return compress_path(elements, moves, keys)
 
 
 def symbols(root: Node | None) -> list[int]:

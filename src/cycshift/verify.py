@@ -16,6 +16,7 @@ from .handles import MonoidHandle, handle
 from .paths import check_path
 from .rewrite import A_SYM, B_SYM, X_SYM, Y_SYM, in_factor_language, presentation, xy_cycle_invariant
 from .shiftgraph import (
+    ShiftGraph,
     component,
     diameter,
     diameter_scan,
@@ -23,7 +24,7 @@ from .shiftgraph import (
     evaluation_graph,
     full_support_evaluations,
 )
-from .words import Evaluation, Word, cocharge_seq, parse_word, words_with_evaluation
+from .words import Evaluation, Word, cocharge_seq, parse_word
 
 
 @dataclass
@@ -193,10 +194,11 @@ def criterion_4(max_total: int = 7) -> list[CheckResult]:
 # criterion 5: constructive paths
 
 
-def _elements(h: MonoidHandle, ev: Evaluation) -> dict[str, object]:
-    """One object per class of the evaluation, by class key."""
-    reps = {h.key_of(w): w for w in words_with_evaluation(ev)}
-    return {k: h.element(w) for k, w in reps.items()}
+def _classes(h: MonoidHandle, ev: Evaluation) -> tuple[ShiftGraph, dict[str, object]]:
+    """The evaluation's graph and one object per class, by class key."""
+    reps: dict[str, Word] = {}
+    g = evaluation_graph(h, ev, representatives=reps)
+    return g, {k: h.element(w) for k, w in reps.items()}
 
 
 def _path_census(name: str, ev: Evaluation) -> tuple[int, int]:
@@ -206,8 +208,7 @@ def _path_census(name: str, ev: Evaluation) -> tuple[int, int]:
     evaluation's graph.
     """
     h = handle(name)
-    g = evaluation_graph(h, ev)
-    elements = _elements(h, ev)
+    g, elements = _classes(h, ev)
     bad = pairs = 0
     for comp in g.components():
         for source in comp.vertices:
@@ -384,7 +385,7 @@ def criterion_9() -> list[CheckResult]:
     bad = 0
     for rank in range(1, 5):
         for ev in full_support_evaluations(rank, 6):
-            words = [t.reading() for t in _elements(handle("stal"), ev).values()]
+            words = [t.reading() for t in _classes(handle("stal"), ev)[1].values()]
             for u in words:
                 for v in words:
                     pairs += 1

@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import sys
 from pathlib import Path
 
 import cycshift
@@ -16,4 +17,19 @@ def test_no_bare_assert_in_the_package():
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_package_imports_only_the_standard_library():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {top}" for top in tops
+                      if top not in sys.stdlib_module_names]
     assert found == []

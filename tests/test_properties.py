@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycshift import baxter, hypoplactic, plactic, rewrite, stalactic, sylvester, taiga
+from cycshift.handles import HANDLES
 from cycshift.trees import labels
 from cycshift.words import evaluation, rotate
 
@@ -112,3 +113,12 @@ def test_tree_shift_paths_pass_the_checker(w, data):
         h = handle(name)
         a, b = h.element(tuple(w)), h.element(tuple(v))
         check_path(h, h.shift_path(a, b), h.key(a), h.key(b))
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(1, 13), max_size=9).map(tuple), st.randoms(use_true_random=False))
+def test_forms_agree_exactly_when_keys_agree(w, rng):
+    v = tuple(rng.sample(w, len(w)))
+    for h in (HANDLES["plac"], HANDLES["hypo"], HANDLES["stal"]):
+        assert h.format_form(h.word_form(w)) == h.key(h.element(w))
+        assert (h.word_form(w) == h.word_form(v)) == (h.key_of(w) == h.key_of(v))

@@ -45,26 +45,33 @@ def test_neighbors_of_empty_word():
 
 
 def _counting(h):
-    calls = []
+    forms, formats = [], []
 
-    def key_of(w):
-        calls.append(w)
-        return h.key_of(w)
+    def form_of(w):
+        forms.append(w)
+        return h.form_of(w)
 
-    return dataclasses.replace(h, key_of=key_of), calls
+    def format_form(form):
+        formats.append(form)
+        return h.format_form(form)
+
+    return dataclasses.replace(h, word_form=form_of, format_form=format_form), forms, formats
 
 
 @pytest.mark.parametrize("ev", [(), (1,), (2, 2), (3, 3), (2, 1, 2), (1, 1, 1, 1, 1), (2, 2, 2)])
 def test_every_word_is_keyed_once(ev):
-    for name in ("plac", "stal", "counterexample"):
-        counted, calls = _counting(handle(name))
-        evaluation_graph(counted, ev)
-        assert sorted(calls) == list(words_with_evaluation(ev)), (name, ev)
-        assert len(calls) == multinomial(ev)
+    for name in ("plac", "hypo", "stal", "sylv", "counterexample"):
+        counted, forms, formats = _counting(handle(name))
+        classes = len(evaluation_graph(counted, ev).adjacency)
+        assert sorted(forms) == list(words_with_evaluation(ev)), (name, ev)
+        assert len(forms) == multinomial(ev)
+        assert len(formats) == len(set(formats)) == classes, (name, ev)
         for word in words_with_evaluation(ev):
-            calls.clear()
+            forms.clear()
+            formats.clear()
             neighbors(counted, word, len(ev))
-            assert len(calls) == multinomial(ev), (name, word)
+            assert len(forms) == multinomial(ev), (name, word)
+            assert len(formats) == len(set(formats)) == classes, (name, word)
 
 
 def test_neighbors_checks_the_alphabet_first():
@@ -220,8 +227,9 @@ def test_engine_matches_reference(name):
         cases += [(ev[:rank], keys) for rank in range(4, 0, -1) if not any(ev[rank:])]
     cases.append(((1,) * 6, {w: h.key_of(w) for w in words_with_evaluation((1,) * 6)}))
     for ev, keys in cases:
-        # the engine gets the same keys without computing them again
-        cached = SimpleNamespace(name=h.name, key_of=keys.__getitem__)
+        # the engine gets the same forms without computing them again
+        forms = {w: h.form_of(w) for w in keys}
+        cached = SimpleNamespace(name=h.name, form_of=forms.__getitem__, format_form=h.format_form)
         g = evaluation_graph(cached, ev)
         ref = reference_graph(h, ev, keys)
         assert g.adjacency == ref.adjacency, ev
