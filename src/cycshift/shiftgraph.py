@@ -7,16 +7,16 @@ class).  The necklaces of an evaluation are streamed, each at its least
 rotation (``words.necklaces``), and the keys of its distinct rotations are
 joined pairwise: every word is formed once (``handle.form_of``), every class
 formatted once (``handle.format_form``) through a form-to-key table, and no
-map from words is kept, so memory follows the classes and edges.  Diameters
-grow one reachability bitset per vertex by a round of neighbour ORs until
-every bitset is full.  Self-loops are implicit and excluded from edge lists
-and diameters.
+map from words is kept, so memory follows the classes and edges.  Graphs are
+read-only once built, and their components share their neighbour sets.
+Diameters grow a reachability bitset per vertex by rounds of neighbour ORs
+(a complete graph needs none).  Self-loops are implicit and never stored.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import deque  # noqa: F401  unused here; perfbench/spans.py patches this name
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -26,6 +26,7 @@ from .words import Evaluation, Word, evaluation as ev_of, necklaces
 
 @dataclass
 class ShiftGraph:
+    """Keys and neighbour sets, read-only once built; component graphs share the sets."""
     monoid: str
     rank: int
     evaluation: Evaluation
@@ -57,55 +58,59 @@ class ShiftGraph:
         self.adjacency.setdefault(a, set())
 
     def distances_from(self, start: str) -> dict[str, int]:
-        if start not in self.adjacency:
-            raise ValueError(f"unknown vertex {start!r}")
-        dist = {start: 0}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in self.adjacency[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        return dist
+        return {v: d for d, level in enumerate(_levels(self.adjacency, start)) for v in level}
 
     def component_of(self, start: str) -> "ShiftGraph":
-        keep = set(self.distances_from(start))
-        sub = {v: self.adjacency[v] & keep for v in keep}
-        return ShiftGraph(self.monoid, self.rank, self.evaluation, sub)
+        """The component of ``start``, sharing the neighbour sets a closure holds whole."""
+        adj = self.adjacency
+        keep = set().union(*_levels(adj, start))
+        return ShiftGraph(self.monoid, self.rank, self.evaluation, {v: adj[v] for v in keep})
 
     def components(self) -> list["ShiftGraph"]:
-        seen: set[str] = set()
-        out = []
-        for v in sorted(self.adjacency):
+        """Every component, ordered by its least vertex."""
+        out, seen = [], set()
+        for v in self.adjacency:
             if v not in seen:
-                comp = self.component_of(v)
-                seen |= set(comp.adjacency)
-                out.append(comp)
-        return out
+                out.append(self.component_of(v))
+                seen.update(out[-1].adjacency)
+        return sorted(out, key=lambda c: min(c.adjacency))
+
+
+def _levels(adj: dict[str, set[str]], start: str):
+    """Breadth-first levels from ``start``: the sets of vertices at distance 0, 1, ..."""
+    if start not in adj:
+        raise ValueError(f"unknown vertex {start!r}")
+    seen, level = set(), {start}
+    while level:
+        yield level
+        seen |= level
+        level = set().union(*map(adj.__getitem__, level)) - seen
 
 
 def distance(g: ShiftGraph, a: str, b: str) -> int:
-    dist = g.distances_from(a)
-    if b not in dist:
-        raise ValueError(f"vertices {a!r} and {b!r} are not connected")
-    return dist[b]
+    for d, level in enumerate(_levels(g.adjacency, a)):
+        if b in level:
+            return d
+    raise ValueError(f"vertices {a!r} and {b!r} are not connected")
 
 
 def diameter(g: ShiftGraph) -> int:
-    """Largest eccentricity; the graph must be connected.
+    """Largest eccentricity of a connected graph; 1 at once for a complete one.
 
-    Round r leaves each vertex's bitset holding its ball of radius r.
+    Round r leaves each vertex's bitset, in dict order, holding its ball of radius r.
     """
-    verts = g.vertices
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [[index[w] for w in g.adjacency[v]] for v in verts]
-    full = (1 << len(verts)) - 1
-    reach = [1 << i for i in range(len(verts))]
+    adj = g.adjacency
+    n = len(adj)
+    if n > 1 and all(len(nbrs) == n - 1 and v not in nbrs for v, nbrs in adj.items()):
+        return 1
+    index = {v: i for i, v in enumerate(adj)}
+    nbr_bits = [[index[w] for w in nbrs] for nbrs in adj.values()]
+    full = (1 << n) - 1
+    reach = [1 << i for i in range(n)]
     rounds = 0
     while any(r != full for r in reach):
         grown = []
-        for r, nbrs in zip(reach, adj):
+        for r, nbrs in zip(reach, nbr_bits):
             for j in nbrs:
                 r |= reach[j]
             grown.append(r)
@@ -116,11 +121,11 @@ def diameter(g: ShiftGraph) -> int:
     return rounds
 
 
-def _cliques(handle: MonoidHandle, ev: Evaluation, limit: int | None):
-    """Each necklace of ``ev`` with the keys of its distinct rotations.
+def _rotation_keys(handle: MonoidHandle, ev: Evaluation):
+    """A map from each necklace of ``ev`` to the keys of its distinct rotations.
 
     The keys are listed in rotation order, ``w[i:] + w[:i]`` for i = 0, 1, ...
-    up to the necklace's period, so every word of ``ev`` is formed exactly once.
+    up to the period, so each word is formed once and each class formatted once.
     A period divides the length n, and n/period divides every count of ``ev``.
     """
     n = sum(ev)
@@ -128,18 +133,14 @@ def _cliques(handle: MonoidHandle, ev: Evaluation, limit: int | None):
     periods = [n // f for f in range(folds, 1, -1) if folds % f == 0]
     form_of, format_form = handle.form_of, handle.format_form
     keys: dict = {}
-    for w in necklaces(ev, limit):
+
+    def of(w: Word) -> list[str]:
         p = next((d for d in periods if w[d:] + w[:d] == w), n or 1)
         forms = [form_of(w[i:] + w[:i]) for i in range(p)]
         # only the empty word, alone in its evaluation, has the false key ""
-        yield w, [keys.get(f) or keys.setdefault(f, format_form(f)) for f in forms]
+        return [keys.get(f) or keys.setdefault(f, format_form(f)) for f in forms]
 
-
-def _join(adj: dict[str, set[str]], keys: list[str]) -> None:
-    """Add the clique on ``keys``: each key's entry takes all of them, itself included."""
-    clique = set(keys)
-    for k in clique:
-        adj.setdefault(k, set()).update(clique)
+    return of
 
 
 def evaluation_graph(
@@ -148,8 +149,12 @@ def evaluation_graph(
 ) -> ShiftGraph:
     """The full shift graph of one evaluation; ``representatives`` gets a word per class."""
     adj: dict[str, set[str]] = {}
-    for w, keys in _cliques(handle, ev, limit):
-        _join(adj, keys)
+    rotation_keys = _rotation_keys(handle, ev)
+    for w in necklaces(ev, limit):
+        keys = rotation_keys(w)
+        clique = set(keys)
+        for k in clique:
+            adj.setdefault(k, set()).update(clique)
         if representatives is not None:
             for i, key in enumerate(keys):
                 representatives.setdefault(key, w[i:] + w[:i])
@@ -161,20 +166,25 @@ def evaluation_graph(
 def neighbors(handle: MonoidHandle, word: Word, rank: int, limit: int | None = None) -> set[str]:
     """Keys of every rotation of every class member (the class itself included).
 
-    That is the union of the necklace cliques holding the class's key, which
-    is read from the clique of the word's own necklace.
+    That is the union of the necklace cliques holding the class's key.  The
+    word's own necklace, keyed first, gives it, so only those cliques are kept.
     """
     ev = ev_of(word, rank)
+    stream = necklaces(ev, limit)  # the size guard runs before any word is formed
     n = len(word)
     # word[j:] + word[:j] is the word's necklace, and word is its rotation by n - j
     j = min(range(n or 1), key=lambda i: word[i:] + word[:i])
     own = word[j:] + word[:j]
-    adj: dict[str, set[str]] = {}
-    for w, keys in _cliques(handle, ev, limit):
-        if w == own:
-            target = keys[(n - j) % len(keys)]
-        _join(adj, keys)
-    return adj[target]
+    rotation_keys = _rotation_keys(handle, ev)
+    keys = rotation_keys(own)
+    target = keys[(n - j) % len(keys)]
+    out = set(keys)
+    for w in stream:
+        if w != own:
+            keys = rotation_keys(w)
+            if target in keys:
+                out.update(keys)
+    return out
 
 
 def component(handle: MonoidHandle, word: Word, rank: int, limit: int | None = None) -> ShiftGraph:

@@ -115,6 +115,27 @@ def test_tree_shift_paths_pass_the_checker(w, data):
         check_path(h, h.shift_path(a, b), h.key(a), h.key(b))
 
 
+@given(st.lists(st.integers(1, 5), max_size=8), st.data())
+@settings(max_examples=40, deadline=None)
+def test_hypo_and_stal_shift_paths_pass_the_checker(w, data):
+    from cycshift.handles import handle
+    from cycshift.paths import check_path
+
+    h = handle("hypo")
+    a, b = h.element(tuple(w)), h.element(tuple(data.draw(st.permutations(w))))
+    check_path(h, h.shift_path(a, b), h.key(a), h.key(b))
+    # stal components: rotate the height-1 columns, put the taller ones back anywhere
+    h = handle("stal")
+    a = h.element(tuple(w))
+    singles = [c for c in a.columns if c[1] == 1]
+    r = data.draw(st.integers(0, max(len(singles) - 1, 0)))
+    columns = singles[r:] + singles[:r]
+    for c in data.draw(st.permutations([c for c in a.columns if c[1] > 1])):
+        columns.insert(data.draw(st.integers(0, len(columns))), c)
+    b = stalactic.StalacticTableau(tuple(columns))
+    check_path(h, h.shift_path(a, b), h.key(a), h.key(b))
+
+
 @settings(max_examples=60)
 @given(st.lists(st.integers(1, 13), max_size=9).map(tuple), st.randoms(use_true_random=False))
 def test_forms_agree_exactly_when_keys_agree(w, rng):

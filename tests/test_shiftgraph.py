@@ -3,6 +3,8 @@ import itertools
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycshift import stalactic
 from cycshift.handles import HANDLES, handle
@@ -254,6 +256,9 @@ def test_diameter_small_graphs():
     for k in range(1, 8):
         assert diameter(_graph(k, [(i, i + 1) for i in range(k - 1)])) == k - 1
     assert diameter(_graph(5, [(i, (i + 1) % 5) for i in range(5)])) == 2
+    # a 4-cycle with self-loops has n - 1 entries per vertex but is not complete
+    looped = {str(i): {str(j % 4) for j in (i - 1, i, i + 1)} for i in range(4)}
+    assert diameter(ShiftGraph("test", 0, (), looped)) == 2
     with pytest.raises(ValueError, match="disconnected"):
         diameter(_graph(3, [(0, 1)]))
     with pytest.raises(ValueError, match="disconnected"):
@@ -263,3 +268,41 @@ def test_diameter_small_graphs():
 def test_distances_from_unknown_vertex_is_a_value_error():
     with pytest.raises(ValueError, match="unknown vertex"):
         _graph(2, [(0, 1)]).distances_from("7")
+
+
+@st.composite
+def small_graphs(draw):
+    """Complete, empty, single-vertex and random graphs on up to 8 vertices."""
+    n = draw(st.integers(0, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    if pairs and not draw(st.booleans()):
+        pairs = draw(st.lists(st.sampled_from(pairs), unique=True))
+    return _graph(n, pairs)
+
+
+@given(small_graphs())
+@settings(max_examples=200, deadline=None)
+def test_components_share_sets_and_diameters_match_eccentricities(g):
+    comps = g.components()
+    # a partition of the vertices, ordered by least vertex
+    assert sorted(v for c in comps for v in c.adjacency) == g.vertices
+    assert [min(c.adjacency) for c in comps] == sorted(min(c.adjacency) for c in comps)
+    for c in comps:
+        for v in c.adjacency:
+            # a component is a view: its neighbour sets are the graph's own
+            assert c.adjacency[v] is g.adjacency[v]
+            assert set(g.distances_from(v)) == set(c.adjacency)
+        assert diameter(c) == max(max(c.distances_from(v).values()) for v in c.adjacency)
+    if len(comps) > 1:
+        with pytest.raises(ValueError, match="disconnected"):
+            diameter(g)
+    else:
+        assert diameter(g) == max((max(g.distances_from(v).values()) for v in g.adjacency), default=0)
+    for a in g.adjacency:
+        dist = g.distances_from(a)
+        for b in g.adjacency:
+            if b in dist:
+                assert distance(g, a, b) == dist[b]
+            else:
+                with pytest.raises(ValueError, match="not connected"):
+                    distance(g, a, b)
