@@ -281,7 +281,7 @@ def small_graphs(draw):
 
 
 @given(small_graphs())
-@settings(max_examples=200, deadline=None)
+@settings(deadline=None)
 def test_components_share_sets_and_diameters_match_eccentricities(g):
     comps = g.components()
     # a partition of the vertices, ordered by least vertex
