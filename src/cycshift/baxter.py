@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import sylvester
-from .trees import Node, labels, nodes, serialize, to_json as tree_json
+from .trees import Node, labels, postfix, serialize, to_json as tree_json
 from .words import DEFAULT_MAX_CLASS, LimitExceededError, Word
 
 
@@ -142,7 +142,7 @@ def readings(pair: TwinPair, limit: int | None = None) -> set[Word]:
     all picks yields every reading.
     """
     bound = DEFAULT_MAX_CLASS if limit is None else limit
-    size = len(nodes(pair.left))
+    size = len(postfix(pair.left))
     if size > bound:
         raise LimitExceededError(f"pair has {size} nodes, readings limit is {bound}")
     if pair.left is None:

@@ -10,6 +10,10 @@ restricted to uppermost label occurrences; the shift done for each visited
 symbol is a rotation of an explicitly factorized reading of the current tree.
 Every factorization and every intermediate invariant is checked at runtime:
 a violation raises AssertionError and means a bug, never a silent fallback.
+The builder indexes each tree of the walk once (``trees.PostfixIndex``): a
+subtree is a contiguous run of the postfix order, so its node set is a
+slice, and a tree's key is its postfix reading, which ``right_bst``
+inverts.  It works on the symbols as given.
 
 Each shift reads the current tree as ``moved + rest`` and moves on to
 ``rest + moved``.  The base step moves the first visited symbol with its
@@ -62,18 +66,16 @@ from typing import Iterator
 from .paths import ShiftPath, compress_path
 from .trees import (
     Node,
+    PostfixIndex,
     clone,
     labels,
     leftmost,
-    nodes,
     nodes_with_label,
     parent_map,
     postfix,
-    postfix_reading,
     rightmost,
     search_topmost,
     serialize,
-    subtree_ids,
 )
 from .words import DEFAULT_MAX_CLASS, LimitExceededError, Word
 
@@ -187,7 +189,7 @@ def _shuffles(u: Word, v: Word) -> set[Word]:
 def readings(root: Node | None, limit: int | None = None) -> set[Word]:
     """All words inserting to ``root``: shuffles of subtree readings, root last."""
     bound = DEFAULT_MAX_CLASS if limit is None else limit
-    size = len(nodes(root))
+    size = len(postfix(root))
     if size > bound:
         raise LimitExceededError(f"tree has {size} nodes, readings limit is {bound}")
 
@@ -248,11 +250,11 @@ def classify_nodes(root: Node | None, label: int) -> tuple[list[Node], list[Node
 class PlanStep:
     """Data attached to one visit of the topmost-occurrence postfix walk.
 
-    ``block`` is the complete subtree at the visited node; ``single_min``
-    drops all duplicated minima; ``core`` additionally drops the tertiary
-    occurrences of ``upper``; ``anchor`` re-inserts the occurrences of
-    ``upper`` that live outside the core, and must appear at the root of the
-    walk tree after this step's shift.
+    ``core`` is the complete subtree at the visited node without its
+    duplicated minima and without the tertiary occurrences of ``upper``;
+    ``anchor`` re-inserts the occurrences of ``upper`` that live outside the
+    core, and must appear at the root of the walk tree after this step's
+    shift.
     """
 
     index: int
@@ -260,27 +262,10 @@ class PlanStep:
     min_sym: int
     lower: int | None
     upper: int | None
-    block: Node
-    single_min: Node
     core: Node
     anchor: Node
     anchor_core_ids: frozenset[int]
     anchor_extra: int
-
-
-def _clone_with_map(node: Node | None) -> tuple[Node | None, dict[int, Node]]:
-    mapping: dict[int, Node] = {}
-
-    def rec(x: Node | None) -> Node | None:
-        if x is None:
-            return None
-        c = Node(x.label, x.mult)
-        mapping[id(x)] = c
-        c.left = rec(x.left)
-        c.right = rec(x.right)
-        return c
-
-    return rec(node), mapping
 
 
 def _ancestors(parents: dict[int, Node], node: Node) -> Iterator[Node]:
@@ -292,23 +277,25 @@ def _ancestors(parents: dict[int, Node], node: Node) -> Iterator[Node]:
 
 
 def _index(root: Node):
-    """Parent map, label counts, and the topmost node and ``classify_nodes`` of each label."""
-    count = Counter(labels(root))
+    """Postfix index, parent map, label counts, topmost nodes and ``classify_nodes``."""
+    post = PostfixIndex(root)
+    count = Counter(post.labels)
     topmost = {lbl: search_topmost(root, lbl) for lbl in count}
-    return parent_map(root), count, topmost, {lbl: classify_nodes(root, lbl) for lbl in count}
+    classes = {lbl: classify_nodes(root, lbl) for lbl in count}
+    return post, parent_map(root), count, topmost, classes
 
 
 def traversal_plan(u_root: Node, index=None) -> list[PlanStep]:
     """Plan the topmost-occurrence postfix walk of ``u_root``; one step per symbol."""
     _require(u_root is not None, "plan needs a non-empty tree")
-    parents, count, topmost, classes = index or _index(u_root)
-    order = [x for x in postfix(u_root) if topmost[x.label] is x]
+    post, parents, count, topmost, classes = index or _index(u_root)
+    order = [x for x in post.nodes if topmost[x.label] is x]
     _require(len(order) == len(count), "one walk step per distinct symbol")
 
     steps: list[PlanStep] = []
     for idx, visited in enumerate(order, start=1):
-        sub = nodes(visited)
-        m = min(x.label for x in sub)
+        lo, hi = post.run(visited)
+        m = min(post.labels[lo:hi])
         upper = lower = None
         child = visited
         for par in _ancestors(parents, visited):
@@ -322,10 +309,15 @@ def traversal_plan(u_root: Node, index=None) -> list[PlanStep]:
         _require(lower is None or lower < m, "lower bound below the block minimum")
         _require(upper is None or visited.label < upper, "upper bound above the visited symbol")
 
-        block, bmap = _clone_with_map(visited)
-        # single_min: drop every occurrence of the minimum except the uppermost
-        single = block
-        mchain = nodes_with_label(single, m)
+        # the core: a clone of the block (the subtree's postfix run), pruned in place
+        cmap: dict[int, Node] = {}
+        for x in post.nodes[lo:hi]:
+            cmap[id(x)] = Node(
+                x.label, x.mult, x.left and cmap[id(x.left)], x.right and cmap[id(x.right)]
+            )
+        core = cmap[id(visited)]
+        # drop every occurrence of the minimum except the uppermost
+        mchain = nodes_with_label(core, m)
         if len(mchain) > 1:
             kept = mchain[0]
             _require(
@@ -333,21 +325,17 @@ def traversal_plan(u_root: Node, index=None) -> list[PlanStep]:
                 "duplicated minima form a pure chain",
             )
             kept.left = None
-        core, cmap = _clone_with_map(single)
         if upper is not None:
-            tert = classes[upper][2]
-            sub_ids = {id(x) for x in sub}
-            inside = [bmap[id(x)] for x in tert if id(x) in sub_ids]
-            # the tertiary run survives the minimum pruning verbatim
-            inside_core = [cmap[id(x)] for x in inside if id(x) in cmap]
-            _require(len(inside_core) == len(inside), "tertiary run untouched by min pruning")
-            if inside_core:
-                run_ids = {id(x) for x in inside_core}
+            inside = [cmap[id(x)] for x in classes[upper][2] if id(x) in cmap]
+            if inside:
+                # the tertiary run survives the minimum pruning verbatim
+                kept_ids = {id(x) for x in postfix(core)}
+                _require(
+                    all(id(x) in kept_ids for x in inside), "tertiary run untouched by min pruning"
+                )
+                run_ids = {id(x) for x in inside}
                 cparents = parent_map(core)
-                tops = [
-                    x for x in inside_core
-                    if id(cparents.get(id(x), core)) not in run_ids
-                ]
+                tops = [x for x in inside if id(cparents.get(id(x), core)) not in run_ids]
                 _require(len(tops) == 1, "tertiary occurrences form one run")
                 top = tops[0]
                 par = cparents.get(id(top))
@@ -356,14 +344,19 @@ def traversal_plan(u_root: Node, index=None) -> list[PlanStep]:
                     par.left = None
                 else:
                     par.right = None
-        anchor, amap = _clone_with_map(core)
-        core_ids = frozenset(id(x) for x in postfix(anchor))
-        extra = 0
-        if upper is not None and any(x.label == upper for x in postfix(core)):
-            extra = count[upper] - sum(1 for x in postfix(core) if x.label == upper)
+        # the anchor is the core; when the core holds upper, a copy padded with
+        # the occurrences outside it
+        in_core = postfix(core)
+        inner = sum(x.label == upper for x in in_core)
+        anchor, extra = core, 0
+        if inner:
+            extra = count[upper] - inner
             _require(extra >= 1, "at least the uppermost occurrence lies outside the core")
+            anchor = clone(core)
+            in_core = postfix(anchor)
             for _ in range(extra):
                 anchor = _insert_mut(anchor, upper)
+        core_ids = frozenset(map(id, in_core))
         steps.append(
             PlanStep(
                 index=idx,
@@ -371,8 +364,6 @@ def traversal_plan(u_root: Node, index=None) -> list[PlanStep]:
                 min_sym=m,
                 lower=lower,
                 upper=upper,
-                block=block,
-                single_min=single,
                 core=core,
                 anchor=anchor,
                 anchor_core_ids=core_ids,
@@ -419,37 +410,6 @@ def _embed_at(pattern: Node, target: Node):
     return mapping, mapping[id(p_lm)].left, mapping[id(p_rm)].right
 
 
-def check_spine_invariants(t_root: Node, plan: list[PlanStep], upset: list[int]) -> None:
-    """Assert the walk-tree invariants for the given set of pending steps.
-
-    The anchors of ``upset`` (indices, increasing) appear in reverse order
-    down the path of left children from the root, anything below an anchor
-    hangs off its two extremal attachment points, and no minimum of a pending
-    step sits below a node carrying that step's lower bound.
-    """
-    pos: Node | None = t_root
-    for idx in reversed(upset):
-        step = plan[idx - 1]
-        found = None
-        while pos is not None:
-            found = _embed_at(step.anchor, pos)
-            if found is not None:
-                break
-            pos = pos.left
-        _require(found is not None, f"anchor of step {idx} missing from the left spine")
-        pos = found[1]
-    for idx in upset:
-        step = plan[idx - 1]
-        if step.lower is None:
-            continue
-        for nd in postfix(t_root):
-            if nd.label == step.lower:
-                bad = any(
-                    x.label == step.min_sym for x in postfix(nd) if x is not nd
-                )
-                _require(not bad, f"minimum {step.min_sym} below lower bound {step.lower}")
-
-
 def _upset(order_below: list[set[int]], h: int) -> list[int]:
     """Indices i <= h whose visited node is not below a later visited node."""
     return [i for i in range(1, h + 1) if not (order_below[i - 1] & set(range(i + 1, h + 1)))]
@@ -472,11 +432,10 @@ def _chain_down(start: Node | None) -> list[Node]:
 
 class _PathBuilder:
     def __init__(self, t_root: Node, u_root: Node):
-        self.u_root = u_root
         index = _index(u_root)
         self.plan = traversal_plan(u_root, index)
         self.n = len(self.plan)
-        self.u_parents, self.count, self.topmost, classes = index
+        self.u_post, self.u_parents, self.count, self.topmost, classes = index
         # which earlier visits are below which later ones, for the pending set
         order = [self.topmost[s.label] for s in self.plan]
         pos_of = {id(nd): i + 1 for i, nd in enumerate(order)}
@@ -485,30 +444,66 @@ class _PathBuilder:
             for nd in order
         ]
         self.primary_count = {lbl: len(split[0]) for lbl, split in classes.items()}
-        self.trees: list[Node] = [clone(t_root)]
-        # the serialization of each tree, computed once
-        self.keys = [serialize(t_root)]
+        self.trees: list[Node] = []
+        # the key of each tree: its postfix reading, which right_bst inverts
+        self.keys: list[tuple[int, ...]] = []
         self.moves: list[tuple[Word, int]] = []
+        self._push(clone(t_root))
 
-    # -- helpers on the current tree ------------------------------------
+    # -- the current walk tree, indexed once ------------------------------
+
+    def _push(self, tree: Node) -> None:
+        """Make ``tree`` the current walk tree, indexed once in postfix order."""
+        self.walk = PostfixIndex(tree)
+        self.trees.append(tree)
+        self.keys.append(tuple(self.walk.labels))
 
     def _emit(self, moved: list[int], rest: list[int]) -> None:
         w1 = tuple(moved) + tuple(rest)
         _require(
-            serialize(right_bst(w1)) == self.keys[-1],
+            labels(right_bst(w1)) == self.walk.labels,
             "factorized reading does not represent the current tree",
         )
-        w2 = tuple(rest) + tuple(moved)
         self.moves.append((w1, len(moved)))
-        self.trees.append(right_bst(w2))
-        self.keys.append(serialize(self.trees[-1]))
+        self._push(right_bst(tuple(rest) + tuple(moved)))
 
     def _reads(self, *idsets: set[int]) -> list[int]:
-        t_cur = self.trees[-1]
+        """The postfix reading of each identity set in turn."""
+        walk = self.walk
         out: list[int] = []
         for ids in idsets:
-            out.extend(postfix_reading(t_cur, ids))
+            out.extend(lab for i, lab in zip(walk.ids, walk.labels) if i in ids)
         return out
+
+    def _check_spine(self, h: int) -> None:
+        """Check the walk-tree invariants for the steps pending after step h.
+
+        The pending anchors appear in reverse order down the path of left
+        children from the root, anything below an anchor hangs off its two
+        extremal attachment points, and no minimum of a pending step sits
+        below a node carrying that step's lower bound.
+        """
+        upset = _upset(self.order_below, h)
+        pos: Node | None = self.trees[-1]
+        for idx in reversed(upset):
+            step = self.plan[idx - 1]
+            found = None
+            while pos is not None:
+                found = _embed_at(step.anchor, pos)
+                if found is not None:
+                    break
+                pos = pos.left
+            _require(found is not None, f"anchor of step {idx} missing from the left spine")
+            pos = found[1]
+        labs, start = self.walk.labels, self.walk.start
+        for idx in upset:
+            step = self.plan[idx - 1]
+            for p, lab in enumerate(labs):
+                if lab == step.lower:
+                    _require(
+                        step.min_sym not in labs[start[p]:p],
+                        f"minimum {step.min_sym} below lower bound {step.lower}",
+                    )
 
     def _visit_split(self, u1: int, lower: int | None) -> tuple[list[int], list[int], Node]:
         """Factor the visit symbol ``u1`` off the current tree.
@@ -522,28 +517,27 @@ class _PathBuilder:
         no occurrence re-inserts below its predecessor symbol (all of whose
         occurrences are that topmost one and its left chain).
         """
+        walk = self.walk
+        sub = walk.subtree_ids
         t_cur = self.trees[-1]
         occ = nodes_with_label(t_cur, u1)
         _require(occ != [], "visit symbol occurs in the current tree")
         if lower is not None:
-            parents = parent_map(t_cur)
-            y = next(
-                (nd for nd in occ if any(p.label == lower for p in _ancestors(parents, nd))),
-                None,
-            )
-            if y is not None:
+            # the occurrences with an ancestor ``lower``: they lie in that node's run
+            lows = [p for p, lab in enumerate(walk.labels) if lab == lower]
+            below = [nd for nd in occ if any(walk.start[p] <= walk.pos[id(nd)] < p for p in lows)]
+            if below:
+                y = below[0]
                 p_node = search_topmost(t_cur, lower)
                 _require(
-                    p_node is not None and id(y) in subtree_ids(p_node.right),
+                    p_node is not None and walk.contains(p_node.right, y),
                     "pulled occurrence sits in the right subtree of the bound",
                 )
-                head = self._reads(subtree_ids(y.left), subtree_ids(y.right))
-                rest_head = self._reads(
-                    subtree_ids(p_node.right) - subtree_ids(y), subtree_ids(p_node.left)
-                )
+                head = self._reads(sub(y.left), sub(y.right))
+                rest_head = self._reads(sub(p_node.right) - sub(y), sub(p_node.left))
                 return head, rest_head + [lower], p_node
         y = occ[0]
-        return self._reads(subtree_ids(y.left), subtree_ids(y.right)), [], y
+        return self._reads(sub(y.left), sub(y.right)), [], y
 
     def _between_counts(self, h: int, s: int) -> tuple[int, int]:
         """Split ``s`` occurrences of step h's upper bound into (s2, s1).
@@ -573,9 +567,10 @@ class _PathBuilder:
         to move, the block around the chain stays contiguous in the suffix
         so that it lands right of the new root.
         """
+        sub = self.walk.subtree_ids
         q = self.plan[h - 1].upper
         if q is None:
-            return [], self._reads(subtree_ids(rm), anchor_ids)
+            return [], self._reads(sub(rm), anchor_ids)
         qnodes = nodes_with_label(self.trees[-1], q)
         _require(qnodes != [], "upper bound occurs somewhere")
         _require(
@@ -586,10 +581,10 @@ class _PathBuilder:
             _require(a.left is b, "upper occurrences form one consecutive chain")
         _require(len(qnodes) == self.count[q], "all upper occurrences located")
         top = qnodes[0]
-        _require(id(top) in subtree_ids(rm), "upper chain right of the anchor")
+        _require(self.walk.contains(rm, top), "upper chain right of the anchor")
         s2, s1 = self._between_counts(h, len(qnodes))
-        beta = self._reads(subtree_ids(top.right))
-        tail = self._reads(subtree_ids(rm) - subtree_ids(top), anchor_ids)
+        beta = self._reads(sub(top.right))
+        tail = self._reads(sub(rm) - sub(top), anchor_ids)
         if s2:
             return beta + [q] * s2, [q] * s1 + tail
         return [], beta + [q] * s1 + tail
@@ -599,7 +594,7 @@ class _PathBuilder:
     def base_step(self) -> None:
         step = self.plan[0]
         head, rest_head, stop = self._visit_split(step.label, step.lower)
-        outside = subtree_ids(self.trees[-1]) - subtree_ids(stop)
+        outside = set(self.walk.ids) - self.walk.subtree_ids(stop)
         self._emit(head + [step.label], rest_head + self._reads(outside))
 
     # -- induction cases ---------------------------------------------------
@@ -612,17 +607,15 @@ class _PathBuilder:
         if side == "left":
             self._case2(h)
         elif side == "right":
-            left_top = any(
-                self.topmost[x.label] is x for x in postfix(n_next.left)
-            )
+            lo, hi = self.u_post.run(n_next.left)
+            left_top = any(self.topmost[x.label] is x for x in self.u_post.nodes[lo:hi])
             if left_top:
                 self._case4(h)
             else:
                 self._case3(h)
         else:
             self._case1(h)
-        upset = _upset(self.order_below, h + 1)
-        check_spine_invariants(self.trees[-1], self.plan, upset)
+        self._check_spine(h + 1)
 
     def _subtree_side(self, anc: Node, nd: Node) -> str | None:
         """The side of ``anc`` whose subtree holds ``nd`` in U; None when not below."""
@@ -645,16 +638,17 @@ class _PathBuilder:
     def _case1(self, h: int) -> None:
         cur, nxt = self.plan[h - 1], self.plan[h]
         u1 = nxt.label
-        _require(len(nodes(nxt.anchor)) == 1, "fresh visit carries a single-node anchor")
+        _require(len(postfix(nxt.anchor)) == 1, "fresh visit carries a single-node anchor")
+        sub = self.walk.subtree_ids
         lm, rm, anchor_ids, _ = self._anchor_parts(cur)
         # the pull-to-front surgery needs every next-lower occurrence outside
         # the anchor; that fails only when the bounds collide and the anchor
         # absorbed those occurrences
         collide = cur.upper == nxt.lower and cur.anchor_extra > 0
         head, rest_head, stop = self._visit_split(u1, None if collide else nxt.lower)
-        _require(id(stop) in subtree_ids(rm), "visit symbol and its bound right of the anchor")
-        zeta = subtree_ids(rm) - subtree_ids(stop)
-        self._emit(head + [u1], rest_head + self._reads(zeta, subtree_ids(lm), anchor_ids))
+        _require(self.walk.contains(rm, stop), "visit symbol and its bound right of the anchor")
+        zeta = sub(rm) - sub(stop)
+        self._emit(head + [u1], rest_head + self._reads(zeta, sub(lm), anchor_ids))
 
     def _case2(self, h: int) -> None:
         cur = self.plan[h - 1]
@@ -662,28 +656,30 @@ class _PathBuilder:
         _require(cur.upper == u1, "upper bound of the old block is the next visit")
         t_cur = self.trees[-1]
         lm, rm, anchor_ids, core_ids = self._anchor_parts(cur)
-        lam = subtree_ids(lm)
+        sub = self.walk.subtree_ids
+        lam = sub(lm)
         s2 = self.primary_count[u1]
         if cur.anchor_extra:
             s = cur.anchor_extra
             s1 = s - s2
             _require(s1 >= 0, "primary occurrences fit in the inserted set")
-            beta = subtree_ids(rm)
+            beta = sub(rm)
             moved = [u1] * s2
             rest = [u1] * s1 + self._reads(beta, lam, core_ids)
         else:
             y = search_topmost(t_cur, u1)
-            _require(y is not None and id(y) in subtree_ids(rm), "visits right of the anchor")
+            _require(y is not None and self.walk.contains(rm, y), "visits right of the anchor")
+            lo, hi = self.walk.run(y.left)
             _require(
-                all(x.label == u1 for x in postfix(y.left)),
+                all(lab == u1 for lab in self.walk.labels[lo:hi]),
                 "only repeats hang left of the uppermost visit symbol",
             )
             s = len(nodes_with_label(t_cur, u1))
             _require(s == self.count[u1], "all occurrences located")
             s1 = s - s2
             _require(s1 >= 0, "primary occurrences fit")
-            delta = subtree_ids(rm) - subtree_ids(y)
-            beta = subtree_ids(y.right)
+            delta = sub(rm) - sub(y)
+            beta = sub(y.right)
             moved = self._reads(beta) + [u1] * s2
             rest = [u1] * s1 + self._reads(delta, lam, anchor_ids)
         self._emit(moved, rest)
@@ -696,8 +692,9 @@ class _PathBuilder:
         inside the subtree at ``stop`` belong to the caller's own pieces and
         are skipped here.
         """
+        sub = self.walk.subtree_ids
         t_cur = self.trees[-1]
-        stop_ids = subtree_ids(stop)
+        stop_ids = sub(stop)
         ext_all = [nd for nd in nodes_with_label(t_cur, m) if id(nd) not in anchor_ids]
         _require(
             len(ext_all) == self.count[m] - 1, "all duplicated minima sit outside the anchor"
@@ -708,16 +705,16 @@ class _PathBuilder:
             "skipped minima form the lower end of the chain",
         )
         regions: list[set[int]] = []
-        top = subtree_ids(lm)
+        top = sub(lm)
         if ext:
             _require(id(ext[0]) in top, "duplicated minima hang left of the anchor")
-            regions.append(top - subtree_ids(ext[0]))
+            regions.append(top - sub(ext[0]))
             for a, b in zip(ext, ext[1:]):
-                _require(b is not a and id(b) in subtree_ids(a.left), "minima descend leftwards")
+                _require(b is not a and self.walk.contains(a.left, b), "minima descend leftwards")
                 _require(a.right is None, "duplicated minima have empty right subtrees")
-                regions.append(subtree_ids(a.left) - subtree_ids(b))
+                regions.append(sub(a.left) - sub(b))
             _require(ext[-1].right is None, "duplicated minima have empty right subtrees")
-            regions.append(subtree_ids(ext[-1].left) - stop_ids)
+            regions.append(sub(ext[-1].left) - stop_ids)
         else:
             regions.append(top - stop_ids)
         # regions are top..bottom; the word wants bottom..top with m separators
@@ -740,7 +737,7 @@ class _PathBuilder:
         if cur.anchor_extra:
             s2, s1 = self._between_counts(h, cur.anchor_extra)
             q = cur.upper
-            prefix, suffix = [q] * s2, [q] * s1 + self._reads(subtree_ids(rm), core_ids)
+            prefix, suffix = [q] * s2, [q] * s1 + self._reads(self.walk.subtree_ids(rm), core_ids)
         else:
             prefix, suffix = self._upper_chain(h, rm, anchor_ids)
         self._emit(head + prefix + [u1], middle + suffix)
@@ -802,7 +799,7 @@ class _PathBuilder:
         _require(t1 >= 0, "primary occurrences fit")
 
         # the middle: next visits around the previous anchor's reading
-        gamma = self._reads(subtree_ids(lm_g), g_core_ids)
+        gamma = self._reads(self.walk.subtree_ids(lm_g), g_core_ids)
         if o2 == 0:
             moved, rest = [u1] * t2, [u1] * t1 + [m] * r1 + gamma
         else:
@@ -816,7 +813,7 @@ class _PathBuilder:
         if cur.anchor_extra:
             s2, s1 = self._between_counts(h, cur.anchor_extra)
             q = cur.upper
-            rho = self._reads(subtree_ids(rm_h))
+            rho = self._reads(self.walk.subtree_ids(rm_h))
             # with both anchors padded the right attachment reads before the minima
             tail = rho + minima if eg_ext else minima + rho
             prefix, suffix = [q] * s2, tail + [q] * s1 + self._reads(core_ids_h)
@@ -825,44 +822,28 @@ class _PathBuilder:
             suffix = minima + suffix
         self._emit(prefix + moved, rest + suffix)
 
-    def run(self) -> tuple[list[Node], list[tuple[Word, int]], list[str]]:
+    def run(self) -> tuple[list[Node], list[tuple[Word, int]], list[tuple[int, ...]]]:
         self.base_step()
-        check_spine_invariants(self.trees[-1], self.plan, _upset(self.order_below, 1))
+        self._check_spine(1)
         for h in range(1, self.n):
             self.step(h)
         _require(
-            self.keys[-1] == serialize(self.u_root),
+            self.keys[-1] == tuple(self.u_post.labels),
             "path construction must end at the target tree",
         )
         return self.trees, self.moves, self.keys
 
 
-def _relabel(root: Node | None, mapping: dict[int, int]) -> Node | None:
-    if root is None:
-        return None
-    return Node(
-        mapping[root.label], root.mult, _relabel(root.left, mapping), _relabel(root.right, mapping)
-    )
-
-
 def shift_path(t: Node | None, u: Node | None) -> ShiftPath:
     """Path of at most n cyclic shifts from ``t`` to ``u`` (n = distinct symbols).
 
-    Requires equal evaluations; symbols are relabelled onto 1..n internally.
+    Requires equal evaluations.
     """
-    t_labels, u_labels = sorted(labels(t)), sorted(labels(u))
-    if t_labels != u_labels:
+    t_labels, u_labels = labels(t), labels(u)
+    if sorted(t_labels) != sorted(u_labels):
         raise ValueError("shift path requires equal evaluations")
     if not t_labels:
         return ShiftPath((None,), ())
-    if serialize(t) == serialize(u):
+    if t_labels == u_labels:
         return ShiftPath((clone(t),), ())
-    support = sorted(set(t_labels))
-    down = {a: i + 1 for i, a in enumerate(support)}
-    up = {i + 1: a for i, a in enumerate(support)}
-    builder = _PathBuilder(_relabel(t, down), _relabel(u, down))
-    trees, moves, keys = builder.run()
-    elements = [_relabel(x, up) for x in trees]
-    back_moves = [(tuple(up[a] for a in w), k) for w, k in moves]
-    # relabelling is a bijection, so the builder's keys compare the same
-    return compress_path(elements, back_moves, keys)
+    return compress_path(*_PathBuilder(t, u).run())

@@ -7,8 +7,6 @@ path constructions rely on.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 
 class Node:
     __slots__ = ("label", "mult", "left", "right")
@@ -50,25 +48,59 @@ def clone(root: Node | None) -> Node | None:
     return Node(root.label, root.mult, clone(root.left), clone(root.right))
 
 
-def postfix(root: Node | None) -> Iterator[Node]:
-    """Left-to-right postfix traversal: left subtree, right subtree, node."""
-    if root is None:
-        return
-    stack: list[tuple[Node, bool]] = [(root, False)]
+def postfix(root: Node | None) -> list[Node]:
+    """Postfix order (left, right, node), built as the (node, right, left) preorder reversed."""
+    out: list[Node] = []
+    stack = [] if root is None else [root]
+    push, pop, emit = stack.append, stack.pop, out.append
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            yield node
-        else:
-            stack.append((node, True))
-            if node.right is not None:
-                stack.append((node.right, False))
-            if node.left is not None:
-                stack.append((node.left, False))
+        node = pop()
+        emit(node)
+        if node.left is not None:
+            push(node.left)
+        if node.right is not None:
+            push(node.right)
+    out.reverse()
+    return out
 
 
-def nodes(root: Node | None) -> list[Node]:
-    return list(postfix(root))
+class PostfixIndex:
+    """A tree's nodes in postfix order, indexed once.
+
+    ``nodes``, ``ids`` and ``labels`` list the nodes, their identities and
+    their labels, and ``pos`` maps an identity to its position.  A subtree is
+    a contiguous run: the one at position ``p`` starts at ``start[p]``.
+    """
+
+    __slots__ = ("nodes", "ids", "labels", "pos", "start")
+
+    def __init__(self, root: Node | None):
+        self.nodes = order = postfix(root)
+        self.ids = ids = list(map(id, order))
+        self.labels = [x.label for x in order]
+        self.pos = pos = dict(zip(ids, range(len(ids))))
+        self.start = start = []
+        for p, x in enumerate(order):
+            # a subtree starts where its first child's subtree starts
+            first = x.left or x.right
+            start.append(p if first is None else start[pos[id(first)]])
+
+    def run(self, node: Node | None) -> tuple[int, int]:
+        """Positions ``[lo, hi)`` of the subtree at ``node``; empty for None."""
+        if node is None:
+            return 0, 0
+        p = self.pos[id(node)]
+        return self.start[p], p + 1
+
+    def subtree_ids(self, node: Node | None) -> set[int]:
+        """Identity set of the subtree at ``node``."""
+        lo, hi = self.run(node)
+        return set(self.ids[lo:hi])
+
+    def contains(self, anc: Node | None, node: Node) -> bool:
+        """Whether ``node`` lies in the subtree at ``anc``."""
+        lo, hi = self.run(anc)
+        return lo <= self.pos[id(node)] < hi
 
 
 def labels(root: Node | None) -> list[int]:
@@ -84,22 +116,6 @@ def parent_map(root: Node | None) -> dict[int, Node]:
         if node.right is not None:
             parents[id(node.right)] = node
     return parents
-
-
-def subtree_ids(node: Node | None) -> set[int]:
-    """Identity set of all nodes in the complete subtree at ``node``."""
-    return {id(x) for x in postfix(node)}
-
-
-def postfix_reading(root: Node | None, member_ids: set[int] | None = None) -> tuple[int, ...]:
-    """Labels in postfix order, restricted to a node-identity set when given.
-
-    The restriction of a postfix order to any node set still lists every node
-    after all of its descendants, so it is a valid reading of that fragment.
-    """
-    if member_ids is None:
-        return tuple(x.label for x in postfix(root))
-    return tuple(x.label for x in postfix(root) if id(x) in member_ids)
 
 
 def leftmost(node: Node) -> Node:

@@ -33,3 +33,25 @@ def test_package_imports_only_the_standard_library():
             found += [f"{path.name}:{node.lineno} {top}" for top in tops
                       if top not in sys.stdlib_module_names]
     assert found == []
+
+
+def test_package_leaves_no_import_unused():
+    # perfbench/spans.py patches shiftgraph.deque, so the name must stay importable
+    allowed = {"shiftgraph.deque"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used |= set(ast.literal_eval(node.value))
+        found += [f"{path.stem}.{name}" for name in sorted(imported - used)]
+    assert [name for name in found if name not in allowed] == []

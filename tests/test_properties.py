@@ -115,6 +115,30 @@ def test_tree_shift_paths_pass_the_checker(w, data):
         check_path(h, h.shift_path(a, b), h.key(a), h.key(b))
 
 
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=8), st.data())
+@settings(max_examples=40, deadline=None)
+def test_tree_shift_paths_follow_an_increasing_relabelling(w, data):
+    # the sylvester builder only compares labels, so a gapped alphabet gives
+    # the same path move for move
+    from cycshift.handles import handle
+    from cycshift.paths import check_path
+
+    image = data.draw(st.lists(st.integers(1, 20), min_size=5, max_size=5, unique=True))
+    phi = dict(zip(range(1, 6), sorted(image)))
+
+    def relabel(word):
+        return tuple(phi[a] for a in word)
+
+    v = tuple(data.draw(st.permutations(w)))
+    for name in ("sylv", "taig"):
+        h = handle(name)
+        path = h.shift_path(h.element(tuple(w)), h.element(v))
+        a, b = h.element(relabel(w)), h.element(relabel(v))
+        gapped = h.shift_path(a, b)
+        assert gapped.moves == tuple((relabel(uv), k) for uv, k in path.moves)
+        check_path(h, gapped, h.key(a), h.key(b))
+
+
 @given(st.lists(st.integers(1, 5), max_size=8), st.data())
 @settings(max_examples=40, deadline=None)
 def test_hypo_and_stal_shift_paths_pass_the_checker(w, data):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from cycshift.handles import handle
@@ -197,6 +199,25 @@ def test_shift_path_with_both_anchors_padded_reads_rho_before_the_minima():
         ("1233445667", 2), ("3134456672", 2), ("4456673231", 3), ("3231464675", 7),
         ("3231746564", 1), ("7231465643", 1), ("6231456437", 1),
     ]
+
+
+def test_shift_paths_are_pinned():
+    # one sha256 over the moves and element keys of every sylv and taig path
+    # between the classes of four evaluations: a change to the builder that
+    # alters any path, even to another valid one, changes the digest
+    digest = hashlib.sha256()
+    for name in ("sylv", "taig"):
+        h = handle(name)
+        for ev in [(1, 1, 1, 1, 1), (1, 1, 2, 1), (2, 1, 1, 2), (3, 1, 2)]:
+            reps = {}
+            for w in words_with_evaluation(ev):
+                reps.setdefault(h.key_of(w), w)
+            elements = [h.element(reps[k]) for k in sorted(reps)]
+            for a in elements:
+                for b in elements:
+                    path = h.shift_path(a, b)
+                    digest.update(repr((path.moves, [h.key(el) for el in path.elements])).encode())
+    assert digest.hexdigest() == "5e3db99f249516ad8a73903247db987eedebe03a1ecab48e3f188765018481b8"
 
 
 def test_repeated_label_structure_on_generated_trees():
