@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import sylvester
-from .trees import Node, labels, postfix, serialize, to_json as tree_json
-from .words import DEFAULT_MAX_CLASS, LimitExceededError, Word
+from .trees import Node, labels, serialize, to_json as tree_json
+from .words import Word
 
 
 def _left_insert_mut(root: Node | None, a: int) -> Node:
@@ -132,86 +132,6 @@ def twin_pair(word: Word) -> TwinPair:
 
 def word_key(word: Word) -> str:
     return f"{serialize(left_bst(word))}|{serialize(sylvester.right_bst(word))}"
-
-
-def readings(pair: TwinPair, limit: int | None = None) -> set[Word]:
-    """Every word inserting to ``pair``, by exhaustive root/leaf extraction.
-
-    Repeatedly pick a symbol that labels both a root of the left forest and a
-    leaf of the right tree, output it and delete both occurrences; exploring
-    all picks yields every reading.
-    """
-    bound = DEFAULT_MAX_CLASS if limit is None else limit
-    size = len(postfix(pair.left))
-    if size > bound:
-        raise LimitExceededError(f"pair has {size} nodes, readings limit is {bound}")
-    if pair.left is None:
-        return {()}
-
-    def forest_key(forest: tuple[Node, ...]) -> str:
-        return ";".join(serialize(t) for t in forest)
-
-    memo: dict[tuple[str, str], frozenset[Word]] = {}
-
-    def rec(forest: tuple[Node, ...], right: Node | None) -> frozenset[Word]:
-        if not forest:
-            if right is not None:
-                raise RuntimeError("readings: the right tree outlived the left forest")
-            return frozenset({()})
-        state = (forest_key(forest), serialize(right))
-        hit = memo.get(state)
-        if hit is not None:
-            return hit
-        out: set[Word] = set()
-        leaf_labels = {}
-        for parent, attr, leaf in _leaves(right):
-            leaf_labels.setdefault(leaf.label, []).append((parent, attr, leaf))
-        for i, tree in enumerate(forest):
-            picks = leaf_labels.get(tree.label)
-            if not picks:
-                continue
-            new_forest = (
-                forest[:i]
-                + tuple(t for t in (tree.left, tree.right) if t is not None)
-                + forest[i + 1 :]
-            )
-            for parent, attr, leaf in picks:
-                new_right = _without_leaf(right, leaf)
-                for rest in rec(new_forest, new_right):
-                    out.add((tree.label,) + rest)
-        result = frozenset(out)
-        memo[state] = result
-        return result
-
-    return set(rec((pair.left,), pair.right))
-
-
-def _leaves(root: Node | None):
-    """(parent, side, leaf) triples; parent None for a leaf root."""
-    out = []
-
-    def rec(node: Node | None, parent: Node | None, attr: str | None) -> None:
-        if node is None:
-            return
-        if node.left is None and node.right is None:
-            out.append((parent, attr, node))
-            return
-        rec(node.left, node, "left")
-        rec(node.right, node, "right")
-
-    rec(root, None, None)
-    return out
-
-
-def _without_leaf(root: Node | None, leaf: Node) -> Node | None:
-    def rec(node: Node | None) -> Node | None:
-        if node is None:
-            return None
-        if node is leaf:
-            return None
-        return Node(node.label, node.mult, rec(node.left), rec(node.right))
-
-    return rec(root)
 
 
 def conjugacy_witness(p: Word, q: Word) -> tuple[Word, Word]:

@@ -1,15 +1,17 @@
 """The monoid registry: one ``MonoidHandle`` record per monoid.
 
-A record maps words to canonical class keys (classes are enumerated by
-filtering the arrangements of the evaluation, one mechanism for every monoid,
-cross-checked in the tests against the presentation oracle) and names the
-monoid's object, a tableau, tree or twin pair: its insertion, key, drawing,
-JSON form, validation, symbols, and the constructive shift path with its
-bound.  A key takes two steps: ``form_of`` maps each word to a hashable form
-(tuples for plac, hypo and stal, the key itself elsewhere) and ``format_form``
-turns each class's form into its key.  The graph engine, the CLI and
-``verify`` read the monoids from ``HANDLES`` alone; the rewriting oracle keeps
-its own ``rewrite.PRESENTATIONS`` so that it shares no code with what it checks.
+A record maps words to canonical class keys and names the monoid's object, a
+tableau, tree or twin pair: its insertion, key, drawing, JSON form,
+validation, symbols, and the constructive shift path with its bound.  A key
+takes two steps: ``form_of`` maps each word to a hashable form (tuples for
+plac, hypo and stal, the key itself elsewhere) and ``format_form`` turns each
+class's form into its key.  The graph engine, the CLI and ``verify`` read the
+monoids from ``HANDLES`` alone; the rewriting oracle keeps its own
+``rewrite.PRESENTATIONS`` so that it shares no code with what it checks.
+
+``MonoidHandle.class_of`` is the one way to list a class, for every monoid:
+it filters the arrangements of the evaluation, cross-checked in the tests
+against the presentation oracle (``tests/test_lint.py`` keeps it the only one).
 """
 
 from __future__ import annotations

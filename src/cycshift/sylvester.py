@@ -77,7 +77,7 @@ from .trees import (
     search_topmost,
     serialize,
 )
-from .words import DEFAULT_MAX_CLASS, LimitExceededError, Word
+from .words import Word
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -167,43 +167,6 @@ def draw(root: Node | None, with_mult: bool = False) -> str:
 
     rec(root, 0)
     return "\n".join(lines) or "(empty)"
-
-
-# ---------------------------------------------------------------------------
-# readings
-
-
-def _shuffles(u: Word, v: Word) -> set[Word]:
-    if not u:
-        return {v}
-    if not v:
-        return {u}
-    out: set[Word] = set()
-    for rest in _shuffles(u[1:], v):
-        out.add((u[0],) + rest)
-    for rest in _shuffles(u, v[1:]):
-        out.add((v[0],) + rest)
-    return out
-
-
-def readings(root: Node | None, limit: int | None = None) -> set[Word]:
-    """All words inserting to ``root``: shuffles of subtree readings, root last."""
-    bound = DEFAULT_MAX_CLASS if limit is None else limit
-    size = len(postfix(root))
-    if size > bound:
-        raise LimitExceededError(f"tree has {size} nodes, readings limit is {bound}")
-
-    def rec(node: Node | None) -> set[Word]:
-        if node is None:
-            return {()}
-        out: set[Word] = set()
-        for u in rec(node.left):
-            for v in rec(node.right):
-                for w in _shuffles(u, v):
-                    out.add(w + (node.label,))
-        return out
-
-    return rec(root)
 
 
 # ---------------------------------------------------------------------------

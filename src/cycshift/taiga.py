@@ -78,18 +78,24 @@ def drop_multiplicities(root: Node | None) -> Node | None:
     return Node(root.label, 1, drop_multiplicities(root.left), drop_multiplicities(root.right))
 
 
+def _form(root: Node | None) -> tuple[int, ...]:
+    """Label, multiplicity, label, ... in postfix order: distinct labels make it injective.
+
+    Flat rather than pairs: a 2-tuple per node raised the paths benchmark's peak RSS.
+    """
+    return tuple([v for x in postfix(root) for v in (x.label, x.mult)])
+
+
 def shift_path(t: Node | None, u: Node | None) -> ShiftPath:
     """Lift the stripped-tree shift path, repeating each symbol per the evaluation."""
-    ev_t = sorted((x.label, x.mult) for x in postfix(t))
-    ev_u = sorted((x.label, x.mult) for x in postfix(u))
-    if ev_t != ev_u:
+    forms, target = [_form(t)], _form(u)
+    mult = dict(zip(forms[0][::2], forms[0][1::2]))
+    if mult != dict(zip(target[::2], target[1::2])):
         raise ValueError("shift path requires equal evaluations")
     if t is None:
         return ShiftPath((None,), ())
-    keys, target = [key(t)], key(u)
-    if keys[0] == target:
+    if forms[0] == target:
         return ShiftPath((clone(t),), ())
-    mult = {lbl: m for lbl, m in ev_t}
 
     def expand(word: Word) -> Word:
         return tuple(a for sym in word for a in (sym,) * mult[sym])
@@ -100,14 +106,14 @@ def shift_path(t: Node | None, u: Node | None) -> ShiftPath:
     for w, k in base.moves:
         uv = expand(w)
         split = len(expand(w[:k]))
-        if key(mult_bst(uv)) != keys[-1]:
+        if _form(mult_bst(uv)) != forms[-1]:
             raise AssertionError("lifted reading does not represent the current tree")
         moves.append((uv, split))
         elements.append(mult_bst(uv[split:] + uv[:split]))
-        keys.append(key(elements[-1]))
-    if keys[-1] != target:
+        forms.append(_form(elements[-1]))
+    if forms[-1] != target:
         raise AssertionError("lifted path did not reach its target")
-    return compress_path(elements, moves, keys)
+    return compress_path(elements, moves, forms)
 
 
 def symbols(root: Node | None) -> list[int]:

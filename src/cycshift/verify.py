@@ -282,7 +282,7 @@ def criterion_6() -> list[CheckResult]:
 def criterion_7() -> list[CheckResult]:
     out = []
     h = handle("baxt")
-    got = baxter.readings(baxter.twin_pair(parse_word("2431")))
+    got = h.class_of(parse_word("2431"), 4)
     out.append(_expect("c7 readings of the 2431 pair", got, {parse_word("2431")}))
     g = component(h, parse_word("123"), 3)
     want = {h.key_of(parse_word(w)) for w in ("123", "231", "312")}

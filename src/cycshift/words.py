@@ -28,7 +28,7 @@ def _limit_from_env(name: str, default: int) -> int:
 #: Global guard for exponential enumerations (number of symbols enumerated).
 DEFAULT_MAX_TOTAL = _limit_from_env("CYCSHIFT_MAX_TOTAL", 10)
 
-#: Guard for per-object searches (readings, class enumeration by node count).
+#: Default for ``class --max-class``: the most words the ``class`` command lists.
 DEFAULT_MAX_CLASS = _limit_from_env("CYCSHIFT_MAX_CLASS", 12)
 
 

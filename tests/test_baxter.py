@@ -6,16 +6,17 @@ from cycshift.baxter import (
     complementary,
     conjugacy_witness,
     left_bst,
-    readings,
     twin_pair,
     word_key,
 )
+from cycshift.handles import handle
 from cycshift.rewrite import presentation
 from cycshift.sylvester import right_bst
-from cycshift.trees import Node, serialize
-from cycshift.words import LimitExceededError, parse_word, words_with_evaluation
+from cycshift.trees import serialize
+from cycshift.words import parse_word, words_with_evaluation
 
 PAIR_WORD = parse_word("42531643")
+BAXT = handle("baxt")
 
 
 def test_worked_pair():
@@ -51,30 +52,16 @@ def test_all_pairs_are_twins():
 
 
 def test_unique_reading_of_2431():
-    assert readings(twin_pair(parse_word("2431"))) == {parse_word("2431")}
+    assert BAXT.class_of(parse_word("2431"), 4) == {parse_word("2431")}
 
 
 def test_length_three_words_are_rigid():
     for w in words_with_evaluation((1, 1, 1)):
-        assert readings(twin_pair(w)) == {w}
-
-
-def test_readings_match_class_filter():
-    for ev in [(1, 1, 1, 1), (2, 1, 1), (2, 2)]:
-        words = list(words_with_evaluation(ev))
-        for w in words:
-            pair = twin_pair(w)
-            brute = {v for v in words if word_key(v) == pair.key()}
-            assert readings(pair) == brute
-
-
-def test_readings_limit():
-    with pytest.raises(LimitExceededError):
-        readings(twin_pair(tuple([1, 2] * 7)))
+        assert BAXT.class_of(w, 3) == {w}
 
 
 def test_empty_pair():
-    assert readings(twin_pair(())) == {()}
+    assert BAXT.class_of((), 0) == {()}
 
 
 def test_conjugacy_witness_examples():
@@ -91,10 +78,3 @@ def test_agreement_with_presentation():
     for w in words_with_evaluation((1, 2, 1)):
         cls = {v for v in words_with_evaluation((1, 2, 1)) if word_key(v) == word_key(w)}
         assert cls == set(baxt.close(w).members)
-
-
-def test_readings_detect_a_right_tree_grown_after_validation():
-    pair = twin_pair((1,))
-    pair.right.left = Node(1)  # trees are mutable; the pair was checked at construction
-    with pytest.raises(RuntimeError, match="outlived"):
-        readings(pair)

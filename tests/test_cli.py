@@ -186,3 +186,26 @@ def test_verify_output_does_not_follow_the_hash_seed():
         outputs.add(proc.stdout)
     assert len(outputs) == 1
     assert "c7 component of 1243" in outputs.pop()
+
+
+CRITERION_7 = (
+    "criterion 7: PASS\n"
+    "  PASS  c7 readings of the 2431 pair (= {(2, 4, 3, 1)})\n"
+    "  PASS  c7 component of 123 (= {"
+    "'1(-)(2(-)(3(-)(-)))|3(2(1(-)(-))(-))(-)', "
+    "'2(1(-)(-))(3(-)(-))|1(-)(3(2(-)(-))(-))', "
+    "'3(1(-)(2(-)(-)))(-)|2(1(-)(-))(3(-)(-))'})\n"
+    "  PASS  c7 132 outside the 123 component\n"
+    "  PASS  c7 component of 1243 (= {"
+    "'1(-)(2(-)(4(3(-)(-))(-)))|3(2(1(-)(-))(-))(4(-)(-))', "
+    "'2(1(-)(-))(4(3(-)(-))(-))|1(-)(3(2(-)(-))(4(-)(-)))', "
+    "'3(1(-)(2(-)(-)))(4(-)(-))|4(2(1(-)(-))(3(-)(-)))(-)', "
+    "'4(3(1(-)(2(-)(-)))(-))(-)|2(1(-)(-))(3(-)(4(-)(-)))'})\n"
+    "  PASS  c7 1234 outside the 1243 component\n"
+)
+
+
+def test_verify_criterion_7_output_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--criteria", "7")
+    assert code == 0
+    assert out == CRITERION_7

@@ -55,3 +55,16 @@ def test_package_leaves_no_import_unused():
                 used |= set(ast.literal_eval(node.value))
         found += [f"{path.stem}.{name}" for name in sorted(imported - used)]
     assert [name for name in found if name not in allowed] == []
+
+
+def test_only_the_handles_list_a_class():
+    # MonoidHandle.class_of is the one place that filters an evaluation's words into a class
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "handles.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "words_with_evaluation"
+    ]
+    assert found == []

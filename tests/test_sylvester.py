@@ -12,14 +12,13 @@ from cycshift.sylvester import (
     classify_nodes,
     insert,
     key,
-    readings,
     right_bst,
     shift_path,
     traversal_plan,
     word_key,
 )
 from cycshift.trees import serialize
-from cycshift.words import LimitExceededError, format_word, parse_word, words_with_evaluation
+from cycshift.words import format_word, parse_word, words_with_evaluation
 
 BSTEG = parse_word("5451761524")
 SYLV = handle("sylv")
@@ -42,24 +41,8 @@ def test_row_and_column_words():
 
 
 def test_readings():
-    assert readings(right_bst((3,))) == {(3,)}
-    assert readings(right_bst((1, 2))) == {(1, 2)}
-    rds = readings(right_bst(BSTEG))
-    assert BSTEG in rds
-    assert parse_word("1571456254") in rds
-    assert all(word_key(w) == word_key(BSTEG) for w in rds)
-
-
-def test_readings_match_class_filter():
-    for w in words_with_evaluation((2, 2, 1)):
-        t = right_bst(w)
-        brute = {v for v in words_with_evaluation((2, 2, 1)) if word_key(v) == key(t)}
-        assert readings(t) == brute
-
-
-def test_readings_limit():
-    with pytest.raises(LimitExceededError):
-        readings(right_bst(tuple([1] * 13)))
+    assert SYLV.class_of((3,), 3) == {(3,)}
+    assert SYLV.class_of((1, 2), 2) == {(1, 2)}
 
 
 def test_validation_catches_bad_trees():
@@ -245,4 +228,4 @@ def test_repeated_label_structure_on_generated_trees():
 def test_agreement_with_presentation():
     sylv = presentation("sylv")
     for w in words_with_evaluation((2, 1, 2)):
-        assert set(readings(right_bst(w))) == set(sylv.close(w).members)
+        assert SYLV.class_of(w, 3) == set(sylv.close(w).members)
