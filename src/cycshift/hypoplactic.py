@@ -6,6 +6,9 @@ overlap cell strictly increases downwards.  Consequently every symbol of row
 i+1 is strictly greater than every symbol of row i, so the tableau is
 determined by its evaluation together with the set of adjacent-symbol row
 breaks.  Rows are stored as runs; offsets follow from the run lengths.
+
+Tableaux are read off that form (``word_form``) rather than built by
+insertion; ``_insert_into_rows`` is the insertion the tests hold it to.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from .words import Word, format_run
 
 
 def _insert_into_rows(rows: list[list[int]], a: int) -> None:
+    # Insertion left to right: test_handles.py::test_formatted_form_is_the_key compares with it.
     if not rows:
         rows.append([a])
         return
@@ -144,12 +148,6 @@ class QuasiRibbonTableau:
         return [{"offset": o, "row": list(r)} for o, r in zip(self.offsets, self.rows)]
 
 
-def hypo_insert(t: QuasiRibbonTableau, a: int) -> QuasiRibbonTableau:
-    rows = [list(r) for r in t.rows]
-    _insert_into_rows(rows, a)
-    return QuasiRibbonTableau(tuple(tuple(r) for r in rows))
-
-
 def quasi_ribbon(word: Word) -> QuasiRibbonTableau:
     """The tableau of ``word``, read off its form (as if inserted left to right)."""
     return QuasiRibbonTableau(_rows(word_form(word)))
@@ -157,18 +155,6 @@ def quasi_ribbon(word: Word) -> QuasiRibbonTableau:
 
 def distinct_symbols(word: Word) -> list[int]:
     return sorted(set(word))
-
-
-def has_inversion(word: Word, i: int) -> bool:
-    """True iff the (i+1)-th distinct symbol occurs left of the i-th somewhere.
-
-    ``i`` is 1-based among the distinct symbols of ``word``; equivalently the
-    two symbols land on different rows of the quasi-ribbon tableau.
-    """
-    syms = distinct_symbols(word)
-    if i < 1 or i + 1 > len(syms):
-        raise ValueError(f"word has only {len(syms)} distinct symbols, pair {i} undefined")
-    return syms[i] in word_form(word)[1]
 
 
 def _same_row(t: QuasiRibbonTableau, lo: int, hi: int) -> bool:
@@ -203,21 +189,15 @@ def shift_path(t: QuasiRibbonTableau, u: QuasiRibbonTableau) -> ShiftPath:
             # split the column reading after the column holding the rightmost lo
             cols = cur.columns()
             c = max(ci for ci, col in enumerate(cols) if lo in col)
-            head = tuple(a for col in cols[: c + 1] for a in col)
-            tail = tuple(a for col in cols[c + 1 :] for a in col)
+            word, cut = cur.column_reading(), sum(map(len, cols[: c + 1]))
         else:
-            # split the row reading after the row holding the symbols hi
-            rows = list(cur.rows)
-            r = next(ri for ri, row in enumerate(rows) if hi in row)
-            head_rows = rows[r:]  # bottom part of the reading: rows r.. read first
-            tail_rows = rows[:r]
-            head = tuple(a for row in reversed(head_rows) for a in row)
-            tail = tuple(a for row in reversed(tail_rows) for a in row)
-        word = head + tail
+            # split the row reading after the row holding the symbols hi (rows r.. read first)
+            r = next(ri for ri, row in enumerate(cur.rows) if hi in row)
+            word, cut = cur.row_reading(), sum(map(len, cur.rows[r:]))
         if quasi_ribbon(word) != cur:
             raise AssertionError("split reading does not represent the current tableau")
-        nxt = quasi_ribbon(tail + head)
-        moves.append((word, len(head)))
+        nxt = quasi_ribbon(word[cut:] + word[:cut])
+        moves.append((word, cut))
         elements.append(nxt)
         cur = nxt
     if cur != u:

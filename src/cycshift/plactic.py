@@ -9,7 +9,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .words import Word, cocharge_seq, format_run, is_standard
+from .words import Word, format_run
 
 
 def _insert_into_rows(rows: list[list[int]], a: int) -> None:
@@ -67,13 +67,6 @@ class YoungTableau:
     def symbols(self) -> list[int]:
         return [a for row in self.rows for a in row]
 
-    def row_reading(self) -> Word:
-        """Rows bottom to top, each left to right; a reading of the tableau."""
-        out: list[int] = []
-        for row in reversed(self.rows):
-            out.extend(row)
-        return tuple(out)
-
     def draw(self) -> str:
         return "\n".join(" ".join(str(a) for a in row) for row in self.rows) or "(empty)"
 
@@ -81,31 +74,7 @@ class YoungTableau:
         return [list(r) for r in self.rows]
 
 
-def schensted_insert(t: YoungTableau, a: int) -> YoungTableau:
-    rows = [list(r) for r in t.rows]
-    _insert_into_rows(rows, a)
-    return YoungTableau(tuple(tuple(r) for r in rows))
-
-
 def young_tableau(word: Word) -> YoungTableau:
     """Insert the symbols of ``word`` left to right into the empty tableau."""
     return YoungTableau(word_form(word))
 
-
-def tableau_cocharge(t: YoungTableau) -> tuple[int, ...]:
-    """Cocharge sequence of a standard tableau.
-
-    Well-definedness on the plactic class is asserted by recomputing the
-    sequence for every word of the class and requiring agreement.
-    """
-    from .handles import handle  # handles imports this module
-
-    symbols = t.symbols()
-    if not is_standard(tuple(sorted(symbols))):
-        raise ValueError("tableau is not standard")
-    rank = len(symbols)
-    readings = handle("plac").class_of(t.row_reading(), rank)
-    seqs = {cocharge_seq(w) for w in readings}
-    if len(seqs) != 1:
-        raise AssertionError(f"cocharge sequence not constant on class of {t.key()}")
-    return next(iter(seqs))

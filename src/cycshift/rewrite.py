@@ -134,9 +134,6 @@ class CongruenceClass:
     members: frozenset[Word]
     canonical: Word
 
-    def __contains__(self, word: Word) -> bool:
-        return word in self.members
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -173,11 +170,6 @@ class PresentedMonoid:
                 for w in cached:
                     self._cache[w] = cached
         return CongruenceClass(cached, min(cached))
-
-    def equivalent(self, u: Word, v: Word, limit: int | None = None) -> bool:
-        if sorted(u) != sorted(v):
-            return False
-        return v in self.close(u, limit).members
 
     def word_neighbors(self, word: Word, limit: int | None = None) -> list[CongruenceClass]:
         """Classes of all rotations of all members of the class of ``word``."""

@@ -47,16 +47,6 @@ class ShiftGraph:
                 out.add((a, b) if a <= b else (b, a))
         return sorted(out)
 
-    def add_edge(self, a: str, b: str) -> None:
-        self.adjacency.setdefault(a, set())
-        self.adjacency.setdefault(b, set())
-        if a != b:
-            self.adjacency[a].add(b)
-            self.adjacency[b].add(a)
-
-    def add_vertex(self, a: str) -> None:
-        self.adjacency.setdefault(a, set())
-
     def distances_from(self, start: str) -> dict[str, int]:
         return {v: d for d, level in enumerate(_levels(self.adjacency, start)) for v in level}
 
@@ -325,21 +315,6 @@ def to_json(g: ShiftGraph) -> str:
         "adjacency": {v: sorted(g.adjacency[v]) for v in g.vertices},
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def from_json(text: str) -> ShiftGraph:
-    payload = json.loads(text)
-    g = ShiftGraph(
-        payload["monoid"],
-        int(payload["rank"]),
-        tuple(int(c) for c in payload["evaluation"]),
-    )
-    for v in payload["vertices"]:
-        g.add_vertex(v)
-    for v, nbrs in payload["adjacency"].items():
-        for w in nbrs:
-            g.add_edge(v, w)
-    return g
 
 
 def export(g: ShiftGraph, fmt: str) -> str:

@@ -66,15 +66,6 @@ class StalacticTableau:
         return [{"symbol": a, "height": h} for a, h in self.columns]
 
 
-def insert(t: StalacticTableau, a: int) -> StalacticTableau:
-    cols = list(t.columns)
-    for i, (sym, h) in enumerate(cols):
-        if sym == a:
-            cols[i] = (sym, h + 1)
-            return StalacticTableau(tuple(cols))
-    return StalacticTableau(((a, 1),) + tuple(cols))
-
-
 def stalactic_tableau(word: Word) -> StalacticTableau:
     """The tableau ``word`` inserts to right to left: its columns."""
     return StalacticTableau(word_form(word))

@@ -51,8 +51,7 @@ read with its left attachment: ``t2`` as many as are primary in U and
 
 - ``o2 == 0`` (always when the previous anchor holds inserted ``u``):
   ``u^t2`` and ``u^t1 m^r1 gamma``;
-- ``o2 >= t2``: ``u^o1 gamma u^t2`` and ``u^(o2-t2)``;
-- ``o2 < t2``: ``u^(t2-o2)`` and ``u^(o1+o2-t2) gamma u^o2``.
+- ``o2 > 0`` (then ``o2 >= t2``): ``u^o1 gamma u^t2`` and ``u^(o2-t2)``.
 
 When both anchors hold inserted occurrences, ``rho`` reads before ``m^r2``.
 """
@@ -89,16 +88,8 @@ def _require(cond: bool, msg: str) -> None:
 # insertion
 
 
-def insert(root: Node | None, a: int) -> Node:
-    """Leaf-insert ``a``: go left when a <= label, right otherwise.
-
-    Returns a new tree; ``root`` is not modified.
-    """
-    fresh = clone(root)
-    return _insert_mut(fresh, a)
-
-
 def _insert_mut(root: Node | None, a: int) -> Node:
+    """Leaf-insert ``a`` in place: go left when a <= label, right otherwise."""
     new = Node(a)
     if root is None:
         return new
@@ -767,11 +758,8 @@ class _PathBuilder:
             moved, rest = [u1] * t2, [u1] * t1 + [m] * r1 + gamma
         else:
             _require(r1 == 0, "minima sit above once next visits reach the spine")
-            if o2 >= t2:
-                moved, rest = [u1] * o1 + gamma + [u1] * t2, [u1] * (o2 - t2)
-            else:
-                moved = [u1] * (t2 - o2)
-                rest = [u1] * (o1 + o2 - t2) + gamma + [u1] * o2
+            _require(o2 >= t2, "the next visits on the spine cover the primary ones")
+            moved, rest = [u1] * o1 + gamma + [u1] * t2, [u1] * (o2 - t2)
         minima = [m] * r2
         if cur.anchor_extra:
             s2, s1 = self._between_counts(h, cur.anchor_extra)

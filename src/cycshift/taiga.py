@@ -14,11 +14,6 @@ from .trees import Node, clone, postfix, serialize
 from .words import Word
 
 
-def insert(root: Node | None, a: int) -> Node:
-    fresh = clone(root)
-    return _insert_mut(fresh, a)
-
-
 def _insert_mut(root: Node | None, a: int) -> Node:
     if root is None:
         return Node(a, 1)

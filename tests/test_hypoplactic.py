@@ -3,8 +3,6 @@ import pytest
 from cycshift.handles import handle
 from cycshift.hypoplactic import (
     QuasiRibbonTableau,
-    has_inversion,
-    hypo_insert,
     quasi_ribbon,
     shift_path,
     word_key,
@@ -18,9 +16,10 @@ QRT = quasi_ribbon(parse_word("113246546"))
 
 
 def test_insert_examples():
-    assert hypo_insert(quasi_ribbon(()), 4).rows == ((4,),)
-    assert hypo_insert(quasi_ribbon((1, 2)), 3).rows == ((1, 2, 3),)
-    assert hypo_insert(quasi_ribbon((3, 1)), 2).rows == ((1, 2), (3,))
+    # inserting a into the tableau of w gives the tableau of w + (a,)
+    assert quasi_ribbon((4,)).rows == ((4,),)
+    assert quasi_ribbon((1, 2, 3)).rows == ((1, 2, 3),)
+    assert quasi_ribbon((3, 1, 2)).rows == ((1, 2), (3,))
 
 
 def test_worked_tableau_and_readings():
@@ -56,28 +55,6 @@ def test_validation():
         QuasiRibbonTableau(((2, 1),))
     with pytest.raises(ValueError):
         QuasiRibbonTableau(((1, 3), (3, 4)))  # overlap column not strict
-
-
-def test_has_inversion():
-    t = quasi_ribbon(parse_word("312"))
-    assert not has_inversion(parse_word("312"), 1)  # 1 and 2 share a row
-    assert t.row_of(1) == t.row_of(2)
-    assert has_inversion(parse_word("312"), 2)  # 3 sits left of 2, rows split
-    assert t.row_of(2) != t.row_of(3)
-    assert not has_inversion(parse_word("123"), 1)
-    assert not has_inversion(parse_word("123"), 2)
-    with pytest.raises(ValueError):
-        has_inversion(parse_word("123"), 3)
-
-
-def test_inversion_matches_row_split():
-    words = list(words_with_evaluation((1, 2, 1, 1)))
-    for w in words:
-        t = quasi_ribbon(w)
-        syms = sorted(set(w))
-        for i in range(1, len(syms)):
-            split = t.row_of(syms[i - 1]) != t.row_of(syms[i])
-            assert has_inversion(w, i) == split
 
 
 def test_agreement_with_presentation():

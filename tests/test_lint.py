@@ -2,6 +2,7 @@
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import cycshift
@@ -66,5 +67,44 @@ def test_only_the_handles_list_a_class():
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "words_with_evaluation"
+    ]
+    assert found == []
+
+
+def _names_used(tree):
+    """Every name a tree mentions: Name ids, attributes, import aliases, ``__all__``."""
+    used = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            used.update({node.name.split(".")[-1], node.asname} - {None})
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    # the tests' all-distances reference; nothing in the package needs every distance at once
+    allowed = {"distances_from"}
+    bench = PACKAGE.parents[1] / "perfbench"
+    sources = sorted(PACKAGE.glob("*.py")) + sorted(
+        p for p in bench.glob("*.py") if not p.name.startswith("test_")
+    )
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sources}
+    used = sum((_names_used(tree) for tree in trees.values()), Counter())
+    found = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(trees[path])
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in allowed
+        # a name only its own body mentions (a recursive helper) has no caller
+        and used[node.name] <= _names_used(node)[node.name]
     ]
     assert found == []

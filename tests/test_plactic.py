@@ -3,8 +3,6 @@ import pytest
 from cycshift.handles import handle
 from cycshift.plactic import (
     YoungTableau,
-    schensted_insert,
-    tableau_cocharge,
     word_key,
     young_tableau,
 )
@@ -13,11 +11,10 @@ from cycshift.words import parse_word, words_with_evaluation
 
 
 def test_insert_examples():
-    empty = young_tableau(())
-    assert schensted_insert(empty, 3).rows == ((3,),)
-    row = young_tableau((1, 2, 2))
-    assert schensted_insert(row, 2).rows == ((1, 2, 2, 2),)
-    assert schensted_insert(young_tableau((1, 3)), 2).rows == ((1, 2), (3,))
+    # inserting a into the tableau of w gives the tableau of w + (a,)
+    assert young_tableau((3,)).rows == ((3,),)
+    assert young_tableau((1, 2, 2, 2)).rows == ((1, 2, 2, 2),)
+    assert young_tableau((1, 3, 2)).rows == ((1, 2), (3,))
 
 
 def test_row_and_column_words():
@@ -30,13 +27,13 @@ def test_worked_tableau_reading():
     # rows of the target tableau, read bottom to top, insert back to it
     t = young_tableau(parse_word("564423512224"))
     assert t.rows == ((1, 2, 2, 2, 4), (2, 3, 5), (4, 4), (5, 6))
-    assert young_tableau(t.row_reading()) == t
+    assert young_tableau(tuple(a for row in reversed(t.rows) for a in row)) == t
 
 
 def test_row_reading_round_trip():
     for w in words_with_evaluation((2, 2, 1)):
         t = young_tableau(w)
-        assert young_tableau(t.row_reading()) == t
+        assert young_tableau(tuple(a for row in reversed(t.rows) for a in row)) == t
 
 
 def test_tableau_validation():
@@ -58,18 +55,6 @@ def test_class_against_oracle():
     assert h.class_of(parse_word("132"), 3) == {parse_word("132"), parse_word("312")}
     for w in words_with_evaluation((1, 1, 1, 1)):
         assert h.class_of(w, 4) == set(plac.close(w).members)
-
-
-def test_cocharge_of_tableaux():
-    n = 5
-    assert tableau_cocharge(young_tableau(tuple(range(1, n + 1)))) == (0,) * n
-    assert tableau_cocharge(young_tableau(tuple(range(n, 0, -1)))) == tuple(range(n))
-    assert tableau_cocharge(young_tableau(parse_word("1246375"))) == (0, 0, 0, 1, 1, 2, 2)
-
-
-def test_cocharge_requires_standard():
-    with pytest.raises(ValueError):
-        tableau_cocharge(young_tableau((1, 1, 2)))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -9,7 +9,6 @@ from cycshift.stalactic import (
     component_key,
     conjugacy_witness,
     height_one_word,
-    insert,
     shift_path,
     stalactic_tableau,
     word_key,
@@ -24,9 +23,9 @@ def test_worked_tableau():
 
 
 def test_insert():
-    t = stalactic_tableau((2, 3))
-    assert insert(t, 1).columns == ((1, 1), (2, 1), (3, 1))
-    assert insert(t, 3).columns == ((2, 1), (3, 2))
+    # words insert right to left: inserting a into the tableau of w gives that of (a,) + w
+    assert stalactic_tableau((1, 2, 3)).columns == ((1, 1), (2, 1), (3, 1))
+    assert stalactic_tableau((3, 2, 3)).columns == ((2, 1), (3, 2))
 
 
 def test_distinct_word_single_row():

@@ -10,7 +10,6 @@ from cycshift.sylvester import (
     Node,
     check_right_strict,
     classify_nodes,
-    insert,
     key,
     right_bst,
     shift_path,
@@ -25,7 +24,7 @@ SYLV = handle("sylv")
 
 
 def test_insert_examples():
-    assert key(insert(None, 3)) == "3(-)(-)"
+    assert key(right_bst((3,))) == "3(-)(-)"
     assert word_key((1, 2)) == "2(1(-)(-))(-)"
 
 

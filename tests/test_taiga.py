@@ -8,7 +8,6 @@ from cycshift.sylvester import key as sylv_key
 from cycshift.taiga import (
     check_mult_bst,
     drop_multiplicities,
-    insert,
     key,
     mult_bst,
     shift_path,
@@ -19,7 +18,7 @@ from cycshift.words import parse_word, words_with_evaluation
 
 
 def test_insert_examples():
-    assert key(insert(None, 3)) == "3^1(-)(-)"
+    assert key(mult_bst((3,))) == "3^1(-)(-)"
     assert key(mult_bst((4, 4))) == "4^2(-)(-)"
 
 
