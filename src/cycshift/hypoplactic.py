@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .paths import ShiftPath, compress_path
+from .paths import ShiftPath
 from .words import Word, format_run
 
 
@@ -182,8 +182,6 @@ def shift_path(t: QuasiRibbonTableau, u: QuasiRibbonTableau) -> ShiftPath:
         cur_same = _same_row(cur, lo, hi)
         goal_same = _same_row(u, lo, hi)
         if cur_same == goal_same:
-            elements.append(cur)
-            moves.append((cur.column_reading(), 0))
             continue
         if cur_same:
             # split the column reading after the column holding the rightmost lo
@@ -202,4 +200,5 @@ def shift_path(t: QuasiRibbonTableau, u: QuasiRibbonTableau) -> ShiftPath:
         cur = nxt
     if cur != u:
         raise AssertionError("hypoplactic shift path did not reach its target")
-    return compress_path(elements, moves)
+    # every recorded step flips one pair, so none is trivial
+    return ShiftPath(tuple(elements), tuple(moves))

@@ -22,8 +22,9 @@ anchor sits at the root with left and right attachments ``lambda`` and
 ``rho``; it splits by where step h's node lies in U relative to ``u``'s:
 
 1. not below it: ``u`` with its subtrees comes off ``rho`` (``_visit_split``);
-2. in its left subtree: the primary occurrences of ``u`` move, the others
-   lead the rest;
+2. in its left subtree: ``u`` is step h's upper bound, and the shift is the
+   upper-bound rule below with ``s2`` the primary occurrences of ``u`` and
+   ``lambda`` read before the core;
 3. in its right subtree, no earlier visit left of ``u``: ``u`` comes off
    as in case 1, and the pieces of ``lambda`` between step h's duplicated
    minima follow: ``moved = head + prefix + u`` and
@@ -31,15 +32,15 @@ anchor sits at the root with left and right attachments ``lambda`` and
 4. in its right subtree, earlier visits left of ``u``:
    ``moved = prefix + middle_moved`` and ``rest = middle_rest + m^r2 + suffix``.
 
-Cases 3 and 4 share the (prefix, suffix) of step h's upper bound ``q``: of
-its ``s`` occurrences outside the core, ``s2`` lie between the two visits
-in U and ``s1`` do not.
+Cases 2, 3 and 4 share the upper-bound rule, the (prefix, suffix) of step
+h's upper bound ``q``: of its ``s`` occurrences outside the core, ``s2`` lie
+between the two visits in U and ``s1`` do not.
 
-- ``q`` inserted into the anchor: ``q^s2`` and ``q^s1 rho core`` (case 3)
-  or ``rho q^s1 core`` (case 4);
+- ``q`` inserted into the anchor: ``q^s2`` and ``q^s1 rho core`` (cases 2
+  and 3) or ``rho q^s1 core`` (case 4);
 - ``q`` a chain in ``rho`` (``beta`` right of its top, ``delta`` the rest of
   ``rho``): ``beta q^s2`` and ``q^s1 delta anchor``, or, when ``s2 == 0``,
-  nothing and ``beta q^s1 delta anchor`` (``_upper_chain``);
+  nothing and ``beta q^s1 delta anchor``;
 - no ``q``: nothing and ``rho anchor``.
 
 Case 4's middle places ``t`` occurrences of ``u`` (all of them, or the ones
@@ -204,19 +205,17 @@ def classify_nodes(root: Node | None, label: int) -> tuple[list[Node], list[Node
 class PlanStep:
     """Data attached to one visit of the topmost-occurrence postfix walk.
 
-    ``core`` is the complete subtree at the visited node without its
+    The core is the complete subtree at the visited node without its
     duplicated minima and without the tertiary occurrences of ``upper``;
-    ``anchor`` re-inserts the occurrences of ``upper`` that live outside the
-    core, and must appear at the root of the walk tree after this step's
-    shift.
+    ``anchor`` is the core with the occurrences of ``upper`` that live
+    outside it re-inserted (``anchor_core_ids`` are its core nodes), and
+    must appear at the root of the walk tree after this step's shift.
     """
 
-    index: int
     label: int
     min_sym: int
     lower: int | None
     upper: int | None
-    core: Node
     anchor: Node
     anchor_core_ids: frozenset[int]
     anchor_extra: int
@@ -234,8 +233,8 @@ def _index(root: Node):
     """Postfix index, parent map, label counts, topmost nodes and ``classify_nodes``."""
     post = PostfixIndex(root)
     count = Counter(post.labels)
-    topmost = {lbl: search_topmost(root, lbl) for lbl in count}
     classes = {lbl: classify_nodes(root, lbl) for lbl in count}
+    topmost = {lbl: split[0][0] for lbl, split in classes.items()}
     return post, parent_map(root), count, topmost, classes
 
 
@@ -247,7 +246,7 @@ def traversal_plan(u_root: Node, index=None) -> list[PlanStep]:
     _require(len(order) == len(count), "one walk step per distinct symbol")
 
     steps: list[PlanStep] = []
-    for idx, visited in enumerate(order, start=1):
+    for visited in order:
         lo, hi = post.run(visited)
         m = min(post.labels[lo:hi])
         upper = lower = None
@@ -298,28 +297,24 @@ def traversal_plan(u_root: Node, index=None) -> list[PlanStep]:
                     par.left = None
                 else:
                     par.right = None
-        # the anchor is the core; when the core holds upper, a copy padded with
-        # the occurrences outside it
+        # the anchor is the core; when the core holds upper, padded in place
+        # with the occurrences outside it
         in_core = postfix(core)
         inner = sum(x.label == upper for x in in_core)
-        anchor, extra = core, 0
+        extra = 0
         if inner:
             extra = count[upper] - inner
             _require(extra >= 1, "at least the uppermost occurrence lies outside the core")
-            anchor = clone(core)
-            in_core = postfix(anchor)
             for _ in range(extra):
-                anchor = _insert_mut(anchor, upper)
+                _insert_mut(core, upper)
         core_ids = frozenset(map(id, in_core))
         steps.append(
             PlanStep(
-                index=idx,
                 label=visited.label,
                 min_sym=m,
                 lower=lower,
                 upper=upper,
-                core=core,
-                anchor=anchor,
+                anchor=core,
                 anchor_core_ids=core_ids,
                 anchor_extra=extra,
             )
@@ -384,6 +379,22 @@ def _chain_down(start: Node | None) -> list[Node]:
     return out
 
 
+def _left_spine(pos: Node | None, anchor: Node):
+    """Walk left children from ``pos`` until ``anchor`` embeds.
+
+    Returns the nodes passed on the way and the ``_embed_at`` match, or None
+    when the spine ends first.
+    """
+    spine: list[Node] = []
+    while pos is not None:
+        found = _embed_at(anchor, pos)
+        if found is not None:
+            return spine, found
+        spine.append(pos)
+        pos = pos.left
+    return spine, None
+
+
 class _PathBuilder:
     def __init__(self, t_root: Node, u_root: Node):
         index = _index(u_root)
@@ -440,13 +451,7 @@ class _PathBuilder:
         upset = _upset(self.order_below, h)
         pos: Node | None = self.trees[-1]
         for idx in reversed(upset):
-            step = self.plan[idx - 1]
-            found = None
-            while pos is not None:
-                found = _embed_at(step.anchor, pos)
-                if found is not None:
-                    break
-                pos = pos.left
+            _, found = _left_spine(pos, self.plan[idx - 1].anchor)
             _require(found is not None, f"anchor of step {idx} missing from the left spine")
             pos = found[1]
         labs, start = self.walk.labels, self.walk.start
@@ -493,52 +498,61 @@ class _PathBuilder:
         y = occ[0]
         return self._reads(sub(y.left), sub(y.right)), [], y
 
-    def _between_counts(self, h: int, s: int) -> tuple[int, int]:
+    def _between_counts(self, h: int, s: int, s2: int | None = None) -> tuple[int, int]:
         """Split ``s`` occurrences of step h's upper bound into (s2, s1).
 
-        ``s2`` counts those between visits h and h+1 in U, which move to the
-        front of the shift; ``s1`` are the rest.
+        ``s2`` move to the front of the shift, by default those between
+        visits h and h+1 in U; ``s1`` are the rest.
         """
-        cur, nxt = self.plan[h - 1], self.plan[h]
-        high = self.topmost[nxt.label]
-        s2 = 0
-        for par in _ancestors(self.u_parents, self.topmost[cur.label]):
-            if par is high:
-                break
-            _require(par.label == cur.upper, "only upper-bound symbols separate the visits")
-            s2 += 1
-        else:
-            _require(False, "expected an ancestor path")
-        _require(s - s2 >= 0, "between-count fits in the upper occurrences")
+        if s2 is None:
+            cur, nxt = self.plan[h - 1], self.plan[h]
+            high = self.topmost[nxt.label]
+            s2 = 0
+            for par in _ancestors(self.u_parents, self.topmost[cur.label]):
+                if par is high:
+                    break
+                _require(par.label == cur.upper, "only upper-bound symbols separate the visits")
+                s2 += 1
+            else:
+                _require(False, "expected an ancestor path")
+        _require(s - s2 >= 0, "the moved occurrences fit in the upper ones")
         return s2, s - s2
 
-    def _upper_chain(self, h: int, rm: Node | None, anchor_ids: set[int]):
-        """(prefix, suffix) of a shift when step h's core holds no upper bound.
+    def _upper_parts(self, h: int, rm: Node | None, core_ids: set[int], s2=None, middle=()):
+        """(prefix, suffix) of a shift by the upper-bound rule of step h.
 
-        The occurrences of the upper bound ``q`` then form one chain in the
-        right attachment ``rm`` of the anchor.  Those between visits h and
-        h+1 move up front behind the subtree right of the chain; with none
-        to move, the block around the chain stays contiguous in the suffix
-        so that it lands right of the new root.
+        The occurrences of the upper bound ``q`` outside the core are either
+        inserted into the anchor or form one chain in its right attachment
+        ``rm``.  ``s2`` of them (``_between_counts``) move up front, behind
+        the subtree right of a chain; with none to move, the block around the
+        chain stays contiguous in the suffix so that it lands right of the new
+        root.  The identity sets ``middle`` read right before the core.
         """
         sub = self.walk.subtree_ids
-        q = self.plan[h - 1].upper
+        cur = self.plan[h - 1]
+        q = cur.upper
         if q is None:
-            return [], self._reads(sub(rm), anchor_ids)
-        qnodes = nodes_with_label(self.trees[-1], q)
-        _require(qnodes != [], "upper bound occurs somewhere")
-        _require(
-            all(id(x) not in anchor_ids for x in qnodes),
-            "upper occurrences sit outside the anchor",
-        )
-        for a, b in zip(qnodes, qnodes[1:]):
-            _require(a.left is b, "upper occurrences form one consecutive chain")
-        _require(len(qnodes) == self.count[q], "all upper occurrences located")
-        top = qnodes[0]
-        _require(self.walk.contains(rm, top), "upper chain right of the anchor")
-        s2, s1 = self._between_counts(h, len(qnodes))
-        beta = self._reads(sub(top.right))
-        tail = self._reads(sub(rm) - sub(top), anchor_ids)
+            return [], self._reads(sub(rm), *middle, core_ids)
+        if cur.anchor_extra:
+            s = cur.anchor_extra
+            beta, tail = [], self._reads(sub(rm), *middle, core_ids)
+        else:
+            qnodes = nodes_with_label(self.trees[-1], q)
+            _require(qnodes != [], "upper bound occurs somewhere")
+            _require(
+                core_ids.isdisjoint(map(id, qnodes)), "upper occurrences sit outside the anchor"
+            )
+            for a, b in zip(qnodes, qnodes[1:]):
+                _require(a.left is b, "upper occurrences form one consecutive chain")
+            s = len(qnodes)
+            _require(s == self.count[q], "all upper occurrences located")
+            top = qnodes[0]
+            _require(self.walk.contains(rm, top), "upper chain right of the anchor")
+            lo, hi = self.walk.run(top.left)
+            _require(set(self.walk.labels[lo:hi]) <= {q}, "only repeats hang left of the uppermost")
+            beta = self._reads(sub(top.right))
+            tail = self._reads(sub(rm) - sub(top), *middle, core_ids)
+        s2, s1 = self._between_counts(h, s, s2)
         if s2:
             return beta + [q] * s2, [q] * s1 + tail
         return [], beta + [q] * s1 + tail
@@ -557,10 +571,9 @@ class _PathBuilder:
         cur, nxt = self.plan[h - 1], self.plan[h]
         n_h = self.topmost[cur.label]
         n_next = self.topmost[nxt.label]
-        side = self._subtree_side(n_next, n_h)
-        if side == "left":
+        if self.u_post.contains(n_next.left, n_h):
             self._case2(h)
-        elif side == "right":
+        elif self.u_post.contains(n_next.right, n_h):
             lo, hi = self.u_post.run(n_next.left)
             left_top = any(self.topmost[x.label] is x for x in self.u_post.nodes[lo:hi])
             if left_top:
@@ -571,19 +584,15 @@ class _PathBuilder:
             self._case1(h)
         self._check_spine(h + 1)
 
-    def _subtree_side(self, anc: Node, nd: Node) -> str | None:
-        """The side of ``anc`` whose subtree holds ``nd`` in U; None when not below."""
-        child = nd
-        for par in _ancestors(self.u_parents, nd):
-            if par is anc:
-                return "left" if par.left is child else "right"
-            child = par
-        return None
+    def _anchor_parts(self, step: PlanStep, found=None):
+        """Split the step's anchor into core vs inserted nodes.
 
-    def _anchor_parts(self, step: PlanStep):
-        """Embed the step's anchor at the current root; split core vs inserted."""
-        found = _embed_at(step.anchor, self.trees[-1])
-        _require(found is not None, f"anchor of step {step.index} absent at the root")
+        The anchor embeds at the current root, unless ``found`` gives its
+        ``_embed_at`` match elsewhere.
+        """
+        if found is None:
+            found = _embed_at(step.anchor, self.trees[-1])
+            _require(found is not None, f"anchor of the visit to {step.label} absent at the root")
         mapping, lm, rm = found
         all_ids = {id(v) for v in mapping.values()}
         core_ids = {id(mapping[i]) for i in step.anchor_core_ids}
@@ -608,35 +617,9 @@ class _PathBuilder:
         cur = self.plan[h - 1]
         u1 = self.plan[h].label
         _require(cur.upper == u1, "upper bound of the old block is the next visit")
-        t_cur = self.trees[-1]
-        lm, rm, anchor_ids, core_ids = self._anchor_parts(cur)
-        sub = self.walk.subtree_ids
-        lam = sub(lm)
-        s2 = self.primary_count[u1]
-        if cur.anchor_extra:
-            s = cur.anchor_extra
-            s1 = s - s2
-            _require(s1 >= 0, "primary occurrences fit in the inserted set")
-            beta = sub(rm)
-            moved = [u1] * s2
-            rest = [u1] * s1 + self._reads(beta, lam, core_ids)
-        else:
-            y = search_topmost(t_cur, u1)
-            _require(y is not None and self.walk.contains(rm, y), "visits right of the anchor")
-            lo, hi = self.walk.run(y.left)
-            _require(
-                all(lab == u1 for lab in self.walk.labels[lo:hi]),
-                "only repeats hang left of the uppermost visit symbol",
-            )
-            s = len(nodes_with_label(t_cur, u1))
-            _require(s == self.count[u1], "all occurrences located")
-            s1 = s - s2
-            _require(s1 >= 0, "primary occurrences fit")
-            delta = sub(rm) - sub(y)
-            beta = sub(y.right)
-            moved = self._reads(beta) + [u1] * s2
-            rest = [u1] * s1 + self._reads(delta, lam, anchor_ids)
-        self._emit(moved, rest)
+        lm, rm, _, core_ids = self._anchor_parts(cur)
+        lam = self.walk.subtree_ids(lm)
+        self._emit(*self._upper_parts(h, rm, core_ids, self.primary_count[u1], (lam,)))
 
     def _m_chain_pieces(self, lm: Node | None, anchor_ids: set[int], m: int, stop: Node):
         """Left-spine pieces from the anchor attachment down to ``stop``.
@@ -688,12 +671,7 @@ class _PathBuilder:
         _require(y.right is None, "uppermost visit symbol has an empty right subtree")
         head, rest_head, stop = self._visit_split(u1, nxt.lower)
         middle = rest_head + self._m_chain_pieces(lm, anchor_ids, cur.min_sym, stop)
-        if cur.anchor_extra:
-            s2, s1 = self._between_counts(h, cur.anchor_extra)
-            q = cur.upper
-            prefix, suffix = [q] * s2, [q] * s1 + self._reads(self.walk.subtree_ids(rm), core_ids)
-        else:
-            prefix, suffix = self._upper_chain(h, rm, anchor_ids)
+        prefix, suffix = self._upper_parts(h, rm, core_ids)
         self._emit(head + prefix + [u1], middle + suffix)
 
     def _case4(self, h: int) -> None:
@@ -704,24 +682,15 @@ class _PathBuilder:
         _require(len(upset) >= 2, "an earlier pending visit exists")
         gstep = self.plan[upset[-2] - 1]
         _require(gstep.upper == u1, "previous pending block is bounded by the next visit")
-        lm_h, rm_h, anchor_ids_h, core_ids_h = self._anchor_parts(cur)
+        lm_h, rm_h, _, core_ids_h = self._anchor_parts(cur)
 
         # walk the spine below the anchor down to the previous anchor
-        spine: list[Node] = []
-        pos = lm_h
-        found = None
-        while pos is not None:
-            found = _embed_at(gstep.anchor, pos)
-            if found is not None:
-                break
+        spine, found = _left_spine(lm_h, gstep.anchor)
+        for pos in spine:
             _require(pos.label in (m, u1), "spine carries only minima and next visits")
             _require(pos.right is None, "spine nodes have empty right subtrees")
-            spine.append(pos)
-            pos = pos.left
         _require(found is not None, "previous anchor found on the spine")
-        gmap, lm_g, rm_g = found
-        g_all_ids = {id(v) for v in gmap.values()}
-        g_core_ids = {id(gmap[i]) for i in gstep.anchor_core_ids}
+        lm_g, rm_g, g_all_ids, g_core_ids = self._anchor_parts(gstep, found)
 
         r2 = sum(1 for nd in spine if nd.label == m)
         o2 = len(spine) - r2
@@ -769,7 +738,7 @@ class _PathBuilder:
             tail = rho + minima if eg_ext else minima + rho
             prefix, suffix = [q] * s2, tail + [q] * s1 + self._reads(core_ids_h)
         else:
-            prefix, suffix = self._upper_chain(h, rm_h, anchor_ids_h)
+            prefix, suffix = self._upper_parts(h, rm_h, core_ids_h)
             suffix = minima + suffix
         self._emit(prefix + moved, rest + suffix)
 

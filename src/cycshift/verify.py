@@ -39,12 +39,9 @@ class CheckResult:
         return f"{status}  {self.name}{tail}"
 
 
-def _ok(name: str, detail: str = "") -> CheckResult:
-    return CheckResult(name, True, detail)
-
-
-def _fail(name: str, detail: str) -> CheckResult:
-    return CheckResult(name, False, detail)
+def _check(name: str, passed: bool, detail: str, failure: str) -> CheckResult:
+    """The check ``name``, described by ``detail`` when it passed and ``failure`` when not."""
+    return CheckResult(name, passed, detail if passed else failure)
 
 
 def _show(value) -> str:
@@ -55,9 +52,8 @@ def _show(value) -> str:
 
 
 def _expect(name: str, got, want) -> CheckResult:
-    if got == want:
-        return _ok(name, f"= {_show(want)}")
-    return _fail(name, f"got {_show(got)}, expected {_show(want)}")
+    return _check(name, got == want, f"= {_show(want)}",
+                  f"got {_show(got)}, expected {_show(want)}")
 
 
 def _standard_ev(n: int) -> tuple[int, ...]:
@@ -82,7 +78,8 @@ def _all_words(rank: int, max_len: int) -> Iterable[Word]:
         yield from product(range(1, rank + 1), repeat=length)
 
 
-def criterion_2(max_len: int = 6, rank: int = 4) -> list[CheckResult]:
+def criterion_2() -> list[CheckResult]:
+    max_len, rank = 6, 4
     out = []
     for name in ("plac", "hypo", "sylv", "stal", "taig", "baxt"):
         h = handle(name)
@@ -97,11 +94,8 @@ def criterion_2(max_len: int = 6, rank: int = 4) -> list[CheckResult]:
                 bad += 1
             if canon_to_key.setdefault((tuple(sorted(w)), canon), k[1]) != k[1]:
                 bad += 1
-        out.append(
-            _ok(f"c2 {name} insertion matches presentation", f"words up to length {max_len}")
-            if bad == 0
-            else _fail(f"c2 {name} insertion matches presentation", f"{bad} discrepancies")
-        )
+        out.append(_check(f"c2 {name} insertion matches presentation", bad == 0,
+                          f"words up to length {max_len}", f"{bad} discrepancies"))
     return out
 
 
@@ -133,7 +127,8 @@ def criterion_3() -> list[CheckResult]:
 # criterion 4: the summary table at desk scale
 
 
-def criterion_4(max_total: int = 7) -> list[CheckResult]:
+def criterion_4() -> list[CheckResult]:
+    max_total = 7
     out = []
     reports: dict[tuple[str, int], object] = {}
 
@@ -156,10 +151,8 @@ def criterion_4(max_total: int = 7) -> list[CheckResult]:
     for name in ("sylv", "taig"):
         for n in range(2, 6):
             d = max_diam_through(name, n)
-            if n - 1 <= d <= n:
-                out.append(_ok(f"c4 {name} rank {n} max diameter", f"= {d}, within [{n-1},{n}]"))
-            else:
-                out.append(_fail(f"c4 {name} rank {n} max diameter", f"{d} outside [{n-1},{n}]"))
+            out.append(_check(f"c4 {name} rank {n} max diameter", n - 1 <= d <= n,
+                              f"= {d}, within [{n-1},{n}]", f"{d} outside [{n-1},{n}]"))
     stal_expect = {1: 0, 2: 1, 3: 3, 4: 3, 5: 3}
     for n in range(1, 6):
         out.append(
@@ -169,24 +162,16 @@ def criterion_4(max_total: int = 7) -> list[CheckResult]:
         )
     for n in range(2, 6):
         d = max_diam_through("plac", n)
-        if d == n - 1 and d <= 2 * n - 3:
-            out.append(_ok(f"c4 plac rank {n} max diameter", f"= {d} = n-1 <= {2*n-3}"))
-        else:
-            out.append(_fail(f"c4 plac rank {n} max diameter", f"{d}, expected {n-1}"))
+        out.append(_check(f"c4 plac rank {n} max diameter", d == n - 1 and d <= 2 * n - 3,
+                          f"= {d} = n-1 <= {2*n-3}", f"{d}, expected {n-1}"))
     for name in ("plac", "hypo", "sylv", "taig"):
         split = [n for n in range(2, 6) if not scan(name, n).all_single_component]
-        out.append(
-            _ok(f"c4 {name} components = evaluation classes")
-            if not split
-            else _fail(f"c4 {name} components = evaluation classes", f"splits at ranks {split}")
-        )
+        out.append(_check(f"c4 {name} components = evaluation classes", not split,
+                          "", f"splits at ranks {split}"))
     for name in ("stal", "baxt"):
         split = [n for n in range(3, 6) if not scan(name, n).all_single_component]
-        out.append(
-            _ok(f"c4 {name} has split evaluations", f"ranks {split}")
-            if split == [3, 4, 5]
-            else _fail(f"c4 {name} has split evaluations", f"only at ranks {split}")
-        )
+        out.append(_check(f"c4 {name} has split evaluations", split == [3, 4, 5],
+                          f"ranks {split}", f"only at ranks {split}"))
     return out
 
 
@@ -228,11 +213,7 @@ def criterion_5() -> list[CheckResult]:
     for name, detail in (("hypo", ""), ("sylv", "internal invariants asserted")):
         for n in range(2, 6):
             bad, _ = _path_census(name, _standard_ev(n))
-            out.append(
-                _ok(f"c5 {name} paths rank {n}", detail)
-                if bad == 0
-                else _fail(f"c5 {name} paths rank {n}", f"{bad} bad")
-            )
+            out.append(_check(f"c5 {name} paths rank {n}", bad == 0, detail, f"{bad} bad"))
     # every pattern of totals <= 6 up to rank 4
     for name in ("stal", "taig"):
         bad = pairs = 0
@@ -240,11 +221,8 @@ def criterion_5() -> list[CheckResult]:
             for ev in full_support_evaluations(rank, 6):
                 b, p = _path_census(name, ev)
                 bad, pairs = bad + b, pairs + p
-        out.append(
-            _ok(f"c5 {name} paths", f"{pairs} pairs, totals <= 6")
-            if bad == 0
-            else _fail(f"c5 {name} paths", f"{bad} of {pairs} bad")
-        )
+        out.append(_check(f"c5 {name} paths", bad == 0,
+                          f"{pairs} pairs, totals <= 6", f"{bad} of {pairs} bad"))
     return out
 
 
@@ -264,14 +242,8 @@ def criterion_6() -> list[CheckResult]:
             gap = max(abs(a - b) for a, b in zip(seq_row, seq_col))
             g = evaluation_graph(h, _standard_ev(n))
             d = distance(g, h.key_of(row), h.key_of(col))
-            if gap == n - 1 and d >= n - 1:
-                out.append(
-                    _ok(f"c6 {name} rank {n} row/column", f"cocharge gap {gap}, distance {d}")
-                )
-            else:
-                out.append(
-                    _fail(f"c6 {name} rank {n} row/column", f"gap {gap}, distance {d}")
-                )
+            out.append(_check(f"c6 {name} rank {n} row/column", gap == n - 1 and d >= n - 1,
+                              f"cocharge gap {gap}, distance {d}", f"gap {gap}, distance {d}"))
     return out
 
 
@@ -287,19 +259,13 @@ def criterion_7() -> list[CheckResult]:
     g = component(h, parse_word("123"), 3)
     want = {h.key_of(parse_word(w)) for w in ("123", "231", "312")}
     out.append(_expect("c7 component of 123", set(g.vertices), want))
-    out.append(
-        _ok("c7 132 outside the 123 component")
-        if h.key_of(parse_word("132")) not in g.adjacency
-        else _fail("c7 132 outside the 123 component", "it is inside")
-    )
+    outside = h.key_of(parse_word("132")) not in g.adjacency
+    out.append(_check("c7 132 outside the 123 component", outside, "", "it is inside"))
     g = component(h, parse_word("1243"), 4)
     want = {h.key_of(parse_word(w)) for w in ("1243", "2431", "4312", "3124")}
     out.append(_expect("c7 component of 1243", set(g.vertices), want))
-    out.append(
-        _ok("c7 1234 outside the 1243 component")
-        if h.key_of(parse_word("1234")) not in g.adjacency
-        else _fail("c7 1234 outside the 1243 component", "it is inside")
-    )
+    outside = h.key_of(parse_word("1234")) not in g.adjacency
+    out.append(_check("c7 1234 outside the 1243 component", outside, "", "it is inside"))
     return out
 
 
@@ -342,23 +308,18 @@ def criterion_8() -> list[CheckResult]:
         try:
             d = distance(g, h.key_of(w1), h.key_of(w2))
         except ValueError:
-            out.append(_fail(f"c8 alpha={alpha} connectivity", "classes not connected"))
+            out.append(_check(f"c8 alpha={alpha} connectivity", False, "", "classes not connected"))
             continue
-        if d >= alpha - 1:
-            out.append(_ok(f"c8 alpha={alpha} distance", f"= {d} >= {alpha - 1}"))
-        else:
-            out.append(_fail(f"c8 alpha={alpha} distance", f"{d} < {alpha - 1}"))
+        out.append(_check(f"c8 alpha={alpha} distance", d >= alpha - 1,
+                          f"= {d} >= {alpha - 1}", f"{d} < {alpha - 1}"))
         bad_edges = 0
         for a, b in g.edges():
             wa, wb = parse_word(a), parse_word(b)
             if in_factor_language(wa) and in_factor_language(wb):
                 if abs(xy_cycle_invariant(wa) - xy_cycle_invariant(wb)) > 1:
                     bad_edges += 1
-        out.append(
-            _ok(f"c8 alpha={alpha} invariant edge bound")
-            if bad_edges == 0
-            else _fail(f"c8 alpha={alpha} invariant edge bound", f"{bad_edges} bad edges")
-        )
+        out.append(_check(f"c8 alpha={alpha} invariant edge bound", bad_edges == 0,
+                          "", f"{bad_edges} bad edges"))
     bad = 0
     for w in _factor_words(10):
         mu = xy_cycle_invariant(w)
@@ -367,11 +328,8 @@ def criterion_8() -> list[CheckResult]:
             not in_factor_language(m) or xy_cycle_invariant(m) != mu for m in cls.members
         ):
             bad += 1
-    out.append(
-        _ok("c8 invariant constant on classes", "lengths <= 10")
-        if bad == 0
-        else _fail("c8 invariant constant on classes", f"{bad} classes vary")
-    )
+    out.append(_check("c8 invariant constant on classes", bad == 0,
+                      "lengths <= 10", f"{bad} classes vary"))
     return out
 
 
@@ -393,11 +351,8 @@ def criterion_9() -> list[CheckResult]:
                         stalactic.conjugacy_witness(u, v)
                     except AssertionError:
                         bad += 1
-    out.append(
-        _ok("c9 stal witnesses", f"{pairs} element pairs, totals <= 6")
-        if bad == 0
-        else _fail("c9 stal witnesses", f"{bad} of {pairs} bad")
-    )
+    out.append(_check("c9 stal witnesses", bad == 0,
+                      f"{pairs} element pairs, totals <= 6", f"{bad} of {pairs} bad"))
     pairs = 0
     bad = 0
     by_ev: dict[tuple, list[Word]] = {}
@@ -411,11 +366,8 @@ def criterion_9() -> list[CheckResult]:
                     baxter.conjugacy_witness(p, q)
                 except AssertionError:
                     bad += 1
-    out.append(
-        _ok("c9 baxt witnesses", f"{pairs} word pairs, lengths <= 4")
-        if bad == 0
-        else _fail("c9 baxt witnesses", f"{bad} of {pairs} bad")
-    )
+    out.append(_check("c9 baxt witnesses", bad == 0,
+                      f"{pairs} word pairs, lengths <= 4", f"{bad} of {pairs} bad"))
     return out
 
 
@@ -431,8 +383,9 @@ def _random_words(count: int, max_len: int, rank: int, seed: int) -> list[Word]:
     ]
 
 
-def criterion_10(count: int = 10_000, max_len: int = 10, rank: int = 8) -> list[CheckResult]:
-    words = _random_words(count, max_len, rank, seed=20260808)
+def criterion_10() -> list[CheckResult]:
+    count = 10_000
+    words = _random_words(count, max_len=10, rank=8, seed=20260808)
     out = []
     for name in ("plac", "hypo", "sylv", "stal", "taig", "baxt"):
         h = handle(name)
@@ -449,11 +402,8 @@ def criterion_10(count: int = 10_000, max_len: int = 10, rank: int = 8) -> list[
                         bad += 1
             except (ValueError, AssertionError):
                 bad += 1
-        out.append(
-            _ok(f"c10 {name} invariants", f"{count} random words")
-            if bad == 0
-            else _fail(f"c10 {name} invariants", f"{bad} violations")
-        )
+        out.append(_check(f"c10 {name} invariants", bad == 0,
+                          f"{count} random words", f"{bad} violations"))
     return out
 
 
@@ -475,7 +425,7 @@ CRITERIA: dict[int, Callable[[], list[CheckResult]]] = {
 }
 
 
-def run(numbers: Iterable[int] | None = None, echo: Callable[[str], None] = print) -> bool:
+def run(numbers: Iterable[int] | None = None) -> bool:
     """Run the selected criteria (all by default); True when everything passed."""
     selected = sorted(numbers) if numbers else sorted(CRITERIA)
     unknown = [n for n in selected if n not in CRITERIA]
@@ -486,7 +436,7 @@ def run(numbers: Iterable[int] | None = None, echo: Callable[[str], None] = prin
         results = CRITERIA[n]()
         ok = all(r.passed for r in results)
         all_ok = all_ok and ok
-        echo(f"criterion {n}: {'PASS' if ok else 'FAIL'}")
+        print(f"criterion {n}: {'PASS' if ok else 'FAIL'}")
         for r in results:
-            echo(f"  {r.line()}")
+            print(f"  {r.line()}")
     return all_ok

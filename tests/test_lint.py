@@ -88,23 +88,54 @@ def _names_used(tree):
     return used
 
 
+def _module_refs(tree, stem):
+    """The ``module.name`` references a tree of module ``stem`` makes.
+
+    A bare name counts as ``stem.name``; ``mod.name`` and ``from .mod import
+    name`` (or ``from pkg.mod import name``) count as ``mod.name``.
+    """
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[f"{stem}.{node.id}"] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            refs[f"{node.value.id}.{node.attr}"] += 1
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.split(".")[-1]
+            refs.update(f"{module}.{alias.name}" for alias in node.names)
+    return refs
+
+
 def test_every_definition_has_a_caller_outside_the_tests():
-    # the tests' all-distances reference; nothing in the package needs every distance at once
-    allowed = {"distances_from"}
+    allowed = {
+        # the tests' all-distances reference; nothing in the package needs every distance at once
+        "shiftgraph.distances_from",
+        # the row insertion test_formatted_form_is_the_key holds hypoplactic.word_form to
+        "hypoplactic._insert_into_rows",
+    }
     bench = PACKAGE.parents[1] / "perfbench"
     sources = sorted(PACKAGE.glob("*.py")) + sorted(
         p for p in bench.glob("*.py") if not p.name.startswith("test_")
     )
     trees = {path: ast.parse(path.read_text(), str(path)) for path in sources}
+    # methods and nested functions: any attribute or name anywhere calls them
     used = sum((_names_used(tree) for tree in trees.values()), Counter())
-    found = [
-        f"{path.name}:{node.lineno} {node.name}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for node in ast.walk(trees[path])
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in allowed
-        # a name only its own body mentions (a recursive helper) has no caller
-        and used[node.name] <= _names_used(node)[node.name]
-    ]
+    # module-level definitions: only a reference through their own module does
+    refs = sum((_module_refs(tree, path.stem) for path, tree in trees.items()), Counter())
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        top = set(trees[path].body)
+        for node in ast.walk(trees[path]):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = f"{path.stem}.{node.name}"
+            if (node.name.startswith("__") and node.name.endswith("__")) or name in allowed:
+                continue
+            # a name only its own body mentions (a recursive helper) has no caller
+            if node in top:
+                callers = refs[name] - _module_refs(node, path.stem)[name]
+            else:
+                callers = used[node.name] - _names_used(node)[node.name]
+            if callers <= 0:
+                found.append(f"{path.name}:{node.lineno} {node.name}")
     assert found == []

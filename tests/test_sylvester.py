@@ -16,7 +16,7 @@ from cycshift.sylvester import (
     traversal_plan,
     word_key,
 )
-from cycshift.trees import serialize
+from cycshift.trees import postfix, serialize
 from cycshift.words import format_word, parse_word, words_with_evaluation
 
 BSTEG = parse_word("5451761524")
@@ -110,7 +110,11 @@ def test_traversal_plan_reference_tree():
     step = next(s for s in plan if s.label == 6)
     assert step.lower == 1 and step.upper == 8 and step.min_sym == 2
     assert step.anchor_extra == 3
-    assert serialize(step.core) == "6(3(2(-)(3(-)(-)))(6(4(-)(-))(-)))(8(7(-)(-))(-))"
+    assert serialize(step.anchor) == (
+        "6(3(2(-)(3(-)(-)))(6(4(-)(-))(-)))(8(7(-)(8(8(8(-)(-))(-))(-)))(-))"
+    )
+    core = [x.label for x in postfix(step.anchor) if id(x) in step.anchor_core_ids]
+    assert core == [3, 2, 4, 6, 3, 7, 8, 6]
 
 
 def test_traversal_plan_chain_trees():
