@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import sylvester
-from .trees import Node, labels, serialize, to_json as tree_json
+from .trees import Node, labels, serialize, spine_sizes, to_json as tree_json
 from .words import Word
 
 
@@ -132,6 +132,24 @@ def twin_pair(word: Word) -> TwinPair:
 
 def word_key(word: Word) -> str:
     return f"{serialize(left_bst(word))}|{serialize(sylvester.right_bst(word))}"
+
+
+def word_form(word: Word) -> tuple[int, ...]:
+    """The sorted symbols, then the ``spine_sizes`` of the left and the right tree.
+
+    Both are Cartesian trees of the standardized order (``sylvester.word_form``):
+    left to right insertion puts a later equal symbol to the right, and the
+    earlier position nearer the root.
+    """
+    order = sorted(range(len(word)), key=word.__getitem__)
+    return tuple(sorted(word) + spine_sizes([-p for p in order]) + spine_sizes(order))
+
+
+def format_form(form: tuple[int, ...]) -> str:
+    """Both trees' keys, each through ``sylvester.tree_key``'s cache: classes share trees."""
+    n = len(form) // 3
+    symbols, left, right = form[:n], form[n:2 * n], form[2 * n:]
+    return f"{sylvester.tree_key(symbols, left)}|{sylvester.tree_key(symbols, right)}"
 
 
 def conjugacy_witness(p: Word, q: Word) -> tuple[Word, Word]:

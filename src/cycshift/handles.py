@@ -3,11 +3,14 @@
 A record maps words to canonical class keys and names the monoid's object, a
 tableau, tree or twin pair: its insertion, key, drawing, JSON form,
 validation, symbols, and the constructive shift path with its bound.  A key
-takes two steps: ``form_of`` maps each word to a hashable form (tuples for
-plac, hypo and stal, the key itself elsewhere) and ``format_form`` turns each
-class's form into its key.  The graph engine, the CLI and ``verify`` read the
-monoids from ``HANDLES`` alone; the rewriting oracle keeps its own
-``rewrite.PRESENTATIONS`` so that it shares no code with what it checks.
+takes two steps: ``word_form`` maps each word to a hashable tuple (tableau
+rows or columns, a tree's spine sizes or child arrays, a canonical word), and
+``format_form`` turns each class's form into its key.  ``key_of`` is the same
+key in one call; for sylv, taig and baxt it serializes the inserted trees,
+the path the forms are tested against.  The graph engine, the CLI and
+``verify`` read the monoids from ``HANDLES`` alone; the rewriting oracle keeps
+its own ``rewrite.PRESENTATIONS`` so that it shares no code with what it
+checks.
 
 ``MonoidHandle.class_of`` is the one way to list a class, for every monoid:
 it filters the arrangements of the evaluation, cross-checked in the tests
@@ -16,7 +19,7 @@ against the presentation oracle (``tests/test_lint.py`` keeps it the only one).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Hashable
 
@@ -33,7 +36,7 @@ from .words import Word, evaluation, format_word, words_with_evaluation
 @dataclass(frozen=True)
 class MonoidHandle:
     name: str
-    #: the fast word -> class key function the graph engine calls per word
+    #: word -> class key in one call, the reference the forms are tested against
     key_of: Callable[[Word], str]
     #: the object a word inserts to; ``key``, ``draw`` and ``to_json`` act on it
     element: Callable[[Word], object]
@@ -49,14 +52,10 @@ class MonoidHandle:
     path_law: tuple[int, int] | None = None
     #: order-preserving relabelings of the alphabet leave the congruence alone
     relabel_invariant: bool = True
-    #: a cheaper word -> class form than ``key_of``, with
+    #: word -> hashable class form, the one the graph engine calls per word, with
     #: ``format_form(word_form(w)) == key_of(w)``
-    word_form: Callable[[Word], Hashable] | None = None
-    format_form: Callable[[Hashable], str] = str
-
-    @property
-    def form_of(self) -> Callable[[Word], Hashable]:
-        return self.word_form or self.key_of
+    word_form: Callable[[Word], Hashable] = field(kw_only=True)
+    format_form: Callable[[Hashable], str] = field(kw_only=True)
 
     def path_bound(self, n_distinct: int) -> int:
         """Most shifts ``shift_path`` takes between objects on ``n_distinct`` symbols.
@@ -69,17 +68,21 @@ class MonoidHandle:
         return max(0, slope * n_distinct + offset)
 
     def class_of(self, word: Word, rank: int, limit: int | None = None) -> set[Word]:
-        form_of = self.form_of
-        target = form_of(word)
+        word_form = self.word_form
+        target = word_form(word)
         ev = evaluation(word, rank)
-        return {w for w in words_with_evaluation(ev, limit) if form_of(w) == target}
+        return {w for w in words_with_evaluation(ev, limit) if word_form(w) == target}
 
 
 _COUNTER = rewrite.presentation("counterexample")
 
 
+def _counter_form(word: Word) -> Word:
+    return _COUNTER.close(word).canonical
+
+
 def _counter_key(word: Word) -> str:
-    return format_word(_COUNTER.close(word).canonical)
+    return format_word(_counter_form(word))
 
 
 HANDLES: dict[str, MonoidHandle] = {
@@ -101,6 +104,7 @@ HANDLES: dict[str, MonoidHandle] = {
         sylvester.key, sylvester.draw, tree_json,
         labels, sylvester.check_right_strict,
         sylvester.shift_path, path_law=(1, 0),
+        word_form=sylvester.word_form, format_form=sylvester.format_form,
     ),
     "stal": MonoidHandle(
         "stal", stalactic.word_key, stalactic.stalactic_tableau,
@@ -114,16 +118,18 @@ HANDLES: dict[str, MonoidHandle] = {
         taiga.key, partial(sylvester.draw, with_mult=True), partial(tree_json, with_mult=True),
         taiga.symbols, taiga.check_mult_bst,
         taiga.shift_path, path_law=(1, 0),
+        word_form=taiga.word_form, format_form=taiga.format_form,
     ),
     "baxt": MonoidHandle(
         "baxt", baxter.word_key, baxter.twin_pair,
         TwinPair.key, TwinPair.draw, TwinPair.to_json,
         TwinPair.symbols, TwinPair.check,
+        word_form=baxter.word_form, format_form=baxter.format_form,
     ),
-    # the object is the class's canonical word, already formatted as its key
+    # the form is the class's canonical word; the object is that word formatted as its key
     "counterexample": MonoidHandle(
         "counterexample", _counter_key, _counter_key, str, str, str,
-        relabel_invariant=False,
+        relabel_invariant=False, word_form=_counter_form, format_form=format_word,
     ),
 }
 

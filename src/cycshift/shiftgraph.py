@@ -5,10 +5,12 @@ of one, rotated, lands in the other.  All rotations of a word are pairwise
 adjacent, so the graph is the union of one clique per necklace (rotation
 class).  The necklaces of an evaluation are streamed, each at its least
 rotation (``words.necklaces``), and the keys of its distinct rotations are
-joined pairwise: every word is formed once (``handle.form_of``), every class
-formatted once (``handle.format_form``) through a form-to-key table, and no
-map from words is kept, so memory follows the classes and edges.  Graphs are
-read-only once built, and their components share their neighbour sets.
+joined pairwise: every word is formed once (``handle.word_form``, a tuple),
+every class formatted once (``handle.format_form``) through a form-to-key
+table, and no map from words is kept, so memory follows the classes and
+edges.  ``neighbors`` compares forms alone and formats only its answer.
+Graphs are read-only once built, and their components share their neighbour
+sets.
 Diameters grow a reachability bitset per vertex by rounds of neighbour ORs
 (a complete graph needs none).  Self-loops are implicit and never stored.
 """
@@ -111,24 +113,21 @@ def diameter(g: ShiftGraph) -> int:
     return rounds
 
 
-def _rotation_keys(handle: MonoidHandle, ev: Evaluation):
-    """A map from each necklace of ``ev`` to the keys of its distinct rotations.
+def _rotation_forms(handle: MonoidHandle, ev: Evaluation):
+    """A map from each necklace of ``ev`` to the forms of its distinct rotations.
 
-    The keys are listed in rotation order, ``w[i:] + w[:i]`` for i = 0, 1, ...
-    up to the period, so each word is formed once and each class formatted once.
-    A period divides the length n, and n/period divides every count of ``ev``.
+    The forms are listed in rotation order, ``w[i:] + w[:i]`` for i = 0, 1, ...
+    up to the period, so each word is formed once.  A period divides the
+    length n, and n/period divides every count of ``ev``.
     """
     n = sum(ev)
     folds = gcd(*ev)
     periods = [n // f for f in range(folds, 1, -1) if folds % f == 0]
-    form_of, format_form = handle.form_of, handle.format_form
-    keys: dict = {}
+    word_form = handle.word_form
 
-    def of(w: Word) -> list[str]:
+    def of(w: Word) -> list:
         p = next((d for d in periods if w[d:] + w[:d] == w), n or 1)
-        forms = [form_of(w[i:] + w[:i]) for i in range(p)]
-        # only the empty word, alone in its evaluation, has the false key ""
-        return [keys.get(f) or keys.setdefault(f, format_form(f)) for f in forms]
+        return [word_form(w[i:] + w[:i]) for i in range(p)]
 
     return of
 
@@ -137,11 +136,17 @@ def evaluation_graph(
     handle: MonoidHandle, ev: Evaluation, limit: int | None = None,
     representatives: dict[str, Word] | None = None,
 ) -> ShiftGraph:
-    """The full shift graph of one evaluation; ``representatives`` gets a word per class."""
+    """The full shift graph of one evaluation; ``representatives`` gets a word per class.
+
+    Each class is formatted once, through a form-to-key table.
+    """
     adj: dict[str, set[str]] = {}
-    rotation_keys = _rotation_keys(handle, ev)
+    rotation_forms = _rotation_forms(handle, ev)
+    format_form = handle.format_form
+    table: dict = {}
     for w in necklaces(ev, limit):
-        keys = rotation_keys(w)
+        # only the empty word, alone in its evaluation, has the false key ""
+        keys = [table.get(f) or table.setdefault(f, format_form(f)) for f in rotation_forms(w)]
         clique = set(keys)
         for k in clique:
             adj.setdefault(k, set()).update(clique)
@@ -156,31 +161,26 @@ def evaluation_graph(
 def neighbors(handle: MonoidHandle, word: Word, rank: int, limit: int | None = None) -> set[str]:
     """Keys of every rotation of every class member (the class itself included).
 
-    That is the union of the necklace cliques holding the class's key.  The
-    word's own necklace, keyed first, gives it, so only those cliques are kept.
+    That is the union of the necklace cliques holding the word's class: the
+    rotation forms of every necklace that holds the word's form.  Only that
+    union is formatted.
     """
     ev = ev_of(word, rank)
     stream = necklaces(ev, limit)  # the size guard runs before any word is formed
-    n = len(word)
-    # word[j:] + word[:j] is the word's necklace, and word is its rotation by n - j
-    j = min(range(n or 1), key=lambda i: word[i:] + word[:i])
-    own = word[j:] + word[:j]
-    rotation_keys = _rotation_keys(handle, ev)
-    keys = rotation_keys(own)
-    target = keys[(n - j) % len(keys)]
-    out = set(keys)
+    rotation_forms = _rotation_forms(handle, ev)
+    target = handle.word_form(word)
+    out = set()
     for w in stream:
-        if w != own:
-            keys = rotation_keys(w)
-            if target in keys:
-                out.update(keys)
-    return out
+        forms = rotation_forms(w)
+        if target in forms:
+            out.update(forms)
+    return set(map(handle.format_form, out))
 
 
 def component(handle: MonoidHandle, word: Word, rank: int, limit: int | None = None) -> ShiftGraph:
     ev = ev_of(word, rank)
     g = evaluation_graph(handle, ev, limit)
-    return g.component_of(handle.key_of(word))
+    return g.component_of(handle.format_form(handle.word_form(word)))
 
 
 @dataclass

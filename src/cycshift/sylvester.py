@@ -61,6 +61,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .paths import ShiftPath, compress_path
@@ -73,9 +74,11 @@ from .trees import (
     nodes_with_label,
     parent_map,
     postfix,
+    replay,
     rightmost,
     search_topmost,
     serialize,
+    spine_sizes,
 )
 from .words import Word
 
@@ -122,6 +125,29 @@ def word_key(word: Word) -> str:
 
 def key(root: Node | None) -> str:
     return serialize(root)
+
+
+def word_form(word: Word) -> tuple[int, ...]:
+    """The sorted symbols, then the tree's ``spine_sizes``: the class's hashable form.
+
+    Sorting the positions by symbol, stably, standardizes the word: equal
+    symbols keep their left-to-right order, as right-to-left insertion puts
+    the earlier one below (``a <= label`` goes left).  The tree is then the
+    Cartesian tree of that order with the larger position nearer the root.
+    """
+    order = sorted(range(len(word)), key=word.__getitem__)
+    return tuple(sorted(word) + spine_sizes(order))
+
+
+@lru_cache(maxsize=4096)
+def tree_key(symbols: tuple[int, ...], sizes: tuple[int, ...]) -> str:
+    """The key of the tree with in-order ``symbols`` and ``spine_sizes``; a bounded cache."""
+    return serialize(replay(symbols, sizes))
+
+
+def format_form(form: tuple[int, ...]) -> str:
+    n = len(form) // 2
+    return tree_key(form[:n], form[n:])
 
 
 def check_right_strict(root: Node | None) -> None:
@@ -425,8 +451,19 @@ class _PathBuilder:
 
     def _emit(self, moved: list[int], rest: list[int]) -> None:
         w1 = tuple(moved) + tuple(rest)
+        # right to left insertion of w1 rebuilds the current tree exactly when
+        # each symbol lands on the first unplaced node of its search path,
+        # a node carrying that symbol, and every node gets placed
+        placed: set[int] = set()
+        for a in reversed(w1):
+            node = self.trees[-1]
+            while node is not None and id(node) in placed:
+                node = node.left if a <= node.label else node.right
+            if node is None or node.label != a:
+                break
+            placed.add(id(node))
         _require(
-            labels(right_bst(w1)) == self.walk.labels,
+            len(placed) == len(w1) == len(self.walk.ids),
             "factorized reading does not represent the current tree",
         )
         self.moves.append((w1, len(moved)))
@@ -585,25 +622,24 @@ class _PathBuilder:
         self._check_spine(h + 1)
 
     def _anchor_parts(self, step: PlanStep, found=None):
-        """Split the step's anchor into core vs inserted nodes.
+        """The anchor's attachments, its match (``_embed_at``) and its core's ids.
 
         The anchor embeds at the current root, unless ``found`` gives its
-        ``_embed_at`` match elsewhere.
+        match elsewhere.  The match's values are the anchor's nodes in the tree.
         """
         if found is None:
             found = _embed_at(step.anchor, self.trees[-1])
             _require(found is not None, f"anchor of the visit to {step.label} absent at the root")
         mapping, lm, rm = found
-        all_ids = {id(v) for v in mapping.values()}
-        core_ids = {id(mapping[i]) for i in step.anchor_core_ids}
-        return lm, rm, all_ids, core_ids
+        return lm, rm, mapping, {id(mapping[i]) for i in step.anchor_core_ids}
 
     def _case1(self, h: int) -> None:
         cur, nxt = self.plan[h - 1], self.plan[h]
         u1 = nxt.label
         _require(len(postfix(nxt.anchor)) == 1, "fresh visit carries a single-node anchor")
         sub = self.walk.subtree_ids
-        lm, rm, anchor_ids, _ = self._anchor_parts(cur)
+        lm, rm, mapping, _ = self._anchor_parts(cur)
+        anchor_ids = set(map(id, mapping.values()))
         # the pull-to-front surgery needs every next-lower occurrence outside
         # the anchor; that fails only when the bounds collide and the anchor
         # absorbed those occurrences
@@ -666,7 +702,8 @@ class _PathBuilder:
         cur, nxt = self.plan[h - 1], self.plan[h]
         u1 = nxt.label
         _require(cur.lower == u1, "lower bound of the old block is the next visit")
-        lm, rm, anchor_ids, core_ids = self._anchor_parts(cur)
+        lm, rm, mapping, core_ids = self._anchor_parts(cur)
+        anchor_ids = set(map(id, mapping.values()))
         y = nodes_with_label(self.trees[-1], u1)[0]
         _require(y.right is None, "uppermost visit symbol has an empty right subtree")
         head, rest_head, stop = self._visit_split(u1, nxt.lower)
@@ -690,7 +727,7 @@ class _PathBuilder:
             _require(pos.label in (m, u1), "spine carries only minima and next visits")
             _require(pos.right is None, "spine nodes have empty right subtrees")
         _require(found is not None, "previous anchor found on the spine")
-        lm_g, rm_g, g_all_ids, g_core_ids = self._anchor_parts(gstep, found)
+        lm_g, rm_g, g_mapping, g_core_ids = self._anchor_parts(gstep, found)
 
         r2 = sum(1 for nd in spine if nd.label == m)
         o2 = len(spine) - r2
@@ -714,7 +751,7 @@ class _PathBuilder:
             _require(o1 == 0 and o2 == 0, "next visits all live inside the previous anchor")
             _require(not below, "nothing hangs below the previous anchor here")
             t = gstep.anchor_extra
-            _require(len(g_all_ids - g_core_ids) == t, "inserted next visits accounted for")
+            _require(len(g_mapping) - len(g_core_ids) == t, "inserted next visits accounted for")
         else:
             t = o1 + o2
             _require(t == self.count[u1], "all next visits located")

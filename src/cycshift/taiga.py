@@ -46,6 +46,46 @@ def word_key(word: Word) -> str:
     return serialize(mult_bst(word), with_mult=True)
 
 
+def word_form(word: Word) -> tuple[int, ...]:
+    """Left children, right children and multiplicities, each an array indexed by label.
+
+    ``0`` marks an empty child or an absent symbol (symbols are positive).
+    Labels are distinct, so the arrays fix the tree; they are filled by the
+    right to left insertion of ``mult_bst``, without nodes.
+    """
+    if not word:
+        return ()
+    size = max(word) + 1
+    left, right, mult = [0] * size, [0] * size, [0] * size
+    root = word[-1]
+    for a in reversed(word):
+        if mult[a]:
+            mult[a] += 1
+            continue
+        mult[a] = 1
+        node = root
+        # descend to the empty slot, hang a there, and stop on reaching it
+        while node != a:
+            child = left if a < node else right
+            if not child[node]:
+                child[node] = a
+            node = child[node]
+    return tuple(left + right + mult)
+
+
+def format_form(form: tuple[int, ...]) -> str:
+    size = len(form) // 3
+    left, right, mult = form[:size], form[size:2 * size], form[2 * size:]
+
+    def build(a: int) -> Node | None:
+        return Node(a, mult[a], build(left[a]), build(right[a])) if a else None
+
+    # the root is the one present label that is nobody's child
+    children = {*left, *right}
+    root = next((a for a in range(1, size) if mult[a] and a not in children), 0)
+    return serialize(build(root), with_mult=True)
+
+
 def key(root: Node | None) -> str:
     return serialize(root, with_mult=True)
 

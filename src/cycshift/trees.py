@@ -30,6 +30,36 @@ def serialize(root: Node | None, with_mult: bool = False) -> str:
     return f"{head}({serialize(root.left, with_mult)})({serialize(root.right, with_mult)})"
 
 
+def spine_sizes(priorities) -> list[int]:
+    """The Cartesian tree of a sequence, highest priority at the root, as stack sizes.
+
+    The stack holds the right spine of the tree built so far: each item pops
+    the lower priorities (its left subtree) and is pushed, and entry i is the
+    stack's size after item i.  These sizes fix the shape; ``replay`` inverts them.
+    """
+    stack: list = []
+    sizes: list[int] = []
+    for p in priorities:
+        while stack and stack[-1] < p:
+            stack.pop()
+        stack.append(p)
+        sizes.append(len(stack))
+    return sizes
+
+
+def replay(labels, sizes) -> Node | None:
+    """The tree with these in-order labels and ``spine_sizes``."""
+    stack: list[Node] = []
+    for label, size in zip(labels, sizes):
+        node = Node(label)
+        while len(stack) >= size:
+            node.left = stack.pop()
+        if stack:
+            stack[-1].right = node
+        stack.append(node)
+    return stack[0] if stack else None
+
+
 def to_json(root: Node | None, with_mult: bool = False):
     """Nested dict form for export; None for an empty subtree."""
     if root is None:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from cycshift.handles import HANDLES
+from cycshift.handles import HANDLES, MonoidHandle
 from cycshift.hypoplactic import QuasiRibbonTableau, _insert_into_rows
 from cycshift.words import format_word
 
@@ -64,6 +64,50 @@ def _stal_key(word):
     return "|".join(f"{a}^{word.count(a)}" for a in sorted(last, key=last.get))
 
 
+def _bst_key(word, goes_left, merge=False):
+    """Leaf insertion into nested lists ``[label, mult, left, right]``, then serialized.
+
+    With ``merge`` an equal symbol raises the multiplicity instead of adding a node.
+    """
+    tree = [None]
+    for a in word:
+        holder, i = tree, 0
+        while holder[i] is not None and not (merge and holder[i][0] == a):
+            holder, i = holder[i], 2 if goes_left(a, holder[i][0]) else 3
+        if holder[i] is None:
+            holder[i] = [a, 1, None, None]
+        else:
+            holder[i][1] += 1
+
+    def text(node):
+        if node is None:
+            return "-"
+        head = f"{node[0]}^{node[1]}" if merge else str(node[0])
+        return f"{head}({text(node[2])})({text(node[3])})"
+
+    return text(tree[0])
+
+
+def _sylv_key(word):
+    """Right strict: right to left, an equal symbol goes left."""
+    return _bst_key(reversed(word), lambda a, b: a <= b)
+
+
+def _taig_key(word):
+    """Right to left, an equal symbol raises the multiplicity."""
+    return _bst_key(reversed(word), lambda a, b: a < b, merge=True)
+
+
+def _baxt_key(word):
+    """Left strict tree (left to right, an equal symbol goes right) and right strict tree."""
+    return _bst_key(word, lambda a, b: a < b) + "|" + _sylv_key(word)
+
+
+REFERENCE_KEYS = {
+    "plac": _plac_key, "hypo": _hypo_key, "sylv": _sylv_key,
+    "stal": _stal_key, "taig": _taig_key, "baxt": _baxt_key,
+}
+
 #: every word over 1..4 of length <= 7, then random words whose symbols reach 13
 FORM_WORDS = [w for n in range(8) for w in itertools.product((1, 2, 3, 4), repeat=n)]
 _rng = random.Random(13)
@@ -72,16 +116,24 @@ FORM_WORDS += [(13, 10, 2, 13), (10, 9, 11, 10)] + [
 ]
 
 
-@pytest.mark.parametrize("name", ["plac", "hypo", "stal"])
+@pytest.mark.parametrize("name", list(REFERENCE_KEYS))
 def test_formatted_form_is_the_key(name):
     h = HANDLES[name]
-    reference = {"plac": _plac_key, "hypo": _hypo_key, "stal": _stal_key}[name]
+    reference = REFERENCE_KEYS[name]
     bad = [w for w in FORM_WORDS if not h.format_form(h.word_form(w)) == h.key(h.element(w)) == reference(w)]
     assert bad == []
 
 
-@pytest.mark.parametrize("name", ["sylv", "taig", "baxt", "counterexample"])
-def test_string_keys_are_their_own_forms(name):
+@pytest.mark.parametrize("name", list(HANDLES))
+def test_every_record_keys_through_its_form(name):
+    """Every record sets both form functions: tuple forms, equal exactly when keys are."""
     h = HANDLES[name]
-    assert h.word_form is None and h.format_form is str
-    assert h.form_of((2, 1, 2)) == h.key_of((2, 1, 2))
+    key_of_form = {}
+    for w in WORDS:
+        form, key = h.word_form(w), h.key_of(w)
+        assert isinstance(form, tuple) and h.format_form(form) == key, w
+        key_of_form[form] = key
+    assert len(set(key_of_form.values())) == len(key_of_form)
+    # a record cannot leave them out
+    with pytest.raises(TypeError, match="word_form"):
+        MonoidHandle(name, h.key_of, h.element, h.key, h.draw, h.to_json)

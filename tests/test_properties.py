@@ -164,6 +164,7 @@ def test_hypo_and_stal_shift_paths_pass_the_checker(w, data):
 @given(st.lists(st.integers(1, 13), max_size=9).map(tuple), st.randoms(use_true_random=False))
 def test_forms_agree_exactly_when_keys_agree(w, rng):
     v = tuple(rng.sample(w, len(w)))
-    for h in (HANDLES["plac"], HANDLES["hypo"], HANDLES["stal"]):
+    for name in ("plac", "hypo", "sylv", "stal", "taig", "baxt"):
+        h = HANDLES[name]
         assert h.format_form(h.word_form(w)) == h.key(h.element(w))
         assert (h.word_form(w) == h.word_form(v)) == (h.key_of(w) == h.key_of(v))

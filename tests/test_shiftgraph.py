@@ -49,20 +49,20 @@ def test_neighbors_of_empty_word():
 def _counting(h):
     forms, formats = [], []
 
-    def form_of(w):
+    def word_form(w):
         forms.append(w)
-        return h.form_of(w)
+        return h.word_form(w)
 
     def format_form(form):
         formats.append(form)
         return h.format_form(form)
 
-    return dataclasses.replace(h, word_form=form_of, format_form=format_form), forms, formats
+    return dataclasses.replace(h, word_form=word_form, format_form=format_form), forms, formats
 
 
 @pytest.mark.parametrize("ev", [(), (1,), (2, 2), (3, 3), (2, 1, 2), (1, 1, 1, 1, 1), (2, 2, 2)])
 def test_every_word_is_keyed_once(ev):
-    for name in ("plac", "hypo", "stal", "sylv", "counterexample"):
+    for name in ("plac", "hypo", "stal", "sylv", "taig", "baxt", "counterexample"):
         counted, forms, formats = _counting(handle(name))
         classes = len(evaluation_graph(counted, ev).adjacency)
         assert sorted(forms) == list(words_with_evaluation(ev)), (name, ev)
@@ -71,9 +71,12 @@ def test_every_word_is_keyed_once(ev):
         for word in words_with_evaluation(ev):
             forms.clear()
             formats.clear()
-            neighbors(counted, word, len(ev))
-            assert len(forms) == multinomial(ev), (name, word)
-            assert len(formats) == len(set(formats)) == classes, (name, word)
+            got = neighbors(counted, word, len(ev))
+            # every word once, and the query word once more for its target form
+            assert sorted(forms) == sorted([*words_with_evaluation(ev), word]), (name, word)
+            # only the answer is formatted, each key once
+            assert len(formats) == len(set(formats)) == len(got), (name, word)
+            assert set(map(handle(name).format_form, formats)) == got, (name, word)
 
 
 def test_neighbors_checks_the_alphabet_first():
@@ -233,8 +236,8 @@ def test_engine_matches_reference(name):
     cases.append(((1,) * 6, {w: h.key_of(w) for w in words_with_evaluation((1,) * 6)}))
     for ev, keys in cases:
         # the engine gets the same forms without computing them again
-        forms = {w: h.form_of(w) for w in keys}
-        cached = SimpleNamespace(name=h.name, form_of=forms.__getitem__, format_form=h.format_form)
+        forms = {w: h.word_form(w) for w in keys}
+        cached = SimpleNamespace(name=h.name, word_form=forms.__getitem__, format_form=h.format_form)
         g = evaluation_graph(cached, ev)
         ref = reference_graph(h, ev, keys)
         assert g.adjacency == ref.adjacency, ev
