@@ -130,10 +130,6 @@ def twin_pair(word: Word) -> TwinPair:
     return TwinPair(left_bst(word), sylvester.right_bst(word))
 
 
-def word_key(word: Word) -> str:
-    return f"{serialize(left_bst(word))}|{serialize(sylvester.right_bst(word))}"
-
-
 def word_form(word: Word) -> tuple[int, ...]:
     """The sorted symbols, then the ``spine_sizes`` of the left and the right tree.
 
@@ -158,8 +154,8 @@ def conjugacy_witness(p: Word, q: Word) -> tuple[Word, Word]:
         raise ValueError("conjugacy witnesses require equal evaluations")
     g = p + q
     h = q + p
-    if word_key(p + g) != word_key(g + q):
+    if word_form(p + g) != word_form(g + q):
         raise AssertionError("left witness fails")
-    if word_key(h + p) != word_key(q + h):
+    if word_form(h + p) != word_form(q + h):
         raise AssertionError("right witness fails")
     return g, h

@@ -14,6 +14,7 @@ import traceback
 
 from . import verify
 from .handles import HANDLES, handle
+from .paths import check_path
 from .shiftgraph import component, diameter, distance, diameter_scan, evaluation_graph, export, neighbors
 from .words import (
     DEFAULT_MAX_CLASS,
@@ -101,17 +102,22 @@ def cmd_path(args) -> int:
     rank = max(_rank_of(args, w1), _rank_of(args, w2))
     if sorted(w1) != sorted(w2):
         raise ValueError("the two words must share an evaluation")
+    g = evaluation_graph(h, evaluation(w1, rank), args.max_total)
+    k1, k2 = h.key_of(w1), h.key_of(w2)
     lines = []
     if h.shift_path is not None:
         path = h.shift_path(h.element(w1), h.element(w2))
+        try:
+            check_path(h, path, k1, k2, g)
+        except ValueError as exc:
+            # the builder's own output is wrong: an internal error, not a usage one
+            raise AssertionError(f"constructive path rejected: {exc}") from exc
         lines.append(f"constructive path: {path.steps} steps")
         for uv, vu in path.step_words():
             lines.append(f"  {format_word(uv)} ~ {format_word(vu)}")
     else:
         lines.append("constructive path: not available for this monoid (shortest paths only)")
-    g = evaluation_graph(h, evaluation(w1, rank), args.max_total)
-    d = distance(g, h.key_of(w1), h.key_of(w2))
-    lines.append(f"shortest path: {d} steps")
+    lines.append(f"shortest path: {distance(g, k1, k2)} steps")
     _emit(args, "\n".join(lines))
     return 0
 

@@ -5,9 +5,9 @@ tableau, tree or twin pair: its insertion, key, drawing, JSON form,
 validation, symbols, and the constructive shift path with its bound.  A key
 takes two steps: ``word_form`` maps each word to a hashable tuple (tableau
 rows or columns, a tree's spine sizes or child arrays, a canonical word), and
-``format_form`` turns each class's form into its key.  ``key_of`` is the same
-key in one call; for sylv, taig and baxt it serializes the inserted trees,
-the path the forms are tested against.  The graph engine, the CLI and
+``format_form`` turns each class's form into its key.  ``key_of`` is the two
+in one call, for every record; the tests hold it to ``key(element(w))`` and
+to reference insertions of their own.  The graph engine, the CLI and
 ``verify`` read the monoids from ``HANDLES`` alone; the rewriting oracle keeps
 its own ``rewrite.PRESENTATIONS`` so that it shares no code with what it
 checks.
@@ -36,8 +36,6 @@ from .words import Word, evaluation, format_word, words_with_evaluation
 @dataclass(frozen=True)
 class MonoidHandle:
     name: str
-    #: word -> class key in one call, the reference the forms are tested against
-    key_of: Callable[[Word], str]
     #: the object a word inserts to; ``key``, ``draw`` and ``to_json`` act on it
     element: Callable[[Word], object]
     key: Callable[[object], str]
@@ -52,10 +50,16 @@ class MonoidHandle:
     path_law: tuple[int, int] | None = None
     #: order-preserving relabelings of the alphabet leave the congruence alone
     relabel_invariant: bool = True
-    #: word -> hashable class form, the one the graph engine calls per word, with
-    #: ``format_form(word_form(w)) == key_of(w)``
+    #: word -> hashable class form, the one the graph engine calls per word
     word_form: Callable[[Word], Hashable] = field(kw_only=True)
     format_form: Callable[[Hashable], str] = field(kw_only=True)
+    #: word -> class key in one call, ``format_form(word_form(w))`` unless given
+    key_of: Callable[[Word], str] | None = field(default=None, kw_only=True)
+
+    def __post_init__(self):
+        if self.key_of is None:
+            form, fmt = self.word_form, self.format_form
+            object.__setattr__(self, "key_of", lambda w: fmt(form(w)))
 
     def path_bound(self, n_distinct: int) -> int:
         """Most shifts ``shift_path`` takes between objects on ``n_distinct`` symbols.
@@ -87,48 +91,48 @@ def _counter_key(word: Word) -> str:
 
 HANDLES: dict[str, MonoidHandle] = {
     "plac": MonoidHandle(
-        "plac", plactic.word_key, plactic.young_tableau,
+        "plac", plactic.young_tableau,
         YoungTableau.key, YoungTableau.draw, YoungTableau.to_json,
         YoungTableau.symbols, YoungTableau.check,
         word_form=plactic.word_form, format_form=plactic.format_form,
     ),
     "hypo": MonoidHandle(
-        "hypo", hypoplactic.word_key, hypoplactic.quasi_ribbon,
+        "hypo", hypoplactic.quasi_ribbon,
         QuasiRibbonTableau.key, QuasiRibbonTableau.draw, QuasiRibbonTableau.to_json,
         QuasiRibbonTableau.symbols, QuasiRibbonTableau.check,
         hypoplactic.shift_path, path_law=(1, -1),
         word_form=hypoplactic.word_form, format_form=hypoplactic.format_form,
     ),
     "sylv": MonoidHandle(
-        "sylv", sylvester.word_key, sylvester.right_bst,
+        "sylv", sylvester.right_bst,
         sylvester.key, sylvester.draw, tree_json,
         labels, sylvester.check_right_strict,
         sylvester.shift_path, path_law=(1, 0),
         word_form=sylvester.word_form, format_form=sylvester.format_form,
     ),
     "stal": MonoidHandle(
-        "stal", stalactic.word_key, stalactic.stalactic_tableau,
+        "stal", stalactic.stalactic_tableau,
         StalacticTableau.key, StalacticTableau.draw, StalacticTableau.to_json,
         StalacticTableau.symbols, StalacticTableau.check,
         stalactic.shift_path, path_law=(0, 3),
         word_form=stalactic.word_form, format_form=stalactic.format_form,
     ),
     "taig": MonoidHandle(
-        "taig", taiga.word_key, taiga.mult_bst,
+        "taig", taiga.mult_bst,
         taiga.key, partial(sylvester.draw, with_mult=True), partial(tree_json, with_mult=True),
         taiga.symbols, taiga.check_mult_bst,
         taiga.shift_path, path_law=(1, 0),
         word_form=taiga.word_form, format_form=taiga.format_form,
     ),
     "baxt": MonoidHandle(
-        "baxt", baxter.word_key, baxter.twin_pair,
+        "baxt", baxter.twin_pair,
         TwinPair.key, TwinPair.draw, TwinPair.to_json,
         TwinPair.symbols, TwinPair.check,
         word_form=baxter.word_form, format_form=baxter.format_form,
     ),
     # the form is the class's canonical word; the object is that word formatted as its key
     "counterexample": MonoidHandle(
-        "counterexample", _counter_key, _counter_key, str, str, str,
+        "counterexample", _counter_key, str, str, str,
         relabel_invariant=False, word_form=_counter_form, format_form=format_word,
     ),
 }

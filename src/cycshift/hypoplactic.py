@@ -7,8 +7,9 @@ i+1 is strictly greater than every symbol of row i, so the tableau is
 determined by its evaluation together with the set of adjacent-symbol row
 breaks.  Rows are stored as runs; offsets follow from the run lengths.
 
-Tableaux are read off that form (``word_form``) rather than built by
-insertion; ``_insert_into_rows`` is the insertion the tests hold it to.
+A class's form is its sorted word with those breaks (``word_form``).  Its
+key and its tableau are read off the form, with no insertion; the tests
+hold the form to an insertion of their own.
 """
 
 from __future__ import annotations
@@ -17,29 +18,6 @@ from dataclasses import dataclass
 
 from .paths import ShiftPath
 from .words import Word, format_run
-
-
-def _insert_into_rows(rows: list[list[int]], a: int) -> None:
-    # Insertion left to right: test_handles.py::test_formatted_form_is_the_key compares with it.
-    if not rows:
-        rows.append([a])
-        return
-    if a < rows[0][0]:
-        rows.insert(0, [a])
-        return
-    if a >= rows[-1][-1]:
-        rows[-1].append(a)
-        return
-    # last row whose first entry is <= a
-    i = max(idx for idx, row in enumerate(rows) if row[0] <= a)
-    row = rows[i]
-    j = max(idx for idx, val in enumerate(row) if val <= a)
-    if j < len(row) - 1:
-        # split within the row: x and z horizontally adjacent
-        rows[i : i + 1] = [row[: j + 1] + [a], row[j + 1 :]]
-    else:
-        # x at the end of row i, z starts row i+1: vertically adjacent
-        row.append(a)
 
 
 def _offsets(rows) -> list[int]:
@@ -78,10 +56,6 @@ def _rows(form: tuple[Word, tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
 
 def format_form(form: tuple[Word, tuple[int, ...]]) -> str:
     return QuasiRibbonTableau(_rows(form)).key()
-
-
-def word_key(word: Word) -> str:
-    return format_form(word_form(word))
 
 
 @dataclass(frozen=True)

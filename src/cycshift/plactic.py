@@ -36,10 +36,6 @@ def format_form(rows) -> str:
     return "/".join(map(format_run, rows))
 
 
-def word_key(word: Word) -> str:
-    return format_form(word_form(word))
-
-
 @dataclass(frozen=True)
 class YoungTableau:
     rows: tuple[tuple[int, ...], ...]

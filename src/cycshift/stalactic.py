@@ -25,10 +25,6 @@ def format_form(columns: tuple[tuple[int, int], ...]) -> str:
     return "|".join(f"{a}^{h}" for a, h in columns)
 
 
-def word_key(word: Word) -> str:
-    return format_form(word_form(word))
-
-
 @dataclass(frozen=True)
 class StalacticTableau:
     columns: tuple[tuple[int, int], ...]
@@ -162,8 +158,8 @@ def conjugacy_witness(u: Word, v: Word) -> tuple[Word, Word]:
         raise ValueError("conjugacy witnesses require equal evaluations")
     g = column_symbols(stalactic_tableau(u))
     h = column_symbols(stalactic_tableau(v))
-    if word_key(g + u) != word_key(v + g):
+    if word_form(g + u) != word_form(v + g):
         raise AssertionError("left witness fails")
-    if word_key(u + h) != word_key(h + v):
+    if word_form(u + h) != word_form(h + v):
         raise AssertionError("right witness fails")
     return g, h

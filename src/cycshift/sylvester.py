@@ -119,10 +119,6 @@ def right_bst(word: Word) -> Node | None:
     return root
 
 
-def word_key(word: Word) -> str:
-    return serialize(right_bst(word))
-
-
 def key(root: Node | None) -> str:
     return serialize(root)
 
@@ -288,52 +284,29 @@ def traversal_plan(u_root: Node, index=None) -> list[PlanStep]:
         _require(lower is None or lower < m, "lower bound below the block minimum")
         _require(upper is None or visited.label < upper, "upper bound above the visited symbol")
 
-        # the core: a clone of the block (the subtree's postfix run), pruned in place
-        cmap: dict[int, Node] = {}
-        for x in post.nodes[lo:hi]:
-            cmap[id(x)] = Node(
-                x.label, x.mult, x.left and cmap[id(x.left)], x.right and cmap[id(x.right)]
-            )
-        core = cmap[id(visited)]
-        # drop every occurrence of the minimum except the uppermost
-        mchain = nodes_with_label(core, m)
-        if len(mchain) > 1:
-            kept = mchain[0]
-            _require(
-                all(x.label == m for x in postfix(kept.left)),
-                "duplicated minima form a pure chain",
-            )
-            kept.left = None
+        # the core: right_bst of the block's postfix reading (the subtree's run)
+        # without the minima below the uppermost one, the last in postfix order,
+        # and without the tertiary occurrences of upper; each is a whole subtree
+        mins = [p for p in range(lo, hi) if post.labels[p] == m]
+        drop = set(mins[:-1])
         if upper is not None:
-            inside = [cmap[id(x)] for x in classes[upper][2] if id(x) in cmap]
-            if inside:
-                # the tertiary run survives the minimum pruning verbatim
-                kept_ids = {id(x) for x in postfix(core)}
-                _require(
-                    all(id(x) in kept_ids for x in inside), "tertiary run untouched by min pruning"
-                )
-                run_ids = {id(x) for x in inside}
-                cparents = parent_map(core)
-                tops = [x for x in inside if id(cparents.get(id(x), core)) not in run_ids]
-                _require(len(tops) == 1, "tertiary occurrences form one run")
-                top = tops[0]
-                par = cparents.get(id(top))
-                _require(par is not None, "tertiary run never contains the block root")
-                if par.left is top:
-                    par.left = None
-                else:
-                    par.right = None
+            tert = sorted(p for p in (post.pos[id(x)] for x in classes[upper][2]) if lo <= p < hi)
+            if tert:
+                run = list(range(post.start[tert[-1]], tert[-1] + 1))
+                _require(tert == run, "the block's tertiary positions form one postfix run")
+                drop.update(tert)
+        reading = [post.labels[p] for p in range(lo, hi) if p not in drop]
+        core = right_bst(reading)
+        core_ids = frozenset(map(id, postfix(core)))
         # the anchor is the core; when the core holds upper, padded in place
         # with the occurrences outside it
-        in_core = postfix(core)
-        inner = sum(x.label == upper for x in in_core)
+        inner = reading.count(upper)
         extra = 0
         if inner:
             extra = count[upper] - inner
             _require(extra >= 1, "at least the uppermost occurrence lies outside the core")
             for _ in range(extra):
                 _insert_mut(core, upper)
-        core_ids = frozenset(map(id, in_core))
         steps.append(
             PlanStep(
                 label=visited.label,

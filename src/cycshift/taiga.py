@@ -42,10 +42,6 @@ def mult_bst(word: Word) -> Node | None:
     return root
 
 
-def word_key(word: Word) -> str:
-    return serialize(mult_bst(word), with_mult=True)
-
-
 def word_form(word: Word) -> tuple[int, ...]:
     """Left children, right children and multiplicities, each an array indexed by label.
 

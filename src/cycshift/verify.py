@@ -276,24 +276,12 @@ def criterion_7() -> list[CheckResult]:
 def _factor_words(max_len: int) -> list[Word]:
     """All products of a, b, xy, yx with one a and one b, up to ``max_len``."""
     out = []
-    max_k = (max_len - 2) // 2
-    for k in range(max_k + 1):
-        slots = k + 2
-        for pa in range(slots):
-            for pb in range(slots):
-                if pa == pb:
-                    continue
-                for bits in product(((X_SYM, Y_SYM), (Y_SYM, X_SYM)), repeat=k):
-                    factors = []
-                    fill = iter(bits)
-                    for s in range(slots):
-                        if s == pa:
-                            factors.append((A_SYM,))
-                        elif s == pb:
-                            factors.append((B_SYM,))
-                        else:
-                            factors.append(next(fill))
-                    out.append(tuple(x for f in factors for x in f))
+    for k in range((max_len - 2) // 2 + 1):
+        for factors in product(((X_SYM, Y_SYM), (Y_SYM, X_SYM)), repeat=k):
+            for pa in range(k + 1):
+                with_a = factors[:pa] + ((A_SYM,),) + factors[pa:]
+                for pb in range(k + 2):
+                    out.append(sum(with_a[:pb] + ((B_SYM,),) + with_a[pb:], ()))
     return out
 
 

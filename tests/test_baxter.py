@@ -7,7 +7,6 @@ from cycshift.baxter import (
     conjugacy_witness,
     left_bst,
     twin_pair,
-    word_key,
 )
 from cycshift.handles import handle
 from cycshift.rewrite import presentation
@@ -76,5 +75,5 @@ def test_conjugacy_witness_examples():
 def test_agreement_with_presentation():
     baxt = presentation("baxt")
     for w in words_with_evaluation((1, 2, 1)):
-        cls = {v for v in words_with_evaluation((1, 2, 1)) if word_key(v) == word_key(w)}
+        cls = {v for v in words_with_evaluation((1, 2, 1)) if BAXT.key_of(v) == BAXT.key_of(w)}
         assert cls == set(baxt.close(w).members)

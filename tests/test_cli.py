@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ import pytest
 
 from cycshift import cli
 from cycshift.cli import main
+from cycshift.handles import HANDLES
+from cycshift.paths import ShiftPath
 
 
 def run_cli(capsys, *argv):
@@ -153,6 +156,19 @@ def test_key_error_in_a_command_is_not_a_usage_error(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "psymbol", "--monoid", "plac", "--word", "1")
     assert code == 3 and out == ""
     assert "Traceback" in err and "KeyError: 'internal'" in err
+
+
+def test_a_rejected_constructive_path_is_an_internal_error(monkeypatch, capsys):
+    sylv = HANDLES["sylv"]
+
+    def bad_path(t, u):
+        # the right endpoints, but the witness keys to neither of them
+        return ShiftPath((t, u), (((3, 2, 1), 1),))
+
+    monkeypatch.setattr(cli, "handle", lambda name: dataclasses.replace(sylv, shift_path=bad_path))
+    code, out, err = run_cli(capsys, "path", "--monoid", "sylv", "--word1", "123", "--word2", "231")
+    assert code == 3 and out == ""
+    assert "constructive path rejected: witness" in err
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,6 @@ from cycshift.hypoplactic import (
     QuasiRibbonTableau,
     quasi_ribbon,
     shift_path,
-    word_key,
 )
 from cycshift.paths import check_path
 from cycshift.rewrite import presentation
@@ -94,11 +93,11 @@ def test_path_requires_equal_evaluation():
 
 
 def test_paths_standard_rank_5():
+    hypo = handle("hypo")
     reps = {}
     for w in words_with_evaluation((1, 1, 1, 1, 1)):
-        reps.setdefault(word_key(w), w)
+        reps.setdefault(hypo.key_of(w), w)
     assert len(reps) == 16
-    hypo = handle("hypo")
     graph = evaluation_graph(hypo, (1, 1, 1, 1, 1))
     for kt, wt in reps.items():
         for ku, wu in reps.items():

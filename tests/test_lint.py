@@ -110,8 +110,6 @@ def test_every_definition_has_a_caller_outside_the_tests():
     allowed = {
         # the tests' all-distances reference; nothing in the package needs every distance at once
         "shiftgraph.distances_from",
-        # the row insertion test_formatted_form_is_the_key holds hypoplactic.word_form to
-        "hypoplactic._insert_into_rows",
     }
     bench = PACKAGE.parents[1] / "perfbench"
     sources = sorted(PACKAGE.glob("*.py")) + sorted(

@@ -3,7 +3,6 @@ import pytest
 from cycshift.handles import handle
 from cycshift.plactic import (
     YoungTableau,
-    word_key,
     young_tableau,
 )
 from cycshift.rewrite import presentation
@@ -46,7 +45,7 @@ def test_tableau_validation():
 
 
 def test_key_style():
-    assert word_key(parse_word("212344")) == "12344/2"
+    assert handle("plac").key_of(parse_word("212344")) == "12344/2"
 
 
 def test_class_against_oracle():
@@ -61,7 +60,8 @@ def test_class_against_oracle():
 def test_cocharge_constant_on_standard_classes(n):
     from cycshift.words import cocharge_seq
 
+    key_of = handle("plac").key_of
     by_key = {}
     for w in words_with_evaluation((1,) * n):
-        by_key.setdefault(word_key(w), set()).add(cocharge_seq(w))
+        by_key.setdefault(key_of(w), set()).add(cocharge_seq(w))
     assert all(len(seqs) == 1 for seqs in by_key.values())

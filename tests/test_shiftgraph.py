@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycshift import stalactic
 from cycshift.handles import HANDLES, handle
 from cycshift.paths import check_path
-from cycshift.plactic import word_key as plac_key
 from cycshift.shiftgraph import (
     ShiftGraph,
     component,
@@ -27,9 +25,10 @@ from cycshift.words import multinomial, parse_word, words_with_evaluation
 
 
 def test_neighbors_of_plactic_row():
-    got = neighbors(handle("plac"), parse_word("12345"), 5)
+    plac = handle("plac")
+    got = neighbors(plac, parse_word("12345"), 5)
     want = {
-        plac_key(parse_word(w))
+        plac.key_of(parse_word(w))
         for w in ("12345", "51234", "21345", "45123", "34125")
     }
     assert got == want
@@ -105,7 +104,7 @@ def test_stalactic_reference_component_exactly():
     # six classes, ten edges, diameter three
     h = handle("stal")
     g = component(h, parse_word("1233"), 3)
-    name = {w: stalactic.word_key(parse_word(w)) for w in
+    name = {w: h.key_of(parse_word(w)) for w in
             ("1233", "1332", "2133", "2331", "3312", "3321")}
     want_edges = {
         ("1233", "1332"), ("1233", "2133"), ("1233", "2331"), ("1233", "3312"),

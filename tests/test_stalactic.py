@@ -11,15 +11,16 @@ from cycshift.stalactic import (
     height_one_word,
     shift_path,
     stalactic_tableau,
-    word_key,
 )
 from cycshift.words import parse_word, words_with_evaluation
+
+key_of = handle("stal").key_of
 
 
 def test_worked_tableau():
     t = stalactic_tableau(parse_word("361135112565"))
     assert t.columns == ((3, 2), (1, 4), (2, 1), (6, 2), (5, 3))
-    assert word_key(parse_word("361135112565")) == "3^2|1^4|2^1|6^2|5^3"
+    assert key_of(parse_word("361135112565")) == "3^2|1^4|2^1|6^2|5^3"
 
 
 def test_insert():
@@ -74,7 +75,7 @@ def test_rank_two_paths_are_single_shifts():
     for ev in [(1, 1), (2, 1), (2, 2), (3, 2)]:
         reps = {}
         for w in words_with_evaluation(ev):
-            reps.setdefault(word_key(w), w)
+            reps.setdefault(key_of(w), w)
         tabs = [stalactic_tableau(w) for w in reps.values()]
         for t in tabs:
             for u in tabs:
@@ -85,7 +86,7 @@ def test_rank_two_paths_are_single_shifts():
 def test_component_of_1233_paths():
     reps = {}
     for w in words_with_evaluation((1, 1, 2)):
-        reps.setdefault(word_key(w), w)
+        reps.setdefault(key_of(w), w)
     tabs = [stalactic_tableau(w) for w in reps.values()]
     assert len(tabs) == 6
     groups = {}
@@ -104,7 +105,7 @@ def test_component_of_1233_paths():
 def test_agreement_with_presentation():
     stal = presentation("stal")
     for w in words_with_evaluation((2, 2, 1)):
-        cls = {v for v in words_with_evaluation((2, 2, 1)) if word_key(v) == word_key(w)}
+        cls = {v for v in words_with_evaluation((2, 2, 1)) if key_of(v) == key_of(w)}
         assert cls == set(stal.close(w).members)
 
 

@@ -14,7 +14,6 @@ from cycshift.sylvester import (
     right_bst,
     shift_path,
     traversal_plan,
-    word_key,
 )
 from cycshift.trees import postfix, serialize
 from cycshift.words import format_word, parse_word, words_with_evaluation
@@ -25,18 +24,18 @@ SYLV = handle("sylv")
 
 def test_insert_examples():
     assert key(right_bst((3,))) == "3(-)(-)"
-    assert word_key((1, 2)) == "2(1(-)(-))(-)"
+    assert key(right_bst((1, 2))) == "2(1(-)(-))(-)"
 
 
 def test_worked_tree_and_second_reading():
     t = right_bst(BSTEG)
     assert key(t) == "4(2(1(1(-)(-))(-))(4(-)(-)))(5(5(5(-)(-))(-))(6(-)(7(-)(-))))"
-    assert word_key(parse_word("1571456254")) == key(t)
+    assert key(right_bst(parse_word("1571456254"))) == key(t)
 
 
 def test_row_and_column_words():
-    assert word_key((1, 2, 3)) == "3(2(1(-)(-))(-))(-)"
-    assert word_key((3, 2, 1)) == "1(-)(2(-)(3(-)(-)))"
+    assert key(right_bst((1, 2, 3))) == "3(2(1(-)(-))(-))(-)"
+    assert key(right_bst((3, 2, 1))) == "1(-)(2(-)(3(-)(-)))"
 
 
 def test_readings():
@@ -131,10 +130,10 @@ def test_shift_path_worked_example():
     u = right_bst(parse_word("23541"))
     path = shift_path(t, u)
     expected = ["13254", "54132", "12543", "41235", "12354", "23541"]
-    assert [key(el) for el in path.elements] == [word_key(parse_word(w)) for w in expected]
+    assert [key(el) for el in path.elements] == [SYLV.key_of(parse_word(w)) for w in expected]
     assert path.steps == 5
     for (uv, vu), (a, b) in zip(path.step_words(), zip(path.elements, path.elements[1:])):
-        assert word_key(uv) == key(a) and word_key(vu) == key(b)
+        assert SYLV.key_of(uv) == key(a) and SYLV.key_of(vu) == key(b)
 
 
 def test_shift_path_trivial_and_errors():
@@ -152,7 +151,7 @@ def test_shift_paths_exhaustive(ev):
     graph = evaluation_graph(SYLV, ev)
     reps = {}
     for w in words_with_evaluation(ev):
-        reps.setdefault(word_key(w), w)
+        reps.setdefault(SYLV.key_of(w), w)
     for kt, wt in reps.items():
         for ku, wu in reps.items():
             check_path(SYLV, shift_path(right_bst(wt), right_bst(wu)), kt, ku, graph)

@@ -11,10 +11,11 @@ from cycshift.taiga import (
     key,
     mult_bst,
     shift_path,
-    word_key,
 )
 from cycshift.trees import Node
 from cycshift.words import parse_word, words_with_evaluation
+
+key_of = handle("taig").key_of
 
 
 def test_insert_examples():
@@ -47,7 +48,7 @@ def test_equality_criterion():
         words = list(words_with_evaluation(ev))
         for u in words:
             for v in words:
-                same = word_key(u) == word_key(v)
+                same = key(mult_bst(u)) == key(mult_bst(v))
                 criterion = sylv_key(drop_multiplicities(mult_bst(u))) == sylv_key(
                     drop_multiplicities(mult_bst(v))
                 )
@@ -57,7 +58,7 @@ def test_equality_criterion():
 def test_agreement_with_presentation():
     taig = presentation("taig")
     for w in words_with_evaluation((2, 1, 2)):
-        cls = {v for v in words_with_evaluation((2, 1, 2)) if word_key(v) == word_key(w)}
+        cls = {v for v in words_with_evaluation((2, 1, 2)) if key_of(v) == key_of(w)}
         assert cls == set(taig.close(w).members)
 
 
@@ -78,7 +79,7 @@ def test_shift_paths_exhaustive(ev):
     graph = evaluation_graph(taig, ev)
     reps = {}
     for w in words_with_evaluation(ev):
-        reps.setdefault(word_key(w), w)
+        reps.setdefault(key_of(w), w)
     for kt, wt in reps.items():
         for ku, wu in reps.items():
             check_path(taig, shift_path(mult_bst(wt), mult_bst(wu)), kt, ku, graph)
