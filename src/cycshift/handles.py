@@ -10,7 +10,8 @@ in one call, for every record; the tests hold it to ``key(element(w))`` and
 to reference insertions of their own.  The graph engine, the CLI and
 ``verify`` read the monoids from ``HANDLES`` alone; the rewriting oracle keeps
 its own ``rewrite.PRESENTATIONS`` so that it shares no code with what it
-checks.
+checks.  A record may give ``class_graph``, its shift graph built on class
+descriptions (hypo's row breaks), which the graph engine then uses.
 
 ``MonoidHandle.class_of`` is the one way to list a class, for every monoid:
 it filters the arrangements of the evaluation, cross-checked in the tests
@@ -30,7 +31,7 @@ from .paths import ShiftPath
 from .plactic import YoungTableau
 from .stalactic import StalacticTableau
 from .trees import labels, to_json as tree_json
-from .words import Word, evaluation, format_word, words_with_evaluation
+from .words import Evaluation, Word, evaluation, format_word, words_with_evaluation
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,8 @@ class MonoidHandle:
     #: raises ValueError when an object breaks its structural invariants
     check: Callable[[object], None] | None = None
     shift_path: Callable[[object, object], ShiftPath] | None = None
+    #: evaluation -> {a word per class: its neighbours' words}, with no word enumerated
+    class_graph: Callable[[Evaluation], dict[Word, set[Word]]] | None = None
     #: the shift path's length bound ``a*n + b`` as ``(a, b)``, n distinct symbols
     path_law: tuple[int, int] | None = None
     #: order-preserving relabelings of the alphabet leave the congruence alone
@@ -100,7 +103,7 @@ HANDLES: dict[str, MonoidHandle] = {
         "hypo", hypoplactic.quasi_ribbon,
         QuasiRibbonTableau.key, QuasiRibbonTableau.draw, QuasiRibbonTableau.to_json,
         QuasiRibbonTableau.symbols, QuasiRibbonTableau.check,
-        hypoplactic.shift_path, path_law=(1, -1),
+        hypoplactic.shift_path, class_graph=hypoplactic.class_graph, path_law=(1, -1),
         word_form=hypoplactic.word_form, format_form=hypoplactic.format_form,
     ),
     "sylv": MonoidHandle(

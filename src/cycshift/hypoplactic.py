@@ -15,9 +15,10 @@ hold the form to an insertion of their own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .paths import ShiftPath
-from .words import Word, format_run
+from .words import Evaluation, Word, format_run
 
 
 def _offsets(rows) -> list[int]:
@@ -56,6 +57,45 @@ def _rows(form: tuple[Word, tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
 
 def format_form(form: tuple[Word, tuple[int, ...]]) -> str:
     return QuasiRibbonTableau(_rows(form)).key()
+
+
+#: (placement of a, placement of b) -> the allowed (old bit, new bit) changes, where a
+#: symbol's copies lie all in u (U), all in v (V) or on both sides (B)
+_MOVES = {"UU": ("00", "11"), "VV": ("00", "11"), "UV": ("01",), "VU": ("10",), "BB": ("11",),
+          "BU": ("10", "11"), "VB": ("10", "11"), "UB": ("01", "11"), "BV": ("01", "11")}
+
+
+def class_graph(ev: Evaluation) -> dict[Word, set[Word]]:
+    """The shift graph of ``ev`` on row readings, one per class, with no word enumerated.
+
+    A class is ``ev`` and one bit per pair ``a < b`` of consecutive support
+    symbols, "some b stands before some a" (``word_form``).  A shift
+    ``uv -> vu`` changes each pair's bit as ``_MOVES`` allows for where the
+    copies of ``a`` and ``b`` lie.  With ``UV`` every a precedes every b in
+    uv and follows them in vu, so 0 -> 1; with ``UU`` the order inside u
+    stays; with ``BU`` some b in u precedes the a in v, so the old bit is 1,
+    and the new one is the order inside u.  Each bit the table leaves free is
+    the order of two blocks on one side, and on each side these pairs form a
+    chain, which some order of the side's blocks realizes whatever the bits.
+    So two classes are adjacent exactly when one placement of the symbols
+    allows every pair's change.  A frontier walk along the chain keeps each
+    placement of the current symbol with the new bits so far.
+    """
+    support = [(s, c) for s, c in enumerate(ev, 1) if c]
+    places = ["UVB" if c > 1 else "UV" for _, c in support]
+    ordered = tuple(s for s, c in support for _ in range(c))
+    readings = {}
+    for bits in product("01", repeat=max(len(support) - 1, 0)):
+        breaks = tuple(b for (b, _), bit in zip(support[1:], bits) if bit == "1")
+        readings[bits] = tuple(a for row in reversed(_rows((ordered, breaks))) for a in row)
+    out = {}
+    for old, reading in readings.items():
+        frontier = {(p, ()) for p in places[0]} if places else set()
+        for bit, here in zip(old, places[1:]):
+            frontier = {(q, new + (b,)) for p, new in frontier for q in here
+                        for a, b in _MOVES[p + q] if a == bit}
+        out[reading] = {readings[new] for _, new in frontier if new != old}
+    return out
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ rotation (``words.necklaces``), and the keys of its distinct rotations are
 joined pairwise: every word is formed once (``handle.word_form``, a tuple),
 every class formatted once (``handle.format_form``) through a form-to-key
 table, and no map from words is kept, so memory follows the classes and
-edges.  ``neighbors`` compares forms alone and formats only its answer.
+edges.  A handle's ``class_graph`` (hypo's) replaces the necklaces and forms
+one word per class.  ``neighbors`` compares forms and formats only its answer.
 Graphs are read-only once built, and their components share their neighbour
 sets.
 Diameters grow a reachability bitset per vertex by rounds of neighbour ORs
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .handles import MonoidHandle
-from .words import Evaluation, Word, evaluation as ev_of, necklaces
+from .words import Evaluation, Word, check_total, evaluation as ev_of, necklaces
 
 
 @dataclass
@@ -138,8 +139,17 @@ def evaluation_graph(
 ) -> ShiftGraph:
     """The full shift graph of one evaluation; ``representatives`` gets a word per class.
 
-    Each class is formatted once, through a form-to-key table.
+    Each class is formatted once, through a form-to-key table or from the
+    word the handle's ``class_graph`` gives for it.
     """
+    if handle.class_graph is not None:
+        check_total(ev, limit)
+        model = handle.class_graph(ev)
+        keys = {w: handle.format_form(handle.word_form(w)) for w in model}
+        if representatives is not None:
+            representatives.update({key: w for w, key in keys.items()})
+        adj = {keys[w]: {keys[x] for x in nbrs} for w, nbrs in model.items()}
+        return ShiftGraph(handle.name, len(ev), ev, adj)
     adj: dict[str, set[str]] = {}
     rotation_forms = _rotation_forms(handle, ev)
     format_form = handle.format_form
@@ -162,10 +172,16 @@ def neighbors(handle: MonoidHandle, word: Word, rank: int, limit: int | None = N
     """Keys of every rotation of every class member (the class itself included).
 
     That is the union of the necklace cliques holding the word's class: the
-    rotation forms of every necklace that holds the word's form.  Only that
-    union is formatted.
+    rotation forms of every necklace that holds the word's form, or, from a
+    ``class_graph``, the class whose form it is and its neighbours.  Only the
+    answer is formatted.
     """
     ev = ev_of(word, rank)
+    if handle.class_graph is not None:
+        check_total(ev, limit)
+        model, target = handle.class_graph(ev), handle.word_form(word)
+        own = next(w for w in model if handle.word_form(w) == target)
+        return {handle.format_form(handle.word_form(w)) for w in (own, *model[own])}
     stream = necklaces(ev, limit)  # the size guard runs before any word is formed
     rotation_forms = _rotation_forms(handle, ev)
     target = handle.word_form(word)

@@ -79,7 +79,7 @@ def multinomial(ev: Evaluation) -> int:
     return n
 
 
-def _check_total(ev: Evaluation, limit: int | None) -> None:
+def check_total(ev: Evaluation, limit: int | None) -> None:
     bound = DEFAULT_MAX_TOTAL if limit is None else limit
     total = sum(ev)
     if total > bound:
@@ -118,7 +118,7 @@ def words_with_evaluation(ev: Evaluation, limit: int | None = None) -> Iterator[
     The total sum(ev) is bounded by ``limit`` (default DEFAULT_MAX_TOTAL);
     the bound is checked when this is called, before the first word.
     """
-    _check_total(ev, limit)
+    check_total(ev, limit)
     return _arrangements(_sorted_symbols(ev))
 
 
@@ -131,7 +131,7 @@ def necklaces(ev: Evaluation, limit: int | None = None) -> Iterator[Word]:
     also start with that symbol can be smaller.  The limit is checked as in
     ``words_with_evaluation``.
     """
-    _check_total(ev, limit)
+    check_total(ev, limit)
     symbols = _sorted_symbols(ev)
     if not symbols:
         return iter([()])

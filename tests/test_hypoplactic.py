@@ -8,7 +8,7 @@ from cycshift.hypoplactic import (
 )
 from cycshift.paths import check_path
 from cycshift.rewrite import presentation
-from cycshift.shiftgraph import evaluation_graph
+from cycshift.shiftgraph import diameter, evaluation_graph
 from cycshift.words import parse_word, words_with_evaluation
 
 QRT = quasi_ribbon(parse_word("113246546"))
@@ -104,3 +104,20 @@ def test_paths_standard_rank_5():
             path = shift_path(quasi_ribbon(wt), quasi_ribbon(wu))
             check_path(hypo, path, kt, ku, graph)
             assert path.steps <= 4
+
+
+@pytest.mark.parametrize(
+    "ev, limit, classes, edges, diam",
+    [
+        ((1,) * 8, None, 128, None, 7),
+        ((1,) * 9, None, 256, 6305, 8),  # the necklace engine's edge count
+        ((1,) * 10, None, 512, None, 9),
+        ((2,) * 8, 16, 128, None, 3),
+    ],
+)
+def test_diameter_law_past_word_enumeration(ev, limit, classes, edges, diam):
+    # the row-break model builds these graphs without enumerating their words
+    g = evaluation_graph(handle("hypo"), ev, limit)
+    assert len(g.adjacency) == classes and len(g.components()) == 1
+    assert edges is None or g.edge_count == edges
+    assert diameter(g) == diam

@@ -139,16 +139,21 @@ def test_tree_shift_paths_follow_an_increasing_relabelling(w, data):
         check_path(h, gapped, h.key(a), h.key(b))
 
 
-@given(st.lists(st.integers(1, 5), max_size=8), st.data())
+@given(st.lists(st.integers(1, 6), max_size=12), st.data())
 @settings(max_examples=40, deadline=None)
 def test_hypo_and_stal_shift_paths_pass_the_checker(w, data):
     from cycshift.handles import handle
     from cycshift.paths import check_path
+    from cycshift.shiftgraph import distance, evaluation_graph
 
     h = handle("hypo")
     a, b = h.element(tuple(w)), h.element(tuple(data.draw(st.permutations(w))))
-    check_path(h, h.shift_path(a, b), h.key(a), h.key(b))
+    graph = evaluation_graph(h, evaluation(tuple(w), 6), 12)
+    path = h.shift_path(a, b)
+    check_path(h, path, h.key(a), h.key(b), graph)
+    assert path.steps >= distance(graph, h.key(a), h.key(b))
     # stal components: rotate the height-1 columns, put the taller ones back anywhere
+    w = data.draw(st.lists(st.integers(1, 5), max_size=8))
     h = handle("stal")
     a = h.element(tuple(w))
     singles = [c for c in a.columns if c[1] == 1]

@@ -62,7 +62,8 @@ def _counting(h):
 @pytest.mark.parametrize("ev", [(), (1,), (2, 2), (3, 3), (2, 1, 2), (1, 1, 1, 1, 1), (2, 2, 2)])
 def test_every_word_is_keyed_once(ev):
     for name in ("plac", "hypo", "stal", "sylv", "taig", "baxt", "counterexample"):
-        counted, forms, formats = _counting(handle(name))
+        # the necklace engine, also for a record that builds its graph from a model
+        counted, forms, formats = _counting(dataclasses.replace(handle(name), class_graph=None))
         classes = len(evaluation_graph(counted, ev).adjacency)
         assert sorted(forms) == list(words_with_evaluation(ev)), (name, ev)
         assert len(forms) == multinomial(ev)
@@ -84,7 +85,7 @@ def test_neighbors_checks_the_alphabet_first():
 
 
 def test_neighbors_is_every_rotation_of_every_class_member():
-    for name in ("plac", "sylv", "baxt"):
+    for name in ("plac", "hypo", "sylv", "baxt"):
         h = handle(name)
         for ev in [(2, 2), (3, 3), (2, 1, 2), (1, 2, 1, 1)]:
             for word in words_with_evaluation(ev):
@@ -236,14 +237,19 @@ def test_engine_matches_reference(name):
     for ev, keys in cases:
         # the engine gets the same forms without computing them again
         forms = {w: h.word_form(w) for w in keys}
-        cached = SimpleNamespace(name=h.name, word_form=forms.__getitem__, format_form=h.format_form)
-        g = evaluation_graph(cached, ev)
+        cached = SimpleNamespace(
+            name=h.name, word_form=forms.__getitem__, format_form=h.format_form, class_graph=None
+        )
         ref = reference_graph(h, ev, keys)
-        assert g.adjacency == ref.adjacency, ev
-        assert to_json(g) == to_json(ref) and to_dot(g) == to_dot(ref), ev
-        comps, ref_comps = g.components(), ref.components()
-        assert [c.adjacency for c in comps] == [c.adjacency for c in ref_comps], ev
-        assert [diameter(c) for c in comps] == [reference_diameter(c) for c in ref_comps], ev
+        ref_comps = ref.components()
+        ref_diameters = [reference_diameter(c) for c in ref_comps]
+        # the necklace engine, and the record's own model when it has one
+        for g in [evaluation_graph(cached, ev)] + ([evaluation_graph(h, ev)] if h.class_graph else []):
+            assert g.adjacency == ref.adjacency, ev
+            assert to_json(g) == to_json(ref) and to_dot(g) == to_dot(ref), ev
+            comps = g.components()
+            assert [c.adjacency for c in comps] == [c.adjacency for c in ref_comps], ev
+            assert [diameter(c) for c in comps] == ref_diameters, ev
 
 
 def _graph(n, edges):
