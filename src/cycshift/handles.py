@@ -31,7 +31,7 @@ from .paths import ShiftPath
 from .plactic import YoungTableau
 from .stalactic import StalacticTableau
 from .trees import labels, to_json as tree_json
-from .words import Evaluation, Word, evaluation, format_word, words_with_evaluation
+from .words import Word, evaluation, format_word, words_with_evaluation
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,9 @@ class MonoidHandle:
     #: raises ValueError when an object breaks its structural invariants
     check: Callable[[object], None] | None = None
     shift_path: Callable[[object, object], ShiftPath] | None = None
-    #: evaluation -> {a word per class: its neighbours' words}, with no word enumerated
-    class_graph: Callable[[Evaluation], dict[Word, set[Word]]] | None = None
+    #: evaluation -> {a word per class: its neighbours' words}, with no word enumerated;
+    #: given a class's form as well, the entry of that class alone
+    class_graph: Callable[..., dict[Word, set[Word]]] | None = None
     #: the shift path's length bound ``a*n + b`` as ``(a, b)``, n distinct symbols
     path_law: tuple[int, int] | None = None
     #: order-preserving relabelings of the alphabet leave the congruence alone

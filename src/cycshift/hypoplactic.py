@@ -15,6 +15,7 @@ hold the form to an insertion of their own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 from .paths import ShiftPath
@@ -65,8 +66,13 @@ _MOVES = {"UU": ("00", "11"), "VV": ("00", "11"), "UV": ("01",), "VU": ("10",), 
           "BU": ("10", "11"), "VB": ("10", "11"), "UB": ("01", "11"), "BV": ("01", "11")}
 
 
-def class_graph(ev: Evaluation) -> dict[Word, set[Word]]:
+def class_graph(
+    ev: Evaluation, source: tuple[Word, tuple[int, ...]] | None = None,
+) -> dict[Word, set[Word]]:
     """The shift graph of ``ev`` on row readings, one per class, with no word enumerated.
+
+    Given ``source``, the ``word_form`` of one class of ``ev``, only that
+    class's entry is built.
 
     A class is ``ev`` and one bit per pair ``a < b`` of consecutive support
     symbols, "some b stands before some a" (``word_form``).  A shift
@@ -84,17 +90,23 @@ def class_graph(ev: Evaluation) -> dict[Word, set[Word]]:
     support = [(s, c) for s, c in enumerate(ev, 1) if c]
     places = ["UVB" if c > 1 else "UV" for _, c in support]
     ordered = tuple(s for s, c in support for _ in range(c))
-    readings = {}
-    for bits in product("01", repeat=max(len(support) - 1, 0)):
+
+    @cache
+    def reading(bits: tuple[str, ...]) -> Word:
         breaks = tuple(b for (b, _), bit in zip(support[1:], bits) if bit == "1")
-        readings[bits] = tuple(a for row in reversed(_rows((ordered, breaks))) for a in row)
+        return tuple(a for row in reversed(_rows((ordered, breaks))) for a in row)
+
+    if source is None:
+        sources = product("01", repeat=max(len(support) - 1, 0))
+    else:
+        sources = [tuple("1" if b in source[1] else "0" for b, _ in support[1:])]
     out = {}
-    for old, reading in readings.items():
+    for old in sources:
         frontier = {(p, ()) for p in places[0]} if places else set()
         for bit, here in zip(old, places[1:]):
             frontier = {(q, new + (b,)) for p, new in frontier for q in here
                         for a, b in _MOVES[p + q] if a == bit}
-        out[reading] = {readings[new] for _, new in frontier if new != old}
+        out[reading(old)] = {reading(new) for _, new in frontier if new != old}
     return out
 
 

@@ -1,88 +1,160 @@
 """Cyclic shift graphs over any monoid handle.
 
-Vertices are canonical class keys; two classes are adjacent when some member
-of one, rotated, lands in the other.  All rotations of a word are pairwise
-adjacent, so the graph is the union of one clique per necklace (rotation
-class).  The necklaces of an evaluation are streamed, each at its least
-rotation (``words.necklaces``), and the keys of its distinct rotations are
-joined pairwise: every word is formed once (``handle.word_form``, a tuple),
-every class formatted once (``handle.format_form``) through a form-to-key
-table, and no map from words is kept, so memory follows the classes and
-edges.  A handle's ``class_graph`` (hypo's) replaces the necklaces and forms
-one word per class.  ``neighbors`` compares forms and formats only its answer.
-Graphs are read-only once built, and their components share their neighbour
-sets.
+Vertices are class ids 0, 1, ...: ``keys[i]`` is the canonical key of class
+i, and ``nbrs[i]`` is a frozen, sorted ``array('I')`` of its neighbours' ids,
+4 bytes per directed edge, with no self-loop.  Two classes are adjacent when
+some member of one, rotated, lands in the other.  All rotations of a word are
+pairwise adjacent, so the graph is the union of one clique per necklace
+(rotation class).  The necklaces of an evaluation are streamed, each at its
+least rotation (``words.necklaces``), and the ids of its distinct rotations
+are joined pairwise: every word is formed once (``handle.word_form``, a
+tuple), every class formatted once (``handle.format_form``) through a
+form-to-id table, and no map from words is kept.  Until the graph is frozen,
+each edge waits once, in a scratch list at its smaller end that is
+deduplicated as it grows, so memory follows the classes and edges.  A
+handle's ``class_graph`` (hypo's) replaces the necklaces and forms one word
+per class.  ``neighbors`` compares forms and formats only its answer.
+A component is a view: the ids of its members over its parent's own ``keys``
+and ``nbrs``.  Searches, components and diameters run on ids; keys appear
+only at the edge, through the read-only ``adjacency`` mapping and a key-to-id
+index built on the first lookup.
 Diameters grow a reachability bitset per vertex by rounds of neighbour ORs
-(a complete graph needs none).  Self-loops are implicit and never stored.
+(a complete graph needs none).
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from collections import deque  # noqa: F401  unused here; perfbench/spans.py patches this name
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .handles import MonoidHandle
 from .words import Evaluation, Word, check_total, evaluation as ev_of, necklaces
 
 
-@dataclass
+def _freeze(ids: Iterable[int]) -> array:
+    return array("I", sorted(ids))
+
+
+@dataclass(eq=False)
 class ShiftGraph:
-    """Keys and neighbour sets, read-only once built; component graphs share the sets."""
+    """Class keys and frozen neighbour arrays; a component view shares both with its parent."""
     monoid: str
     rank: int
     evaluation: Evaluation
-    adjacency: dict[str, set[str]] = field(default_factory=dict)
+    keys: list[str]
+    nbrs: list[array]
+    #: the member ids in increasing order; every class when not given
+    ids: Sequence[int] | None = None
+
+    def __post_init__(self):
+        if self.ids is None:
+            self.ids = range(len(self.keys))
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Member key -> id, built on the first lookup."""
+        keys = self.keys
+        return {keys[i]: i for i in self.ids}
+
+    def id_of(self, key: str) -> int:
+        try:
+            return self.index[key]
+        except KeyError:
+            raise ValueError(f"unknown vertex {key!r}") from None
+
+    @property
+    def adjacency(self) -> "_Adjacency":
+        """Key -> frozenset of neighbour keys, read-only; each set is built when read."""
+        return _Adjacency(self)
 
     @property
     def vertices(self) -> list[str]:
-        return sorted(self.adjacency)
+        keys = self.keys
+        return sorted(keys[i] for i in self.ids)
 
     @property
     def edge_count(self) -> int:
-        return sum(len(v) for v in self.adjacency.values()) // 2
+        nbrs = self.nbrs
+        return sum(len(nbrs[i]) for i in self.ids) // 2
 
     def edges(self) -> list[tuple[str, str]]:
-        out = set()
-        for a, nbrs in self.adjacency.items():
-            for b in nbrs:
-                out.add((a, b) if a <= b else (b, a))
+        keys, out = self.keys, []
+        for i in self.ids:
+            a = keys[i]
+            for j in self.nbrs[i]:
+                if i < j:
+                    b = keys[j]
+                    out.append((a, b) if a <= b else (b, a))
         return sorted(out)
 
-    def distances_from(self, start: str) -> dict[str, int]:
-        return {v: d for d, level in enumerate(_levels(self.adjacency, start)) for v in level}
+    def _view(self, start: int) -> "ShiftGraph":
+        """The component of id ``start``, over this graph's keys and arrays."""
+        members = _freeze(set().union(*_levels(self.nbrs, start)))
+        return ShiftGraph(self.monoid, self.rank, self.evaluation, self.keys, self.nbrs, members)
 
     def component_of(self, start: str) -> "ShiftGraph":
-        """The component of ``start``, sharing the neighbour sets a closure holds whole."""
-        adj = self.adjacency
-        keep = set().union(*_levels(adj, start))
-        return ShiftGraph(self.monoid, self.rank, self.evaluation, {v: adj[v] for v in keep})
+        return self._view(self.id_of(start))
 
     def components(self) -> list["ShiftGraph"]:
         """Every component, ordered by its least vertex."""
         out, seen = [], set()
-        for v in self.adjacency:
+        for v in self.ids:
             if v not in seen:
-                out.append(self.component_of(v))
-                seen.update(out[-1].adjacency)
-        return sorted(out, key=lambda c: min(c.adjacency))
+                out.append(self._view(v))
+                seen.update(out[-1].ids)
+        key = self.keys.__getitem__
+        return sorted(out, key=lambda c: min(map(key, c.ids)))
 
 
-def _levels(adj: dict[str, set[str]], start: str):
-    """Breadth-first levels from ``start``: the sets of vertices at distance 0, 1, ..."""
-    if start not in adj:
-        raise ValueError(f"unknown vertex {start!r}")
-    seen, level = set(), {start}
+class _Adjacency(Mapping):
+    """A graph's read-only view from each member key to the frozenset of its neighbours' keys."""
+
+    __slots__ = ("_g",)
+
+    def __init__(self, g: ShiftGraph):
+        self._g = g
+
+    def __len__(self) -> int:
+        return len(self._g.ids)
+
+    def __iter__(self):
+        keys = self._g.keys
+        return (keys[i] for i in self._g.ids)
+
+    def __contains__(self, key) -> bool:
+        return key in self._g.index
+
+    def __getitem__(self, key: str) -> frozenset[str]:
+        g = self._g
+        return frozenset(map(g.keys.__getitem__, g.nbrs[g.index[key]]))
+
+
+def from_adjacency(monoid: str, rank: int, ev: Evaluation, adj: Mapping[str, Iterable[str]]) -> ShiftGraph:
+    """A graph from key -> neighbour keys; self-loops and repeated neighbours are dropped."""
+    keys = list(adj)
+    index = {k: i for i, k in enumerate(keys)}
+    nbrs = [_freeze({index[w] for w in adj[k]} - {i}) for i, k in enumerate(keys)]
+    return ShiftGraph(monoid, rank, ev, keys, nbrs)
+
+
+def _levels(nbrs: Sequence[array], start: int):
+    """Breadth-first levels from id ``start``: the sets of ids at distance 0, 1, ..."""
+    seen, level = {start}, {start}
     while level:
         yield level
+        level = set().union(*map(nbrs.__getitem__, level)) - seen
         seen |= level
-        level = set().union(*map(adj.__getitem__, level)) - seen
 
 
 def distance(g: ShiftGraph, a: str, b: str) -> int:
-    for d, level in enumerate(_levels(g.adjacency, a)):
-        if b in level:
+    target = g.id_of(b)
+    for d, level in enumerate(_levels(g.nbrs, g.id_of(a))):
+        if target in level:
             return d
     raise ValueError(f"vertices {a!r} and {b!r} are not connected")
 
@@ -90,21 +162,25 @@ def distance(g: ShiftGraph, a: str, b: str) -> int:
 def diameter(g: ShiftGraph) -> int:
     """Largest eccentricity of a connected graph; 1 at once for a complete one.
 
-    Round r leaves each vertex's bitset, in dict order, holding its ball of radius r.
+    Round r leaves each member's bitset, in id order, holding its ball of radius r.
+    A view on part of its parent renumbers its members first.
     """
-    adj = g.adjacency
-    n = len(adj)
-    if n > 1 and all(len(nbrs) == n - 1 and v not in nbrs for v, nbrs in adj.items()):
+    ids, nbrs = g.ids, g.nbrs
+    n = len(ids)
+    if n > 1 and all(len(nbrs[i]) == n - 1 for i in ids):
         return 1
-    index = {v: i for i, v in enumerate(adj)}
-    nbr_bits = [[index[w] for w in nbrs] for nbrs in adj.values()]
+    if n == len(nbrs):
+        rows: Sequence[Sequence[int]] = nbrs
+    else:
+        pos = {v: p for p, v in enumerate(ids)}
+        rows = [[pos[j] for j in nbrs[v]] for v in ids]
     full = (1 << n) - 1
     reach = [1 << i for i in range(n)]
     rounds = 0
     while any(r != full for r in reach):
         grown = []
-        for r, nbrs in zip(reach, nbr_bits):
-            for j in nbrs:
+        for r, row in zip(reach, rows):
+            for j in row:
                 r |= reach[j]
             grown.append(r)
         if grown == reach:
@@ -128,9 +204,15 @@ def _rotation_forms(handle: MonoidHandle, ev: Evaluation):
 
     def of(w: Word) -> list:
         p = next((d for d in periods if w[d:] + w[:d] == w), n or 1)
-        return [word_form(w[i:] + w[:i]) for i in range(p)]
+        ww = w + w
+        return [word_form(ww[i:i + n]) for i in range(p)]
 
     return of
+
+
+#: a scratch list of neighbour ids is deduplicated once it passes twice its last
+#: deduplicated length plus this, so it stays near the class's degree
+_SLACK = 64
 
 
 def evaluation_graph(
@@ -139,7 +221,7 @@ def evaluation_graph(
 ) -> ShiftGraph:
     """The full shift graph of one evaluation; ``representatives`` gets a word per class.
 
-    Each class is formatted once, through a form-to-key table or from the
+    Each class is formatted once, through a form-to-id table or from the
     word the handle's ``class_graph`` gives for it.
     """
     if handle.class_graph is not None:
@@ -149,23 +231,45 @@ def evaluation_graph(
         if representatives is not None:
             representatives.update({key: w for w, key in keys.items()})
         adj = {keys[w]: {keys[x] for x in nbrs} for w, nbrs in model.items()}
-        return ShiftGraph(handle.name, len(ev), ev, adj)
-    adj: dict[str, set[str]] = {}
+        return from_adjacency(handle.name, len(ev), ev, adj)
     rotation_forms = _rotation_forms(handle, ev)
     format_form = handle.format_form
     table: dict = {}
+    keys: list[str] = []
+    # per class: the ids of its neighbours above it, repeats allowed, and the
+    # length at which that list is next deduplicated
+    larger: list[list[int]] = []
+    dedup_at: list[int] = []
     for w in necklaces(ev, limit):
-        # only the empty word, alone in its evaluation, has the false key ""
-        keys = [table.get(f) or table.setdefault(f, format_form(f)) for f in rotation_forms(w)]
-        clique = set(keys)
-        for k in clique:
-            adj.setdefault(k, set()).update(clique)
+        rotations = []
+        for f in rotation_forms(w):
+            i = table.get(f)
+            if i is None:
+                i = table[f] = len(keys)
+                keys.append(format_form(f))
+                larger.append([])
+                dedup_at.append(_SLACK)
+            rotations.append(i)
+        clique = sorted(set(rotations))
+        for k, i in enumerate(clique[:-1], 1):
+            ids = larger[i]
+            ids += clique[k:]
+            if len(ids) > dedup_at[i]:
+                larger[i] = ids = list(set(ids))
+                dedup_at[i] = 2 * len(ids) + _SLACK
         if representatives is not None:
-            for i, key in enumerate(keys):
-                representatives.setdefault(key, w[i:] + w[:i])
-    for k, nbrs in adj.items():
-        nbrs.discard(k)
-    return ShiftGraph(handle.name, len(ev), ev, adj)
+            for i, c in enumerate(rotations):
+                representatives.setdefault(keys[c], w[i:] + w[:i])
+    del table
+    # row i: its smaller neighbours, which the rows before it hand down in order, then its larger
+    nbrs = [array("I") for _ in keys]
+    for i, ids in enumerate(larger):
+        ids = sorted(set(ids))
+        for j in ids:
+            nbrs[j].append(i)
+        nbrs[i].extend(ids)
+        larger[i] = None
+    return ShiftGraph(handle.name, len(ev), ev, keys, nbrs)
 
 
 def neighbors(handle: MonoidHandle, word: Word, rank: int, limit: int | None = None) -> set[str]:
@@ -173,15 +277,14 @@ def neighbors(handle: MonoidHandle, word: Word, rank: int, limit: int | None = N
 
     That is the union of the necklace cliques holding the word's class: the
     rotation forms of every necklace that holds the word's form, or, from a
-    ``class_graph``, the class whose form it is and its neighbours.  Only the
-    answer is formatted.
+    ``class_graph`` asked for the word's class alone, that class and its
+    neighbours.  Only the answer is formatted.
     """
     ev = ev_of(word, rank)
     if handle.class_graph is not None:
         check_total(ev, limit)
-        model, target = handle.class_graph(ev), handle.word_form(word)
-        own = next(w for w in model if handle.word_form(w) == target)
-        return {handle.format_form(handle.word_form(w)) for w in (own, *model[own])}
+        ((own, nbrs),) = handle.class_graph(ev, handle.word_form(word)).items()
+        return {handle.format_form(handle.word_form(w)) for w in (own, *nbrs)}
     stream = necklaces(ev, limit)  # the size guard runs before any word is formed
     rotation_forms = _rotation_forms(handle, ev)
     target = handle.word_form(word)

@@ -8,21 +8,31 @@ order of the rightmost occurrences in the word.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .paths import ShiftPath, compress_path
 from .words import Word, rotations
 
 
-def word_form(word: Word) -> tuple[tuple[int, int], ...]:
-    """The columns ``(symbol, height)``, the class's hashable form.
+def word_form(word: Word) -> tuple[int, ...]:
+    """The column symbols, then the column heights: the class's hashable form.
 
-    Columns follow the rightmost occurrences; heights are the counts.
+    Columns follow the rightmost occurrences; heights are the counts.  The
+    form is flat, a third the size of a tuple of pairs, since a standard
+    evaluation keeps one form per word.
     """
-    return tuple((a, word.count(a)) for a in reversed(dict.fromkeys(word[::-1])))
+    order = tuple(reversed(dict.fromkeys(reversed(word))))
+    return order + tuple(map(word.count, order))
 
 
-def format_form(columns: tuple[tuple[int, int], ...]) -> str:
-    return "|".join(f"{a}^{h}" for a, h in columns)
+@lru_cache(maxsize=64)
+def _template(k: int) -> str:
+    """The key of a flat form with k columns, as a format string: ``{0}^{k}|{1}^{k+1}|...``."""
+    return "|".join(f"{{{i}}}^{{{k + i}}}" for i in range(k))
+
+
+def format_form(form: tuple[int, ...]) -> str:
+    return _template(len(form) // 2).format(*form)
 
 
 @dataclass(frozen=True)
@@ -40,7 +50,7 @@ class StalacticTableau:
             raise ValueError("column heights must be positive")
 
     def key(self) -> str:
-        return format_form(self.columns)
+        return format_form(sum(zip(*self.columns), ()))  # the symbols, then the heights
 
     def reading(self) -> Word:
         """Column word: each symbol repeated to its height, left to right."""
@@ -64,7 +74,9 @@ class StalacticTableau:
 
 def stalactic_tableau(word: Word) -> StalacticTableau:
     """The tableau ``word`` inserts to right to left: its columns."""
-    return StalacticTableau(word_form(word))
+    form = word_form(word)
+    k = len(form) // 2
+    return StalacticTableau(tuple(zip(form[:k], form[k:])))
 
 
 def height_one_word(t: StalacticTableau) -> Word:

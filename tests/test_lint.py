@@ -107,10 +107,6 @@ def _module_refs(tree, stem):
 
 
 def test_every_definition_has_a_caller_outside_the_tests():
-    allowed = {
-        # the tests' all-distances reference; nothing in the package needs every distance at once
-        "shiftgraph.distances_from",
-    }
     bench = PACKAGE.parents[1] / "perfbench"
     sources = sorted(PACKAGE.glob("*.py")) + sorted(
         p for p in bench.glob("*.py") if not p.name.startswith("test_")
@@ -127,7 +123,7 @@ def test_every_definition_has_a_caller_outside_the_tests():
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             name = f"{path.stem}.{node.name}"
-            if (node.name.startswith("__") and node.name.endswith("__")) or name in allowed:
+            if node.name.startswith("__") and node.name.endswith("__"):
                 continue
             # a name only its own body mentions (a recursive helper) has no caller
             if node in top:

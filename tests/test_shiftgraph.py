@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import json
+from array import array
+from collections import deque
 from types import SimpleNamespace
 
 import pytest
@@ -10,18 +12,35 @@ from hypothesis import strategies as st
 from cycshift.handles import HANDLES, handle
 from cycshift.paths import check_path
 from cycshift.shiftgraph import (
-    ShiftGraph,
     component,
     diameter,
     diameter_scan,
     distance,
     evaluation_graph,
     export,
+    from_adjacency,
     neighbors,
     to_dot,
     to_json,
 )
 from cycshift.words import multinomial, parse_word, words_with_evaluation
+
+
+def distances_from(adj, start):
+    """Every distance from ``start``: a plain BFS over a key -> neighbour keys mapping.
+
+    The tests pass a graph's public ``adjacency``, read once into a dict.
+    """
+    if start not in adj:
+        raise ValueError(f"unknown vertex {start!r}")
+    dist, queue = {start: 0}, deque([start])
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
 
 
 def test_neighbors_of_plactic_row():
@@ -77,6 +96,22 @@ def test_every_word_is_keyed_once(ev):
             # only the answer is formatted, each key once
             assert len(formats) == len(set(formats)) == len(got), (name, word)
             assert set(map(handle(name).format_form, formats)) == got, (name, word)
+
+
+def test_hypo_neighbors_walk_from_the_word_class_alone():
+    hypo = handle("hypo")
+    counted, forms, formats = _counting(hypo)
+    engine = dataclasses.replace(hypo, class_graph=None)
+    for ev in [(1,), (2, 2), (2, 1, 2), (1, 2, 1, 1), (1,) * 4]:
+        for word in words_with_evaluation(ev):
+            forms.clear()
+            got = neighbors(counted, word, len(ev))
+            # the query word's form, then one form per answer key
+            assert len(forms) <= 1 + len(got), word
+            assert got == neighbors(engine, word, len(ev)), word
+    forms.clear()
+    got = neighbors(counted, tuple(range(1, 11)), 10)
+    assert len(got) == 10 and len(forms) <= 11
 
 
 def test_neighbors_checks_the_alphabet_first():
@@ -182,12 +217,13 @@ def test_constructive_paths_upper_bound_bfs():
         if h.shift_path is None:
             continue
         g = evaluation_graph(h, ev)
+        adj = dict(g.adjacency)
         reps = {}
         for w in words_with_evaluation(ev):
             reps.setdefault(h.key_of(w), w)
         for comp in g.components():
             for ka in comp.vertices:
-                dists = g.distances_from(ka)
+                dists = distances_from(adj, ka)
                 for kb in comp.vertices:
                     path = h.shift_path(h.element(reps[ka]), h.element(reps[kb]))
                     check_path(h, path, ka, kb, g)
@@ -207,15 +243,15 @@ def reference_graph(h, ev, keys):
             if r != k:
                 adj[k].add(r)
                 adj[r].add(k)
-    return ShiftGraph(h.name, len(ev), ev, adj)
+    return from_adjacency(h.name, len(ev), ev, adj)
 
 
 def reference_diameter(g):
     """Largest eccentricity, one BFS per source."""
-    best = 0
-    for v in g.vertices:
-        dist = g.distances_from(v)
-        if len(dist) != len(g.adjacency):
+    best, adj = 0, dict(g.adjacency)
+    for v in adj:
+        dist = distances_from(adj, v)
+        if len(dist) != len(adj):
             raise ValueError("disconnected")
         best = max(best, max(dist.values()))
     return best
@@ -241,14 +277,20 @@ def test_engine_matches_reference(name):
             name=h.name, word_form=forms.__getitem__, format_form=h.format_form, class_graph=None
         )
         ref = reference_graph(h, ev, keys)
+        ref_adj, ref_json, ref_dot = dict(ref.adjacency), to_json(ref), to_dot(ref)
         ref_comps = ref.components()
+        ref_comp_adjs = [dict(c.adjacency) for c in ref_comps]
         ref_diameters = [reference_diameter(c) for c in ref_comps]
         # the necklace engine, and the record's own model when it has one
         for g in [evaluation_graph(cached, ev)] + ([evaluation_graph(h, ev)] if h.class_graph else []):
-            assert g.adjacency == ref.adjacency, ev
-            assert to_json(g) == to_json(ref) and to_dot(g) == to_dot(ref), ev
+            assert dict(g.adjacency) == ref_adj, ev
+            # each frozen neighbour array: sorted, no repeats, no self-loop
+            for i, row in enumerate(g.nbrs):
+                assert isinstance(row, array) and row.typecode == "I", ev
+                assert list(row) == sorted(set(row)) and i not in row, ev
+            assert to_json(g) == ref_json and to_dot(g) == ref_dot, ev
             comps = g.components()
-            assert [c.adjacency for c in comps] == [c.adjacency for c in ref_comps], ev
+            assert [dict(c.adjacency) for c in comps] == ref_comp_adjs, ev
             assert [diameter(c) for c in comps] == ref_diameters, ev
 
 
@@ -257,7 +299,7 @@ def _graph(n, edges):
     for a, b in edges:
         adj[str(a)].add(str(b))
         adj[str(b)].add(str(a))
-    return ShiftGraph("test", 0, (), adj)
+    return from_adjacency("test", 0, (), adj)
 
 
 def test_diameter_small_graphs():
@@ -266,9 +308,9 @@ def test_diameter_small_graphs():
     for k in range(1, 8):
         assert diameter(_graph(k, [(i, i + 1) for i in range(k - 1)])) == k - 1
     assert diameter(_graph(5, [(i, (i + 1) % 5) for i in range(5)])) == 2
-    # a 4-cycle with self-loops has n - 1 entries per vertex but is not complete
+    # a 4-cycle listed with self-loops, n - 1 entries per vertex: the loops are dropped, it is not complete
     looped = {str(i): {str(j % 4) for j in (i - 1, i, i + 1)} for i in range(4)}
-    assert diameter(ShiftGraph("test", 0, (), looped)) == 2
+    assert diameter(from_adjacency("test", 0, (), looped)) == 2
     with pytest.raises(ValueError, match="disconnected"):
         diameter(_graph(3, [(0, 1)]))
     with pytest.raises(ValueError, match="disconnected"):
@@ -276,8 +318,11 @@ def test_diameter_small_graphs():
 
 
 def test_distances_from_unknown_vertex_is_a_value_error():
-    with pytest.raises(ValueError, match="unknown vertex"):
-        _graph(2, [(0, 1)]).distances_from("7")
+    g = _graph(2, [(0, 1)])
+    for search in (lambda: distance(g, "7", "0"), lambda: distance(g, "0", "7"), lambda: g.component_of("7")):
+        with pytest.raises(ValueError, match="unknown vertex"):
+            search()
+    assert "7" not in g.adjacency and g.adjacency.get("7") is None
 
 
 @st.composite
@@ -294,23 +339,26 @@ def small_graphs(draw):
 @settings(deadline=None)
 def test_components_share_sets_and_diameters_match_eccentricities(g):
     comps = g.components()
+    adj = dict(g.adjacency)
     # a partition of the vertices, ordered by least vertex
     assert sorted(v for c in comps for v in c.adjacency) == g.vertices
     assert [min(c.adjacency) for c in comps] == sorted(min(c.adjacency) for c in comps)
     for c in comps:
-        for v in c.adjacency:
-            # a component is a view: its neighbour sets are the graph's own
-            assert c.adjacency[v] is g.adjacency[v]
-            assert set(g.distances_from(v)) == set(c.adjacency)
-        assert diameter(c) == max(max(c.distances_from(v).values()) for v in c.adjacency)
+        # a component is a view: it holds its parent's keys and arrays, and copies none
+        assert c.keys is g.keys and c.nbrs is g.nbrs
+        c_adj = dict(c.adjacency)
+        for v in c_adj:
+            assert c_adj[v] == adj[v]
+            assert set(distances_from(adj, v)) == set(c_adj)
+        assert diameter(c) == max(max(distances_from(c_adj, v).values()) for v in c_adj)
     if len(comps) > 1:
         with pytest.raises(ValueError, match="disconnected"):
             diameter(g)
     else:
-        assert diameter(g) == max((max(g.distances_from(v).values()) for v in g.adjacency), default=0)
-    for a in g.adjacency:
-        dist = g.distances_from(a)
-        for b in g.adjacency:
+        assert diameter(g) == max((max(distances_from(adj, v).values()) for v in adj), default=0)
+    for a in adj:
+        dist = distances_from(adj, a)
+        for b in adj:
             if b in dist:
                 assert distance(g, a, b) == dist[b]
             else:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from cycshift.handles import handle
@@ -21,6 +23,19 @@ def test_worked_tableau():
     t = stalactic_tableau(parse_word("361135112565"))
     assert t.columns == ((3, 2), (1, 4), (2, 1), (6, 2), (5, 3))
     assert key_of(parse_word("361135112565")) == "3^2|1^4|2^1|6^2|5^3"
+
+
+def test_flat_form_keys_the_unchanged_columns():
+    """The form is the column symbols, then the heights; tableau and key read the same columns."""
+    stal = handle("stal")
+    words = [w for n in range(7) for w in itertools.product((1, 2, 3, 4), repeat=n)]
+    for w in words:
+        last = {a: i for i, a in enumerate(w)}  # each symbol's rightmost position
+        order = tuple(sorted(last, key=last.get))
+        columns = tuple((a, w.count(a)) for a in order)
+        assert stalactic_tableau(w).columns == columns, w
+        assert stal.word_form(w) == order + tuple(h for _, h in columns), w
+        assert key_of(w) == stal.key(stal.element(w)) == "|".join(f"{a}^{h}" for a, h in columns), w
 
 
 def test_insert():
