@@ -33,8 +33,9 @@ def check_path(handle, path: ShiftPath, source: str, target: str, graph=None) ->
     ``handle`` is the monoid's ``MonoidHandle`` and the endpoints are class
     keys.  Each step's witness ``(w, k)`` must key to the step's source and
     its rotation ``w[k:] + w[:k]`` to the step's target; each step must be an
-    edge of ``graph`` when one is given; and the path may take at most
-    ``handle.path_bound(n)`` steps, ``n`` the number of distinct symbols.
+    edge of ``graph`` (a ``ShiftGraph``) when one is given; and the path may
+    take at most ``handle.path_bound(n)`` steps, ``n`` the number of distinct
+    symbols.
     """
     keys = [handle.key(el) for el in path.elements]
     if (keys[0], keys[-1]) != (source, target):
@@ -44,7 +45,7 @@ def check_path(handle, path: ShiftPath, source: str, target: str, graph=None) ->
     for (a, b), (w, k) in zip(zip(keys, keys[1:]), path.moves):
         if (handle.key_of(w), handle.key_of(w[k:] + w[:k])) != (a, b):
             raise ValueError(f"witness {w}|{k} does not shift {a} to {b}")
-        if graph is not None and b not in graph.adjacency.get(a, ()):
+        if graph is not None and not graph.has_edge(a, b):
             raise ValueError(f"step {a} -> {b} is not an edge")
     bound = handle.path_bound(len(set(handle.symbols(path.elements[0]))))
     if path.steps > bound:

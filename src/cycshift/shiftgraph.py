@@ -17,7 +17,7 @@ per class.  ``neighbors`` compares forms and formats only its answer.
 A component is a view: the ids of its members over its parent's own ``keys``
 and ``nbrs``.  Searches, components and diameters run on ids; keys appear
 only at the edge, through the read-only ``adjacency`` mapping and a key-to-id
-index built on the first lookup.
+index built on the first lookup; ``has_edge`` searches a sorted array.
 Diameters grow a reachability bitset per vertex by rounds of neighbour ORs
 (a complete graph needs none).
 """
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from array import array
+from bisect import bisect_left
 from collections import deque  # noqa: F401  unused here; perfbench/spans.py patches this name
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -91,6 +92,15 @@ class ShiftGraph:
                     b = keys[j]
                     out.append((a, b) if a <= b else (b, a))
         return sorted(out)
+
+    def has_edge(self, a: str, b: str) -> bool:
+        """Whether member keys ``a`` and ``b`` are adjacent; False when either is not a member."""
+        index = self.index
+        if a not in index or b not in index:
+            return False
+        row, j = self.nbrs[index[a]], index[b]
+        k = bisect_left(row, j)
+        return k < len(row) and row[k] == j
 
     def _view(self, start: int) -> "ShiftGraph":
         """The component of id ``start``, over this graph's keys and arrays."""

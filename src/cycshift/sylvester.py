@@ -10,10 +10,12 @@ restricted to uppermost label occurrences; the shift done for each visited
 symbol is a rotation of an explicitly factorized reading of the current tree.
 Every factorization and every intermediate invariant is checked at runtime:
 a violation raises AssertionError and means a bug, never a silent fallback.
-The builder indexes each tree of the walk once (``trees.PostfixIndex``): a
-subtree is a contiguous run of the postfix order, so its node set is a
-slice, and a tree's key is its postfix reading, which ``right_bst``
-inverts.  It works on the symbols as given.
+The builder holds U and each tree of the walk as arrays over postfix
+positions (``PostfixTree``), built from a word.  A subtree is a run of that
+order, so each piece of a factorization is a run or two, read as label
+slices; a tree's key is its postfix reading, which ``right_bst`` inverts.
+It works on the symbols as given.  ``shift_moves`` returns the step
+witnesses alone (taiga lifts them); ``shift_path`` adds the trees.
 
 Each shift reads the current tree as ``moved + rest`` and moves on to
 ``rest + moved``.  The base step moves the first visited symbol with its
@@ -62,30 +64,19 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 from .paths import ShiftPath, compress_path
-from .trees import (
-    Node,
-    PostfixIndex,
-    clone,
-    labels,
-    leftmost,
-    nodes_with_label,
-    parent_map,
-    postfix,
-    replay,
-    rightmost,
-    search_topmost,
-    serialize,
-    spine_sizes,
-)
+from .trees import Node, labels, replay, serialize, spine_sizes
 from .words import Word
 
+#: a run ``[lo, hi)`` of postfix positions; ``lo >= hi`` reads nothing
+Run = tuple[int, int]
 
-def _require(cond: bool, msg: str) -> None:
+
+def _require(cond: bool, msg: str, *args) -> None:
+    """Raise unless ``cond``; the message is ``msg % args``, formatted only then."""
     if not cond:
-        raise AssertionError(f"sylvester path internals: {msg}")
+        raise AssertionError(f"sylvester path internals: {msg % args if args else msg}")
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +138,13 @@ def format_form(form: tuple[int, ...]) -> str:
 
 
 def check_right_strict(root: Node | None) -> None:
-    """Validate the BST ordering and the repeated-label structure."""
+    """Validate the BST ordering and the repeated-label structure.
+
+    In an ordered tree a node lies below an equal label exactly when its
+    upper bound is its own label; only the uppermost occurrence may have a
+    right subtree.
+    """
+    repeated = None
     stack: list[tuple[Node | None, int | None, int | None]] = [(root, None, None)]
     while stack:
         node, lo, hi = stack.pop()
@@ -157,14 +154,12 @@ def check_right_strict(root: Node | None) -> None:
             raise ValueError("right subtree must be strictly greater than its ancestor")
         if hi is not None and node.label > hi:
             raise ValueError("left subtree must be <= its ancestor")
+        if node.right is not None and node.label == hi and repeated is None:
+            repeated = node.label
         stack.append((node.left, lo, node.label))
         stack.append((node.right, node.label, hi))
-    # only the uppermost occurrence of a label may have a right subtree
-    for lbl in set(labels(root)):
-        chain = nodes_with_label(root, lbl)
-        for nd in chain[1:]:
-            if nd.right is not None:
-                raise ValueError(f"non-uppermost node {lbl} has a right subtree")
+    if repeated is not None:
+        raise ValueError(f"non-uppermost node {repeated} has a right subtree")
 
 
 def draw(root: Node | None, with_mult: bool = False) -> str:
@@ -184,11 +179,95 @@ def draw(root: Node | None, with_mult: bool = False) -> str:
 
 
 # ---------------------------------------------------------------------------
+# trees as postfix arrays
+
+
+class PostfixTree:
+    """The tree ``right_bst(word)`` as arrays over its postfix positions.
+
+    ``labels[p]`` is the label at position ``p``, ``left[p]`` and
+    ``right[p]`` its children's positions (-1 for none), and the subtree at
+    ``p`` is the run ``[start[p], p + 1)``; the root is the last position.
+    The tree is the Cartesian tree of the positions sorted stably by symbol,
+    the larger position nearer the root (``word_form``); the stack of its
+    right spine pops each node once its subtree is complete, so in postfix
+    order, and fills the arrays as it pops.
+    """
+
+    __slots__ = ("labels", "left", "right", "start", "chains")
+
+    def __init__(self, word: Word):
+        n = len(word)
+        self.chains: dict[int, list[int]] | None = None
+        self.labels = labs = []
+        self.left = left = []
+        self.right = right = []
+        self.start = start = []
+        # per word position while on the stack: its left child's position and run start
+        lchild, first = [-1] * n, [0] * n
+        stack: list[int] = []
+        # the sentinel n outranks every position and pops the whole stack
+        for i in sorted(range(n), key=word.__getitem__) + [n]:
+            # a popped node's right child, if any, is the node popped just before it
+            last = -1
+            while stack and stack[-1] < i:
+                j = stack.pop()
+                labs.append(word[j])
+                left.append(lchild[j])
+                right.append(last)
+                start.append(first[j])
+                last = len(labs) - 1
+            if i < n:
+                lchild[i] = last
+                # a subtree starts with its left child's, else with the next node to complete
+                first[i] = start[last] if last >= 0 else len(labs)
+                stack.append(i)
+
+    def run(self, p: int) -> Run:
+        """Positions ``[lo, hi)`` of the subtree at ``p``; empty for -1."""
+        return (self.start[p], p + 1) if p >= 0 else (0, 0)
+
+    def contains(self, anc: int, p: int) -> bool:
+        """Whether position ``p`` lies in the subtree at ``anc``."""
+        return anc >= 0 and self.start[anc] <= p <= anc
+
+    def occurrences(self, label: int) -> list[int]:
+        """The positions carrying ``label``, uppermost first; do not modify.
+
+        They lie on one descending path, and a node follows its descendants
+        in postfix order.  Every label's list is built on the first call.
+        """
+        chains = self.chains
+        if chains is None:
+            chains = self.chains = {}
+            labs = self.labels
+            for p in range(len(labs) - 1, -1, -1):
+                if labs[p] in chains:
+                    chains[labs[p]].append(p)
+                else:
+                    chains[labs[p]] = [p]
+        return chains.get(label, [])
+
+
+def _minus(outer: Run, inner: Run) -> tuple[Run, Run]:
+    """The subtree run ``outer`` without the subtree run ``inner``, as two runs.
+
+    Two subtrees are nested or disjoint; the runs come out in postfix order
+    and either may be empty.
+    """
+    return (outer[0], min(outer[1], inner[0])), (max(outer[0], inner[1]), outer[1])
+
+
+def _within(runs, p: int) -> bool:
+    return any(lo <= p < hi for lo, hi in runs)
+
+
+# ---------------------------------------------------------------------------
 # repeated-label classification
 
 
-def classify_nodes(root: Node | None, label: int) -> tuple[list[Node], list[Node], list[Node]]:
-    """Split the nodes carrying ``label`` into (primary, secondary, tertiary).
+def classify_nodes(tree: PostfixTree, label: int) -> tuple[list[int], list[int], list[int]]:
+    """Split the positions carrying ``label`` into (primary, secondary, tertiary).
 
     Primary: the uppermost occurrence and the run of occurrences consecutive
     with it.  Tertiary: a childless bottom occurrence together with the run
@@ -196,27 +275,21 @@ def classify_nodes(root: Node | None, label: int) -> tuple[list[Node], list[Node
     An occurrence is consecutive with the one above it when it is that one's
     left child, the only place an equal label can hang.
     """
-    chain = nodes_with_label(root, label)
+    left = tree.left
+    chain = tree.occurrences(label)
     if not chain:
         raise ValueError(f"symbol {label} does not occur in the tree")
-    primary = [chain[0]]
-    for nd in chain[1:]:
-        if primary[-1].left is not nd:
-            break
-        primary.append(nd)
-    primary_ids = {id(x) for x in primary}
-    tertiary: list[Node] = []
-    bottom = chain[-1]
-    if bottom.left is None and bottom.right is None:
-        run = [bottom]
-        i = len(chain) - 2
-        while i >= 0 and chain[i].left is run[-1]:
-            run.append(chain[i])
-            i -= 1
-        tertiary = [nd for nd in run if id(nd) not in primary_ids]
-    tert_ids = {id(x) for x in tertiary}
-    secondary = [nd for nd in chain if id(nd) not in primary_ids and id(nd) not in tert_ids]
-    return primary, secondary, tertiary
+    # the chain runs top to bottom: primary is a prefix, tertiary a suffix
+    k = 1
+    while k < len(chain) and left[chain[k - 1]] == chain[k]:
+        k += 1
+    b = len(chain)
+    if left[chain[-1]] < 0 and tree.right[chain[-1]] < 0:
+        b -= 1
+        while b > k and left[chain[b - 1]] == chain[b]:
+            b -= 1
+    b = max(b, k)
+    return chain[:k], chain[k:b], chain[b:]
 
 
 # ---------------------------------------------------------------------------
@@ -229,95 +302,85 @@ class PlanStep:
 
     The core is the complete subtree at the visited node without its
     duplicated minima and without the tertiary occurrences of ``upper``;
-    ``anchor`` is the core with the occurrences of ``upper`` that live
-    outside it re-inserted (``anchor_core_ids`` are its core nodes), and
-    must appear at the root of the walk tree after this step's shift.
+    ``core`` is its postfix reading.  The anchor is the core with the
+    ``anchor_extra`` occurrences of ``upper`` that live outside it
+    re-inserted, and must appear at the root of the walk tree after this
+    step's shift; ``anchor`` is its postfix reading and ``spines`` the
+    lengths of its left and right spines (``_embed_at``).
     """
 
     label: int
     min_sym: int
     lower: int | None
     upper: int | None
-    anchor: Node
-    anchor_core_ids: frozenset[int]
+    anchor: list[int]
+    spines: tuple[int, int]
+    core: list[int]
     anchor_extra: int
 
 
-def _ancestors(parents: dict[int, Node], node: Node) -> Iterator[Node]:
-    """The ancestors of ``node``, from its parent up to the root."""
-    par = parents.get(id(node))
-    while par is not None:
-        yield par
-        par = parents.get(id(par))
-
-
-def _index(root: Node):
-    """Postfix index, parent map, label counts, topmost nodes and ``classify_nodes``."""
-    post = PostfixIndex(root)
-    count = Counter(post.labels)
-    classes = {lbl: classify_nodes(root, lbl) for lbl in count}
+def _index(word: Word):
+    """The target's arrays, parents, label counts, topmost positions and ``classify_nodes``."""
+    tree = PostfixTree(word)
+    parent = [-1] * len(word)
+    for p, (a, b) in enumerate(zip(tree.left, tree.right)):
+        if a >= 0:
+            parent[a] = p
+        if b >= 0:
+            parent[b] = p
+    count = Counter(tree.labels)
+    classes = {lbl: classify_nodes(tree, lbl) for lbl in count}
     topmost = {lbl: split[0][0] for lbl, split in classes.items()}
-    return post, parent_map(root), count, topmost, classes
+    return tree, parent, count, topmost, classes
 
 
-def traversal_plan(u_root: Node, index=None) -> list[PlanStep]:
+def traversal_plan(u_root: Node | None, index=None) -> list[PlanStep]:
     """Plan the topmost-occurrence postfix walk of ``u_root``; one step per symbol."""
     _require(u_root is not None, "plan needs a non-empty tree")
-    post, parents, count, topmost, classes = index or _index(u_root)
-    order = [x for x in post.nodes if topmost[x.label] is x]
+    u, parent, count, topmost, classes = index or _index(labels(u_root))
+    labs = u.labels
+    order = [p for p, lab in enumerate(labs) if topmost[lab] == p]
     _require(len(order) == len(count), "one walk step per distinct symbol")
 
     steps: list[PlanStep] = []
     for visited in order:
-        lo, hi = post.run(visited)
-        m = min(post.labels[lo:hi])
+        label = labs[visited]
+        lo, hi = u.run(visited)
+        m = min(labs[lo:hi])
         upper = lower = None
-        child = visited
-        for par in _ancestors(parents, visited):
-            if par.left is child and upper is None:
-                upper = par.label
-            if par.right is child and lower is None:
-                lower = par.label
-            if upper is not None and lower is not None:
-                break
-            child = par
+        child, par = visited, parent[visited]
+        while par >= 0 and (upper is None or lower is None):
+            if u.left[par] == child and upper is None:
+                upper = labs[par]
+            if u.right[par] == child and lower is None:
+                lower = labs[par]
+            child, par = par, parent[par]
         _require(lower is None or lower < m, "lower bound below the block minimum")
-        _require(upper is None or visited.label < upper, "upper bound above the visited symbol")
+        _require(upper is None or label < upper, "upper bound above the visited symbol")
 
         # the core: right_bst of the block's postfix reading (the subtree's run)
         # without the minima below the uppermost one, the last in postfix order,
         # and without the tertiary occurrences of upper; each is a whole subtree
-        mins = [p for p in range(lo, hi) if post.labels[p] == m]
-        drop = set(mins[:-1])
+        drop = {p for p in u.occurrences(m)[1:] if lo <= p < hi}
         if upper is not None:
-            tert = sorted(p for p in (post.pos[id(x)] for x in classes[upper][2]) if lo <= p < hi)
+            tert = sorted(p for p in classes[upper][2] if lo <= p < hi)
             if tert:
-                run = list(range(post.start[tert[-1]], tert[-1] + 1))
+                run = list(range(u.start[tert[-1]], tert[-1] + 1))
                 _require(tert == run, "the block's tertiary positions form one postfix run")
                 drop.update(tert)
-        reading = [post.labels[p] for p in range(lo, hi) if p not in drop]
-        core = right_bst(reading)
-        core_ids = frozenset(map(id, postfix(core)))
-        # the anchor is the core; when the core holds upper, padded in place
-        # with the occurrences outside it
+        reading = [labs[p] for p in range(lo, hi) if p not in drop] if drop else labs[lo:hi]
+        # the anchor is the core; when the core holds upper, padded with the
+        # occurrences outside it, which right to left insertion adds last
         inner = reading.count(upper)
         extra = 0
+        anchor, tree, top = reading, u, visited
         if inner:
             extra = count[upper] - inner
             _require(extra >= 1, "at least the uppermost occurrence lies outside the core")
-            for _ in range(extra):
-                _insert_mut(core, upper)
-        steps.append(
-            PlanStep(
-                label=visited.label,
-                min_sym=m,
-                lower=lower,
-                upper=upper,
-                anchor=core,
-                anchor_core_ids=core_ids,
-                anchor_extra=extra,
-            )
-        )
+            tree = PostfixTree([upper] * extra + reading)
+            anchor, top, drop = tree.labels, len(reading) + extra - 1, ()
+        spines = _spine(tree.left, top, drop), _spine(tree.right, top, drop)
+        steps.append(PlanStep(label, m, lower, upper, anchor, spines, reading, extra))
     return steps
 
 
@@ -325,130 +388,135 @@ def traversal_plan(u_root: Node, index=None) -> list[PlanStep]:
 # embedding and invariant checks
 
 
-def _embed_at(pattern: Node, target: Node):
-    """Exact structural match of ``pattern`` at ``target``.
+def _spine(side: list[int], p: int, drop=()) -> int:
+    """The number of nodes from ``p`` down one side, stopping short of a dropped one."""
+    n = 0
+    while p >= 0 and p not in drop:
+        n, p = n + 1, side[p]
+    return n
 
-    Extra target subtrees are tolerated only below the left child of the
-    pattern's leftmost node and the right child of its rightmost node.
-    Returns (mapping id(pattern node) -> target node, left attach, right
-    attach), or None when the match fails.
+
+def _embed_at(step: PlanStep, tree: PostfixTree, at: int):
+    """Exact structural match of ``step``'s anchor at position ``at`` of ``tree``.
+
+    Extra tree subtrees are tolerated only below the left child of the
+    anchor's leftmost node and the right child of its rightmost node, so
+    those two attachments sit one step past the ends of the anchor's left
+    and right spines, walked down from ``at``.  Without their subtrees the
+    subtree at ``at`` is a tree of its own, and a tree is its postfix
+    reading (``right_bst`` inverts it): the match holds when that reading is
+    the anchor's.  The anchor's nodes then fill the runs between the left
+    attachment's subtree, which opens the subtree's run, and the right one's,
+    which closes it but for the anchor's right spine.  Returns (left attach,
+    right attach, runs), positions with -1 for none, or None when the match
+    fails.
     """
-    p_lm = leftmost(pattern)
-    p_rm = rightmost(pattern)
-    mapping: dict[int, Node] = {}
-
-    def walk(p: Node, t: Node) -> bool:
-        if p.label != t.label or p.mult != t.mult:
-            return False
-        mapping[id(p)] = t
-        if p.left is not None:
-            if t.left is None or not walk(p.left, t.left):
-                return False
-        elif t.left is not None and p is not p_lm:
-            return False
-        if p.right is not None:
-            if t.right is None or not walk(p.right, t.right):
-                return False
-        elif t.right is not None and p is not p_rm:
-            return False
-        return True
-
-    if not walk(pattern, target):
-        return None
-    return mapping, mapping[id(p_lm)].left, mapping[id(p_rm)].right
-
-
-def _upset(order_below: list[set[int]], h: int) -> list[int]:
-    """Indices i <= h whose visited node is not below a later visited node."""
-    return [i for i in range(1, h + 1) if not (order_below[i - 1] & set(range(i + 1, h + 1)))]
+    ends = []
+    for side, steps in zip((tree.left, tree.right), step.spines):
+        t = at
+        for _ in range(steps):
+            if t < 0:
+                return None
+            t = side[t]
+        ends.append(t)
+    lm, rm = ends
+    labs = tree.labels
+    lo = lm + 1 if lm >= 0 else tree.start[at]
+    if rm < 0:
+        image = ((lo, at + 1),)
+        reading = labs[lo:at + 1]
+    else:
+        image = ((lo, tree.start[rm]), (rm + 1, at + 1))
+        reading = labs[lo:tree.start[rm]] + labs[rm + 1:at + 1]
+    return (lm, rm, image) if reading == step.anchor else None
 
 
 # ---------------------------------------------------------------------------
 # the path construction
 
 
-def _chain_down(start: Node | None) -> list[Node]:
-    """Follow a pure left chain, asserting empty right subtrees throughout."""
-    out = []
-    node = start
-    while node is not None:
-        _require(node.right is None, "expected a bare chain (no right subtrees)")
-        out.append(node)
-        node = node.left
-    return out
-
-
-def _left_spine(pos: Node | None, anchor: Node):
-    """Walk left children from ``pos`` until ``anchor`` embeds.
-
-    Returns the nodes passed on the way and the ``_embed_at`` match, or None
-    when the spine ends first.
-    """
-    spine: list[Node] = []
-    while pos is not None:
-        found = _embed_at(anchor, pos)
-        if found is not None:
-            return spine, found
-        spine.append(pos)
-        pos = pos.left
-    return spine, None
-
-
 class _PathBuilder:
-    def __init__(self, t_root: Node, u_root: Node):
-        index = _index(u_root)
+    def __init__(self, t_word: Word, u_root: Node, u_word: Word):
+        index = _index(u_word)
         self.plan = traversal_plan(u_root, index)
         self.n = len(self.plan)
-        self.u_post, self.u_parents, self.count, self.topmost, classes = index
-        # which earlier visits are below which later ones, for the pending set
-        order = [self.topmost[s.label] for s in self.plan]
-        pos_of = {id(nd): i + 1 for i, nd in enumerate(order)}
-        self.order_below = [
-            {pos_of[id(par)] for par in _ancestors(self.u_parents, nd) if id(par) in pos_of}
-            for nd in order
-        ]
+        self.u, self.parent, self.count, self.topmost, classes = index
+        self.is_top = [self.topmost[lab] == p for p, lab in enumerate(self.u.labels)]
+        # visit i is pending after step h, i <= h, while its node is below no
+        # visit up to h: while its nearest visited ancestor comes after h
+        visit = {self.topmost[s.label]: i for i, s in enumerate(self.plan, 1)}
+        above = {}
+        for p, i in visit.items():
+            a = self.parent[p]
+            while a >= 0 and not self.is_top[a]:
+                a = self.parent[a]
+            above[i] = visit[a] if a >= 0 else self.n + 1
+        #: the pending visits after each step h
+        self.upsets = [[]]
+        for h in range(1, self.n + 1):
+            self.upsets.append([i for i in self.upsets[-1] if above[i] > h] + [h])
         self.primary_count = {lbl: len(split[0]) for lbl, split in classes.items()}
-        self.trees: list[Node] = []
-        # the key of each tree: its postfix reading, which right_bst inverts
-        self.keys: list[tuple[int, ...]] = []
+        # each tree's word, and its key: the postfix reading, which right_bst inverts
+        self.words: list[Word] = []
+        self.keys: list[list[int]] = []
         self.moves: list[tuple[Word, int]] = []
-        self._push(clone(t_root))
+        #: step index -> (left spine passed, match) for each pending anchor (``_check_spine``)
+        self.matches: dict[int, tuple[list[int], tuple]] = {}
+        self._push(tuple(t_word))
 
-    # -- the current walk tree, indexed once ------------------------------
+    # -- the current walk tree ----------------------------------------------
 
-    def _push(self, tree: Node) -> None:
-        """Make ``tree`` the current walk tree, indexed once in postfix order."""
-        self.walk = PostfixIndex(tree)
-        self.trees.append(tree)
-        self.keys.append(tuple(self.walk.labels))
+    def _push(self, word: Word) -> None:
+        """Make ``right_bst(word)`` the current walk tree."""
+        self.walk = PostfixTree(word)
+        self.words.append(word)
+        self.keys.append(self.walk.labels)
 
     def _emit(self, moved: list[int], rest: list[int]) -> None:
-        w1 = tuple(moved) + tuple(rest)
+        w1 = (*moved, *rest)
         # right to left insertion of w1 rebuilds the current tree exactly when
         # each symbol lands on the first unplaced node of its search path,
         # a node carrying that symbol, and every node gets placed
-        placed: set[int] = set()
+        labs, left, right = self.walk.labels, self.walk.left, self.walk.right
+        placed = [False] * len(labs)
+        count = 0
         for a in reversed(w1):
-            node = self.trees[-1]
-            while node is not None and id(node) in placed:
-                node = node.left if a <= node.label else node.right
-            if node is None or node.label != a:
+            p = len(labs) - 1
+            while p >= 0 and placed[p]:
+                p = left[p] if a <= labs[p] else right[p]
+            if p < 0 or labs[p] != a:
                 break
-            placed.add(id(node))
+            placed[p] = True
+            count += 1
         _require(
-            len(placed) == len(w1) == len(self.walk.ids),
+            count == len(w1) == len(labs),
             "factorized reading does not represent the current tree",
         )
         self.moves.append((w1, len(moved)))
-        self._push(right_bst(tuple(rest) + tuple(moved)))
+        self._push((*rest, *moved))
 
-    def _reads(self, *idsets: set[int]) -> list[int]:
-        """The postfix reading of each identity set in turn."""
-        walk = self.walk
+    def _reads(self, *runs: Run) -> list[int]:
+        """The labels of each run in turn."""
+        labs = self.walk.labels
         out: list[int] = []
-        for ids in idsets:
-            out.extend(lab for i, lab in zip(walk.ids, walk.labels) if i in ids)
+        for lo, hi in runs:
+            out += labs[lo:hi]
         return out
+
+    def _left_spine(self, pos: int, step: PlanStep):
+        """Walk left children from ``pos`` until ``step``'s anchor embeds.
+
+        Returns the positions passed on the way and the ``_embed_at`` match,
+        or None when the spine ends first.
+        """
+        spine: list[int] = []
+        while pos >= 0:
+            found = _embed_at(step, self.walk, pos)
+            if found is not None:
+                return spine, found
+            spine.append(pos)
+            pos = self.walk.left[pos]
+        return spine, None
 
     def _check_spine(self, h: int) -> None:
         """Check the walk-tree invariants for the steps pending after step h.
@@ -456,25 +524,27 @@ class _PathBuilder:
         The pending anchors appear in reverse order down the path of left
         children from the root, anything below an anchor hangs off its two
         extremal attachment points, and no minimum of a pending step sits
-        below a node carrying that step's lower bound.
+        below a node carrying that step's lower bound.  Each anchor's match
+        is kept in ``matches`` for the next step.
         """
-        upset = _upset(self.order_below, h)
-        pos: Node | None = self.trees[-1]
+        upset = self.upsets[h]
+        self.matches = {}
+        pos = len(self.walk.labels) - 1
         for idx in reversed(upset):
-            _, found = _left_spine(pos, self.plan[idx - 1].anchor)
-            _require(found is not None, f"anchor of step {idx} missing from the left spine")
-            pos = found[1]
+            spine, found = self._left_spine(pos, self.plan[idx - 1])
+            _require(found is not None, "anchor of step %d missing from the left spine", idx)
+            self.matches[idx] = spine, found
+            pos = found[0]
         labs, start = self.walk.labels, self.walk.start
         for idx in upset:
             step = self.plan[idx - 1]
-            for p, lab in enumerate(labs):
-                if lab == step.lower:
-                    _require(
-                        step.min_sym not in labs[start[p]:p],
-                        f"minimum {step.min_sym} below lower bound {step.lower}",
-                    )
+            for p in self.walk.occurrences(step.lower):
+                _require(
+                    step.min_sym not in labs[start[p]:p],
+                    "minimum %d below lower bound %d", step.min_sym, step.lower,
+                )
 
-    def _visit_split(self, u1: int, lower: int | None) -> tuple[list[int], list[int], Node]:
+    def _visit_split(self, u1: int, lower: int | None) -> tuple[list[int], list[int], int]:
         """Factor the visit symbol ``u1`` off the current tree.
 
         Returns (head, rest_head, stop): the moved factor reads ``head``
@@ -487,26 +557,25 @@ class _PathBuilder:
         occurrences are that topmost one and its left chain).
         """
         walk = self.walk
-        sub = walk.subtree_ids
-        t_cur = self.trees[-1]
-        occ = nodes_with_label(t_cur, u1)
+        run, left, right = walk.run, walk.left, walk.right
+        occ = walk.occurrences(u1)
         _require(occ != [], "visit symbol occurs in the current tree")
         if lower is not None:
             # the occurrences with an ancestor ``lower``: they lie in that node's run
-            lows = [p for p, lab in enumerate(walk.labels) if lab == lower]
-            below = [nd for nd in occ if any(walk.start[p] <= walk.pos[id(nd)] < p for p in lows)]
+            lows = walk.occurrences(lower)
+            below = [y for y in occ if any(walk.start[p] <= y < p for p in lows)]
             if below:
                 y = below[0]
-                p_node = search_topmost(t_cur, lower)
+                p_node = lows[0] if lows else -1
                 _require(
-                    p_node is not None and walk.contains(p_node.right, y),
+                    p_node >= 0 and walk.contains(right[p_node], y),
                     "pulled occurrence sits in the right subtree of the bound",
                 )
-                head = self._reads(sub(y.left), sub(y.right))
-                rest_head = self._reads(sub(p_node.right) - sub(y), sub(p_node.left))
+                head = self._reads(run(left[y]), run(right[y]))
+                rest_head = self._reads(*_minus(run(right[p_node]), run(y)), run(left[p_node]))
                 return head, rest_head + [lower], p_node
         y = occ[0]
-        return self._reads(sub(y.left), sub(y.right)), [], y
+        return self._reads(run(left[y]), run(right[y])), [], y
 
     def _between_counts(self, h: int, s: int, s2: int | None = None) -> tuple[int, int]:
         """Split ``s`` occurrences of step h's upper bound into (s2, s1).
@@ -517,51 +586,53 @@ class _PathBuilder:
         if s2 is None:
             cur, nxt = self.plan[h - 1], self.plan[h]
             high = self.topmost[nxt.label]
-            s2 = 0
-            for par in _ancestors(self.u_parents, self.topmost[cur.label]):
-                if par is high:
-                    break
-                _require(par.label == cur.upper, "only upper-bound symbols separate the visits")
-                s2 += 1
-            else:
-                _require(False, "expected an ancestor path")
+            s2, par = 0, self.parent[self.topmost[cur.label]]
+            while par != high:
+                _require(par >= 0, "expected an ancestor path")
+                _require(
+                    self.u.labels[par] == cur.upper, "only upper-bound symbols separate the visits"
+                )
+                s2, par = s2 + 1, self.parent[par]
         _require(s - s2 >= 0, "the moved occurrences fit in the upper ones")
         return s2, s - s2
 
-    def _upper_parts(self, h: int, rm: Node | None, core_ids: set[int], s2=None, middle=()):
+    def _upper_parts(self, h: int, rm: int, image, s2=None, middle=()):
         """(prefix, suffix) of a shift by the upper-bound rule of step h.
 
         The occurrences of the upper bound ``q`` outside the core are either
-        inserted into the anchor or form one chain in its right attachment
-        ``rm``.  ``s2`` of them (``_between_counts``) move up front, behind
-        the subtree right of a chain; with none to move, the block around the
-        chain stays contiguous in the suffix so that it lands right of the new
-        root.  The identity sets ``middle`` read right before the core.
+        inserted into the anchor, whose nodes fill the runs ``image``, or
+        form one chain in its right attachment ``rm``.  ``s2`` of them
+        (``_between_counts``) move up front, behind the subtree right of a
+        chain; with none to move, the block around the chain stays contiguous
+        in the suffix so that it lands right of the new root.  The runs
+        ``middle`` read right before the core.
         """
-        sub = self.walk.subtree_ids
+        walk = self.walk
         cur = self.plan[h - 1]
         q = cur.upper
         if q is None:
-            return [], self._reads(sub(rm), *middle, core_ids)
+            return [], self._reads(walk.run(rm), *middle) + cur.core
         if cur.anchor_extra:
             s = cur.anchor_extra
-            beta, tail = [], self._reads(sub(rm), *middle, core_ids)
+            beta, tail = [], self._reads(walk.run(rm), *middle) + cur.core
         else:
-            qnodes = nodes_with_label(self.trees[-1], q)
+            qnodes = walk.occurrences(q)
             _require(qnodes != [], "upper bound occurs somewhere")
+            # with nothing inserted the core is the whole anchor
             _require(
-                core_ids.isdisjoint(map(id, qnodes)), "upper occurrences sit outside the anchor"
+                not any(_within(image, p) for p in qnodes),
+                "upper occurrences sit outside the anchor",
             )
             for a, b in zip(qnodes, qnodes[1:]):
-                _require(a.left is b, "upper occurrences form one consecutive chain")
+                _require(walk.left[a] == b, "upper occurrences form one consecutive chain")
             s = len(qnodes)
             _require(s == self.count[q], "all upper occurrences located")
             top = qnodes[0]
-            _require(self.walk.contains(rm, top), "upper chain right of the anchor")
-            lo, hi = self.walk.run(top.left)
-            _require(set(self.walk.labels[lo:hi]) <= {q}, "only repeats hang left of the uppermost")
-            beta = self._reads(sub(top.right))
-            tail = self._reads(sub(rm) - sub(top), *middle, core_ids)
+            _require(walk.contains(rm, top), "upper chain right of the anchor")
+            lo, hi = walk.run(walk.left[top])
+            _require(set(walk.labels[lo:hi]) <= {q}, "only repeats hang left of the uppermost")
+            beta = self._reads(walk.run(walk.right[top]))
+            tail = self._reads(*_minus(walk.run(rm), walk.run(top)), *middle) + cur.core
         s2, s1 = self._between_counts(h, s, s2)
         if s2:
             return beta + [q] * s2, [q] * s1 + tail
@@ -572,21 +643,21 @@ class _PathBuilder:
     def base_step(self) -> None:
         step = self.plan[0]
         head, rest_head, stop = self._visit_split(step.label, step.lower)
-        outside = set(self.walk.ids) - self.walk.subtree_ids(stop)
-        self._emit(head + [step.label], rest_head + self._reads(outside))
+        outside = _minus((0, len(self.walk.labels)), self.walk.run(stop))
+        self._emit(head + [step.label], rest_head + self._reads(*outside))
 
     # -- induction cases ---------------------------------------------------
 
     def step(self, h: int) -> None:
         cur, nxt = self.plan[h - 1], self.plan[h]
+        u = self.u
         n_h = self.topmost[cur.label]
         n_next = self.topmost[nxt.label]
-        if self.u_post.contains(n_next.left, n_h):
+        if u.contains(u.left[n_next], n_h):
             self._case2(h)
-        elif self.u_post.contains(n_next.right, n_h):
-            lo, hi = self.u_post.run(n_next.left)
-            left_top = any(self.topmost[x.label] is x for x in self.u_post.nodes[lo:hi])
-            if left_top:
+        elif u.contains(u.right[n_next], n_h):
+            lo, hi = u.run(u.left[n_next])
+            if any(self.is_top[lo:hi]):
                 self._case4(h)
             else:
                 self._case3(h)
@@ -594,126 +665,128 @@ class _PathBuilder:
             self._case1(h)
         self._check_spine(h + 1)
 
-    def _anchor_parts(self, step: PlanStep, found=None):
-        """The anchor's attachments, its match (``_embed_at``) and its core's ids.
+    def _anchor_parts(self, h: int):
+        """Step h's anchor at the root: its two attachments and the runs of its nodes.
 
-        The anchor embeds at the current root, unless ``found`` gives its
-        match elsewhere.  The match's values are the anchor's nodes in the tree.
+        ``_check_spine`` has just matched it, starting at the root.
         """
-        if found is None:
-            found = _embed_at(step.anchor, self.trees[-1])
-            _require(found is not None, f"anchor of the visit to {step.label} absent at the root")
-        mapping, lm, rm = found
-        return lm, rm, mapping, {id(mapping[i]) for i in step.anchor_core_ids}
+        spine, found = self.matches[h]
+        _require(not spine, "anchor of the visit to %d absent at the root", self.plan[h - 1].label)
+        return found
 
     def _case1(self, h: int) -> None:
         cur, nxt = self.plan[h - 1], self.plan[h]
         u1 = nxt.label
-        _require(len(postfix(nxt.anchor)) == 1, "fresh visit carries a single-node anchor")
-        sub = self.walk.subtree_ids
-        lm, rm, mapping, _ = self._anchor_parts(cur)
-        anchor_ids = set(map(id, mapping.values()))
+        _require(len(nxt.anchor) == 1, "fresh visit carries a single-node anchor")
+        walk = self.walk
+        lm, rm, image = self._anchor_parts(h)
         # the pull-to-front surgery needs every next-lower occurrence outside
         # the anchor; that fails only when the bounds collide and the anchor
         # absorbed those occurrences
         collide = cur.upper == nxt.lower and cur.anchor_extra > 0
         head, rest_head, stop = self._visit_split(u1, None if collide else nxt.lower)
-        _require(self.walk.contains(rm, stop), "visit symbol and its bound right of the anchor")
-        zeta = sub(rm) - sub(stop)
-        self._emit(head + [u1], rest_head + self._reads(zeta, sub(lm), anchor_ids))
+        _require(walk.contains(rm, stop), "visit symbol and its bound right of the anchor")
+        zeta = _minus(walk.run(rm), walk.run(stop))
+        self._emit(head + [u1], rest_head + self._reads(*zeta, walk.run(lm), *image))
 
     def _case2(self, h: int) -> None:
         cur = self.plan[h - 1]
         u1 = self.plan[h].label
         _require(cur.upper == u1, "upper bound of the old block is the next visit")
-        lm, rm, _, core_ids = self._anchor_parts(cur)
-        lam = self.walk.subtree_ids(lm)
-        self._emit(*self._upper_parts(h, rm, core_ids, self.primary_count[u1], (lam,)))
+        lm, rm, image = self._anchor_parts(h)
+        lam = self.walk.run(lm)
+        self._emit(*self._upper_parts(h, rm, image, self.primary_count[u1], (lam,)))
 
-    def _m_chain_pieces(self, lm: Node | None, anchor_ids: set[int], m: int, stop: Node):
+    def _m_chain_pieces(self, lm: int, image, m: int, stop: int):
         """Left-spine pieces from the anchor attachment down to ``stop``.
 
         Returns the word fragment lambda_0 m lambda_1 m ... m lambda_r (bottom
-        part first) for the duplicated minima outside the anchor.  Minima
-        inside the subtree at ``stop`` belong to the caller's own pieces and
-        are skipped here.
+        part first) for the duplicated minima outside the anchor, whose nodes
+        fill the runs ``image``.  Minima inside the subtree at ``stop`` belong
+        to the caller's own pieces and are skipped here.
         """
-        sub = self.walk.subtree_ids
-        t_cur = self.trees[-1]
-        stop_ids = sub(stop)
-        ext_all = [nd for nd in nodes_with_label(t_cur, m) if id(nd) not in anchor_ids]
+        walk = self.walk
+        run, left, right = walk.run, walk.left, walk.right
+        s_lo, s_hi = stop_run = run(stop)
+        ext_all = [p for p in walk.occurrences(m) if not _within(image, p)]
         _require(
             len(ext_all) == self.count[m] - 1, "all duplicated minima sit outside the anchor"
         )
-        ext = [nd for nd in ext_all if id(nd) not in stop_ids]
+        ext = [p for p in ext_all if not s_lo <= p < s_hi]
         _require(
-            all(id(nd) in stop_ids for nd in ext_all[len(ext):]),
+            all(s_lo <= p < s_hi for p in ext_all[len(ext):]),
             "skipped minima form the lower end of the chain",
         )
-        regions: list[set[int]] = []
-        top = sub(lm)
+        regions: list[tuple[Run, Run]] = []
+        top = run(lm)
         if ext:
-            _require(id(ext[0]) in top, "duplicated minima hang left of the anchor")
-            regions.append(top - sub(ext[0]))
+            _require(top[0] <= ext[0] < top[1], "duplicated minima hang left of the anchor")
+            regions.append(_minus(top, run(ext[0])))
             for a, b in zip(ext, ext[1:]):
-                _require(b is not a and self.walk.contains(a.left, b), "minima descend leftwards")
-                _require(a.right is None, "duplicated minima have empty right subtrees")
-                regions.append(sub(a.left) - sub(b))
-            _require(ext[-1].right is None, "duplicated minima have empty right subtrees")
-            regions.append(sub(ext[-1].left) - stop_ids)
+                _require(b != a and walk.contains(left[a], b), "minima descend leftwards")
+                _require(right[a] < 0, "duplicated minima have empty right subtrees")
+                regions.append(_minus(run(left[a]), run(b)))
+            _require(right[ext[-1]] < 0, "duplicated minima have empty right subtrees")
+            regions.append(_minus(run(left[ext[-1]]), stop_run))
         else:
-            regions.append(top - stop_ids)
+            regions.append(_minus(top, stop_run))
         # regions are top..bottom; the word wants bottom..top with m separators
         frag: list[int] = []
         for i, region in enumerate(reversed(regions)):
             if i:
                 frag.append(m)
-            frag.extend(self._reads(region))
+            frag.extend(self._reads(*region))
         return frag
 
     def _case3(self, h: int) -> None:
         cur, nxt = self.plan[h - 1], self.plan[h]
         u1 = nxt.label
         _require(cur.lower == u1, "lower bound of the old block is the next visit")
-        lm, rm, mapping, core_ids = self._anchor_parts(cur)
-        anchor_ids = set(map(id, mapping.values()))
-        y = nodes_with_label(self.trees[-1], u1)[0]
-        _require(y.right is None, "uppermost visit symbol has an empty right subtree")
+        lm, rm, image = self._anchor_parts(h)
+        y = self.walk.occurrences(u1)[0]
+        _require(self.walk.right[y] < 0, "uppermost visit symbol has an empty right subtree")
         head, rest_head, stop = self._visit_split(u1, nxt.lower)
-        middle = rest_head + self._m_chain_pieces(lm, anchor_ids, cur.min_sym, stop)
-        prefix, suffix = self._upper_parts(h, rm, core_ids)
+        middle = rest_head + self._m_chain_pieces(lm, image, cur.min_sym, stop)
+        prefix, suffix = self._upper_parts(h, rm, image)
         self._emit(head + prefix + [u1], middle + suffix)
 
     def _case4(self, h: int) -> None:
         cur, nxt = self.plan[h - 1], self.plan[h]
         u1, m = nxt.label, cur.min_sym
         _require(cur.lower == u1, "lower bound of the old block is the next visit")
-        upset = _upset(self.order_below, h)
+        upset = self.upsets[h]
         _require(len(upset) >= 2, "an earlier pending visit exists")
         gstep = self.plan[upset[-2] - 1]
         _require(gstep.upper == u1, "previous pending block is bounded by the next visit")
-        lm_h, rm_h, _, core_ids_h = self._anchor_parts(cur)
+        lm_h, rm_h, image_h = self._anchor_parts(h)
+        labs, right = self.walk.labels, self.walk.right
 
-        # walk the spine below the anchor down to the previous anchor
-        spine, found = _left_spine(lm_h, gstep.anchor)
+        # the spine below the anchor down to the previous anchor, as
+        # ``_check_spine`` walked it from the anchor's left attachment
+        spine, found = self.matches[upset[-2]]
         for pos in spine:
-            _require(pos.label in (m, u1), "spine carries only minima and next visits")
-            _require(pos.right is None, "spine nodes have empty right subtrees")
+            _require(labs[pos] in (m, u1), "spine carries only minima and next visits")
+            _require(right[pos] < 0, "spine nodes have empty right subtrees")
         _require(found is not None, "previous anchor found on the spine")
-        lm_g, rm_g, g_mapping, g_core_ids = self._anchor_parts(gstep, found)
+        lm_g, rm_g, _ = found
 
-        r2 = sum(1 for nd in spine if nd.label == m)
+        r2 = sum(1 for p in spine if labs[p] == m)
         o2 = len(spine) - r2
         _require(
-            all(nd.label == m for nd in spine[:r2]),
+            all(labs[p] == m for p in spine[:r2]),
             "minima come before next visits on the spine",
         )
-        below = _chain_down(rm_g)
-        r1 = sum(1 for nd in below if nd.label == m)
+        # a pure left chain hangs right of the previous anchor
+        below, p = [], rm_g
+        while p >= 0:
+            _require(right[p] < 0, "expected a bare chain (no right subtrees)")
+            below.append(p)
+            p = self.walk.left[p]
+        r1 = sum(1 for p in below if labs[p] == m)
         o1 = len(below) - r1
         _require(
-            all(nd.label == m for nd in below[:r1])
-            and all(nd.label == u1 for nd in below[r1:]),
+            all(labs[p] == m for p in below[:r1])
+            and all(labs[p] == u1 for p in below[r1:]),
             "below the previous anchor: minima, then next visits",
         )
         _require(r1 + r2 == self.count[m] - 1, "all duplicated minima located")
@@ -724,7 +797,10 @@ class _PathBuilder:
             _require(o1 == 0 and o2 == 0, "next visits all live inside the previous anchor")
             _require(not below, "nothing hangs below the previous anchor here")
             t = gstep.anchor_extra
-            _require(len(g_mapping) - len(g_core_ids) == t, "inserted next visits accounted for")
+            _require(
+                len(gstep.anchor) - len(gstep.core) == t,
+                "inserted next visits accounted for",
+            )
         else:
             t = o1 + o2
             _require(t == self.count[u1], "all next visits located")
@@ -732,7 +808,7 @@ class _PathBuilder:
         _require(t1 >= 0, "primary occurrences fit")
 
         # the middle: next visits around the previous anchor's reading
-        gamma = self._reads(self.walk.subtree_ids(lm_g), g_core_ids)
+        gamma = self._reads(self.walk.run(lm_g)) + gstep.core
         if o2 == 0:
             moved, rest = [u1] * t2, [u1] * t1 + [m] * r1 + gamma
         else:
@@ -743,37 +819,46 @@ class _PathBuilder:
         if cur.anchor_extra:
             s2, s1 = self._between_counts(h, cur.anchor_extra)
             q = cur.upper
-            rho = self._reads(self.walk.subtree_ids(rm_h))
+            rho = self._reads(self.walk.run(rm_h))
             # with both anchors padded the right attachment reads before the minima
             tail = rho + minima if eg_ext else minima + rho
-            prefix, suffix = [q] * s2, tail + [q] * s1 + self._reads(core_ids_h)
+            prefix, suffix = [q] * s2, tail + [q] * s1 + cur.core
         else:
-            prefix, suffix = self._upper_parts(h, rm_h, core_ids_h)
+            prefix, suffix = self._upper_parts(h, rm_h, image_h)
             suffix = minima + suffix
         self._emit(prefix + moved, rest + suffix)
 
-    def run(self) -> tuple[list[Node], list[tuple[Word, int]], list[tuple[int, ...]]]:
+    def run(self) -> tuple[list[Word], list[tuple[Word, int]], list[list[int]]]:
         self.base_step()
         self._check_spine(1)
         for h in range(1, self.n):
             self.step(h)
         _require(
-            self.keys[-1] == tuple(self.u_post.labels),
+            self.keys[-1] == self.u.labels,
             "path construction must end at the target tree",
         )
-        return self.trees, self.moves, self.keys
+        return self.words, self.moves, self.keys
 
 
-def shift_path(t: Node | None, u: Node | None) -> ShiftPath:
-    """Path of at most n cyclic shifts from ``t`` to ``u`` (n = distinct symbols).
+def shift_moves(t: Node | None, u: Node | None) -> tuple[tuple[Word, int], ...]:
+    """The step witnesses ``(w, k)`` of ``shift_path(t, u)``, with no element built.
 
     Requires equal evaluations.
     """
     t_labels, u_labels = labels(t), labels(u)
     if sorted(t_labels) != sorted(u_labels):
         raise ValueError("shift path requires equal evaluations")
-    if not t_labels:
-        return ShiftPath((None,), ())
     if t_labels == u_labels:
-        return ShiftPath((clone(t),), ())
-    return compress_path(*_PathBuilder(t, u).run())
+        return ()
+    return compress_path(*_PathBuilder(t_labels, u, u_labels).run()).moves
+
+
+def shift_path(t: Node | None, u: Node | None) -> ShiftPath:
+    """Path of at most n cyclic shifts from ``t`` to ``u`` (n = distinct symbols).
+
+    Requires equal evaluations.  Each element is ``right_bst`` of its step's
+    rotated witness.
+    """
+    moves = shift_moves(t, u)
+    first = right_bst(labels(t))
+    return ShiftPath((first, *(right_bst(w[k:] + w[:k]) for w, k in moves)), moves)

@@ -8,9 +8,11 @@ shape together with the evaluation.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from . import sylvester
 from .paths import ShiftPath, compress_path
-from .trees import Node, clone, postfix, serialize
+from .trees import Node, postfix, serialize
 from .words import Word
 
 
@@ -109,39 +111,36 @@ def drop_multiplicities(root: Node | None) -> Node | None:
     return Node(root.label, 1, drop_multiplicities(root.left), drop_multiplicities(root.right))
 
 
-def _form(root: Node | None) -> tuple[int, ...]:
-    """Label, multiplicity, label, ... in postfix order: distinct labels make it injective.
-
-    Flat rather than pairs: a 2-tuple per node raised the paths benchmark's peak RSS.
-    """
-    return tuple([v for x in postfix(root) for v in (x.label, x.mult)])
-
-
 def shift_path(t: Node | None, u: Node | None) -> ShiftPath:
-    """Lift the stripped-tree shift path, repeating each symbol per the evaluation."""
-    forms, target = [_form(t)], _form(u)
-    mult = dict(zip(forms[0][::2], forms[0][1::2]))
-    if mult != dict(zip(target[::2], target[1::2])):
+    """Lift the stripped-tree witnesses (``sylvester.shift_moves``), repeating each symbol.
+
+    Each tree of the lift is compared through ``word_form`` of a word that
+    represents it, so only the path's elements are built as trees.
+    """
+    t_word, u_word = tuple(symbols(t)), tuple(symbols(u))
+    if sorted(t_word) != sorted(u_word):
         raise ValueError("shift path requires equal evaluations")
     if t is None:
         return ShiftPath((None,), ())
+    forms, target = [word_form(t_word)], word_form(u_word)
     if forms[0] == target:
-        return ShiftPath((clone(t),), ())
+        return ShiftPath((mult_bst(t_word),), ())
+    mult = Counter(t_word)
 
     def expand(word: Word) -> Word:
         return tuple(a for sym in word for a in (sym,) * mult[sym])
 
-    base = sylvester.shift_path(drop_multiplicities(t), drop_multiplicities(u))
-    elements: list[Node | None] = [clone(t)]
+    elements: list[Node | None] = [mult_bst(t_word)]
     moves: list[tuple[Word, int]] = []
-    for w, k in base.moves:
+    for w, k in sylvester.shift_moves(drop_multiplicities(t), drop_multiplicities(u)):
         uv = expand(w)
         split = len(expand(w[:k]))
-        if _form(mult_bst(uv)) != forms[-1]:
+        if word_form(uv) != forms[-1]:
             raise AssertionError("lifted reading does not represent the current tree")
         moves.append((uv, split))
-        elements.append(mult_bst(uv[split:] + uv[:split]))
-        forms.append(_form(elements[-1]))
+        vu = uv[split:] + uv[:split]
+        elements.append(mult_bst(vu))
+        forms.append(word_form(vu))
     if forms[-1] != target:
         raise AssertionError("lifted path did not reach its target")
     return compress_path(elements, moves, forms)

@@ -1,8 +1,6 @@
 """Rooted binary trees with labelled nodes, shared by the tree-shaped monoids.
 
 Nodes are plain mutable objects; trees are treated as frozen once built.
-Node identity (``is``) distinguishes equal labels within one tree, which the
-path constructions rely on.
 """
 
 from __future__ import annotations
@@ -72,12 +70,6 @@ def to_json(root: Node | None, with_mult: bool = False):
     return out
 
 
-def clone(root: Node | None) -> Node | None:
-    if root is None:
-        return None
-    return Node(root.label, root.mult, clone(root.left), clone(root.right))
-
-
 def postfix(root: Node | None) -> list[Node]:
     """Postfix order (left, right, node), built as the (node, right, left) preorder reversed."""
     out: list[Node] = []
@@ -94,96 +86,5 @@ def postfix(root: Node | None) -> list[Node]:
     return out
 
 
-class PostfixIndex:
-    """A tree's nodes in postfix order, indexed once.
-
-    ``nodes``, ``ids`` and ``labels`` list the nodes, their identities and
-    their labels, and ``pos`` maps an identity to its position.  A subtree is
-    a contiguous run: the one at position ``p`` starts at ``start[p]``.
-    """
-
-    __slots__ = ("nodes", "ids", "labels", "pos", "start")
-
-    def __init__(self, root: Node | None):
-        self.nodes = order = postfix(root)
-        self.ids = ids = list(map(id, order))
-        self.labels = [x.label for x in order]
-        self.pos = pos = dict(zip(ids, range(len(ids))))
-        self.start = start = []
-        for p, x in enumerate(order):
-            # a subtree starts where its first child's subtree starts
-            first = x.left or x.right
-            start.append(p if first is None else start[pos[id(first)]])
-
-    def run(self, node: Node | None) -> tuple[int, int]:
-        """Positions ``[lo, hi)`` of the subtree at ``node``; empty for None."""
-        if node is None:
-            return 0, 0
-        p = self.pos[id(node)]
-        return self.start[p], p + 1
-
-    def subtree_ids(self, node: Node | None) -> set[int]:
-        """Identity set of the subtree at ``node``."""
-        lo, hi = self.run(node)
-        return set(self.ids[lo:hi])
-
-    def contains(self, anc: Node | None, node: Node) -> bool:
-        """Whether ``node`` lies in the subtree at ``anc``."""
-        lo, hi = self.run(anc)
-        return lo <= self.pos[id(node)] < hi
-
-
 def labels(root: Node | None) -> list[int]:
     return [x.label for x in postfix(root)]
-
-
-def parent_map(root: Node | None) -> dict[int, Node]:
-    """Map id(child) -> parent node, for the whole tree."""
-    parents: dict[int, Node] = {}
-    for node in postfix(root):
-        if node.left is not None:
-            parents[id(node.left)] = node
-        if node.right is not None:
-            parents[id(node.right)] = node
-    return parents
-
-
-def leftmost(node: Node) -> Node:
-    while node.left is not None:
-        node = node.left
-    return node
-
-
-def rightmost(node: Node) -> Node:
-    while node.right is not None:
-        node = node.right
-    return node
-
-
-def search_topmost(root: Node | None, label: int) -> Node | None:
-    """Topmost node carrying ``label``: the first hit on the search path.
-
-    All equal labels of a binary search tree lie on one descending path, so
-    the uppermost occurrence is the first one a root-to-leaf search meets.
-    """
-    node = root
-    while node is not None:
-        if node.label == label:
-            return node
-        node = node.left if label <= node.label else node.right
-    return None
-
-
-def nodes_with_label(root: Node | None, label: int) -> list[Node]:
-    """All nodes with the given label, ordered from uppermost to lowermost."""
-    top = search_topmost(root, label)
-    found: list[Node] = []
-    node = top
-    while node is not None:
-        if node.label == label:
-            found.append(node)
-            node = node.left
-        else:
-            # equal labels sit on a single descending path; keep following it
-            node = node.left if label <= node.label else node.right
-    return found

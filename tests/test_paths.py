@@ -1,10 +1,8 @@
-from types import SimpleNamespace
-
 import pytest
 
 from cycshift.handles import handle
 from cycshift.paths import ShiftPath, check_path
-from cycshift.shiftgraph import evaluation_graph
+from cycshift.shiftgraph import evaluation_graph, from_adjacency
 
 SYLV = handle("sylv")
 T, U = SYLV.element((1, 2)), SYLV.element((2, 1))
@@ -31,8 +29,24 @@ def test_check_path_rejects_a_false_witness():
 
 
 def test_check_path_rejects_a_step_off_the_graph():
-    with pytest.raises(ValueError, match="not an edge"):
-        check_path(SYLV, SYLV.shift_path(T, U), KT, KU, SimpleNamespace(adjacency={}))
+    # both endpoints are vertices, but not adjacent
+    apart = from_adjacency("sylv", 2, (1, 1), {KT: (), KU: ()})
+    with pytest.raises(ValueError, match="is not an edge"):
+        check_path(SYLV, SYLV.shift_path(T, U), KT, KU, apart)
+
+
+def test_check_path_rejects_a_step_to_a_vertex_off_the_graph():
+    for keys in ([KT], [KU], []):
+        graph = from_adjacency("sylv", 2, (1, 1), {k: () for k in keys})
+        with pytest.raises(ValueError, match="is not an edge"):
+            check_path(SYLV, SYLV.shift_path(T, U), KT, KU, graph)
+
+
+def test_has_edge_answers_from_the_neighbour_arrays():
+    for a in GRAPH.adjacency:
+        for b in [*GRAPH.adjacency, "no such key"]:
+            assert GRAPH.has_edge(a, b) == (b in GRAPH.adjacency[a])
+            assert GRAPH.has_edge(b, a) == (b in GRAPH.adjacency[a])
 
 
 def test_check_path_rejects_a_path_over_the_bound():

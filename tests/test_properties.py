@@ -102,17 +102,26 @@ def test_neighbor_symmetry(w, data):
             assert a in g.adjacency[b]
 
 
-@given(st.lists(st.integers(1, 5), max_size=8), st.data())
+@given(st.lists(st.integers(1, 7), max_size=11), st.data())
 @settings(max_examples=40, deadline=None)
 def test_tree_shift_paths_pass_the_checker(w, data):
+    # up to 11 letters through the checker; up to 7 also edge by edge
+    # against the BFS graph, and never shorter than the BFS distance
     from cycshift.handles import handle
     from cycshift.paths import check_path
+    from cycshift.shiftgraph import distance, evaluation_graph
 
     v = data.draw(st.permutations(w))
     for name in ("sylv", "taig"):
         h = handle(name)
         a, b = h.element(tuple(w)), h.element(tuple(v))
-        check_path(h, h.shift_path(a, b), h.key(a), h.key(b))
+        path = h.shift_path(a, b)
+        if len(w) > 7:
+            check_path(h, path, h.key(a), h.key(b))
+            continue
+        graph = evaluation_graph(h, evaluation(tuple(w), 7), 7)
+        check_path(h, path, h.key(a), h.key(b), graph)
+        assert path.steps >= distance(graph, h.key(a), h.key(b))
 
 
 @given(st.lists(st.integers(1, 5), min_size=1, max_size=8), st.data())

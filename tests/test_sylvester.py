@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from cycshift.rewrite import presentation
 from cycshift.shiftgraph import evaluation_graph
 from cycshift.sylvester import (
     Node,
+    PostfixTree,
     check_right_strict,
     classify_nodes,
     key,
@@ -15,7 +17,7 @@ from cycshift.sylvester import (
     shift_path,
     traversal_plan,
 )
-from cycshift.trees import postfix, serialize
+from cycshift.trees import labels, postfix, serialize
 from cycshift.words import format_word, parse_word, words_with_evaluation
 
 BSTEG = parse_word("5451761524")
@@ -75,13 +77,13 @@ def test_classification_worked_example():
         right=Node(8),
     )
     check_right_strict(t)
-    primary, secondary, tertiary = classify_nodes(t, 5)
+    primary, secondary, tertiary = classify_nodes(PostfixTree(labels(t)), 5)
     assert (len(primary), len(secondary), len(tertiary)) == (2, 1, 3)
 
 
 def test_classification_simple_cases():
-    assert [len(p) for p in classify_nodes(right_bst((1, 2, 3)), 2)] == [1, 0, 0]
-    chain = right_bst((4, 4, 4))
+    assert [len(p) for p in classify_nodes(PostfixTree((1, 2, 3)), 2)] == [1, 0, 0]
+    chain = PostfixTree((4, 4, 4))
     primary, secondary, tertiary = classify_nodes(chain, 4)
     assert (len(primary), len(secondary), len(tertiary)) == (3, 0, 0)
 
@@ -109,11 +111,10 @@ def test_traversal_plan_reference_tree():
     step = next(s for s in plan if s.label == 6)
     assert step.lower == 1 and step.upper == 8 and step.min_sym == 2
     assert step.anchor_extra == 3
-    assert serialize(step.anchor) == (
+    assert serialize(right_bst(step.anchor)) == (
         "6(3(2(-)(3(-)(-)))(6(4(-)(-))(-)))(8(7(-)(8(8(8(-)(-))(-))(-)))(-))"
     )
-    core = [x.label for x in postfix(step.anchor) if id(x) in step.anchor_core_ids]
-    assert core == [3, 2, 4, 6, 3, 7, 8, 6]
+    assert step.core == [3, 2, 4, 6, 3, 7, 8, 6]
 
 
 def test_traversal_plan_chain_trees():
@@ -122,7 +123,7 @@ def test_traversal_plan_chain_trees():
     assert first.label == 1 and first.lower is None and first.upper == 2
     only = traversal_plan(right_bst((7,)))[0]
     assert only.lower is None and only.upper is None
-    assert serialize(only.anchor) == "7(-)(-)"
+    assert serialize(right_bst(only.anchor)) == "7(-)(-)"
 
 
 def test_shift_path_worked_example():
@@ -205,15 +206,44 @@ def test_shift_paths_are_pinned():
     assert digest.hexdigest() == "5e3db99f249516ad8a73903247db987eedebe03a1ecab48e3f188765018481b8"
 
 
-def test_repeated_label_structure_on_generated_trees():
-    from cycshift.trees import nodes_with_label, parent_map
+def test_seeded_shift_paths_at_workload_sizes_are_pinned():
+    # 40 seeded sylv and taig pairs on each of four evaluations of total 7 and
+    # 8, the sizes the paths benchmark runs: one sha256 over moves and keys
+    digest = hashlib.sha256()
+    rng = random.Random(2017)
+    for ev in [(1,) * 7, (2, 1, 1, 1, 2, 1), (1, 2, 2, 1, 2), (3, 1, 2, 2)]:
+        base = [s + 1 for s, c in enumerate(ev) for _ in range(c)]
+        for _ in range(40):
+            w1, w2 = rng.sample(base, len(base)), rng.sample(base, len(base))
+            for name in ("sylv", "taig"):
+                h = handle(name)
+                path = h.shift_path(h.element(tuple(w1)), h.element(tuple(w2)))
+                digest.update(repr((path.moves, [h.key(el) for el in path.elements])).encode())
+    assert digest.hexdigest() == "21317f4cd8339eed2261daef60bd934c829e9ccd58f28b7d2390c3c04b6ac66d"
 
+
+def _nodes_with_label(root, label):
+    """All nodes with the given label, uppermost first: they lie on one search path."""
+    found, node = [], root
+    while node is not None:
+        if node.label == label:
+            found.append(node)
+        node = node.left if label <= node.label else node.right
+    return found
+
+
+def _parent_map(root):
+    """Map id(child) -> parent node, for the whole tree."""
+    return {id(c): x for x in postfix(root) for c in (x.left, x.right) if c is not None}
+
+
+def test_repeated_label_structure_on_generated_trees():
     for w in words_with_evaluation((2, 2, 2)):
         t = right_bst(w)
         check_right_strict(t)
-        parents = parent_map(t)
+        parents = _parent_map(t)
         for lbl in set(w):
-            chain = nodes_with_label(t, lbl)
+            chain = _nodes_with_label(t, lbl)
             # single descending path: each occurrence is an ancestor of the next
             for a, b in zip(chain, chain[1:]):
                 node = parents.get(id(b))

@@ -1,10 +1,10 @@
-"""The shared tree helpers: postfix order, its index, and the postfix key."""
+"""The shared tree helpers: postfix order, the sylvester postfix arrays, and the postfix key."""
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cycshift import baxter, sylvester, taiga
-from cycshift.trees import Node, PostfixIndex, labels, postfix, serialize
+from cycshift.trees import Node, labels, postfix, serialize
 
 words = st.lists(st.integers(1, 6), max_size=10).map(tuple)
 
@@ -28,17 +28,22 @@ def test_postfix_is_left_right_node(w):
 
 @given(words)
 def test_index_runs_are_the_subtrees(w):
-    for root in _trees(w):
-        index = PostfixIndex(root)
-        assert index.nodes == postfix(root)
-        assert index.labels == labels(root)
-        assert index.subtree_ids(None) == set()
-        for p, node in enumerate(index.nodes):
-            assert index.pos[id(node)] == p
-            ids = {id(x) for x in postfix(node)}
-            assert index.subtree_ids(node) == ids
-            for x in index.nodes:
-                assert index.contains(node, x) == (id(x) in ids)
+    # the builder's arrays: position p is the p-th node in postfix order
+    t = sylvester.right_bst(w)
+    nodes = postfix(t)
+    where = {id(x): p for p, x in enumerate(nodes)}
+    for tree in (sylvester.PostfixTree(w), sylvester.PostfixTree(labels(t))):
+        assert tree.labels == labels(t)
+        assert tree.run(-1) == (0, 0)
+        for p, node in enumerate(nodes):
+            assert tree.left[p] == where.get(id(node.left), -1)
+            assert tree.right[p] == where.get(id(node.right), -1)
+            lo, hi = tree.run(p)
+            assert [id(x) for x in nodes[lo:hi]] == [id(x) for x in postfix(node)]
+            for q in range(len(nodes)):
+                assert tree.contains(p, q) == (lo <= q < hi)
+        for a in set(w):
+            assert [nodes[p] for p in tree.occurrences(a)] == [x for x in reversed(nodes) if x.label == a]
 
 
 @given(words)
