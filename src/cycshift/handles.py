@@ -13,9 +13,12 @@ its own ``rewrite.PRESENTATIONS`` so that it shares no code with what it
 checks.  A record may give ``class_graph``, its shift graph built on class
 descriptions (hypo's row breaks), which the graph engine then uses.
 
-``MonoidHandle.class_of`` is the one way to list a class, for every monoid:
-it filters the arrangements of the evaluation, cross-checked in the tests
-against the presentation oracle (``tests/test_lint.py`` keeps it the only one).
+``MonoidHandle.class_of`` is the one way to list a class, for every monoid
+(``tests/test_lint.py`` keeps it the only one): it walks the class from the
+query word by adjacent swaps that keep the word's form, so it forms the class
+and its one-swap neighbours, not the evaluation.  Only the counterexample
+record, whose classes swaps do not connect, filters the arrangements of the
+evaluation.  The tests hold both to the presentation oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .paths import ShiftPath
 from .plactic import YoungTableau
 from .stalactic import StalacticTableau
 from .trees import labels, to_json as tree_json
-from .words import Word, evaluation, format_word, words_with_evaluation
+from .words import Word, check_total, evaluation, format_word, words_with_evaluation
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,8 @@ class MonoidHandle:
     format_form: Callable[[Hashable], str] = field(kw_only=True)
     #: word -> class key in one call, ``format_form(word_form(w))`` unless given
     key_of: Callable[[Word], str] | None = field(default=None, kw_only=True)
+    #: every class is connected by adjacent swaps that stay inside it (``class_of``)
+    swap_connected: bool = field(default=True, kw_only=True)
 
     def __post_init__(self):
         if self.key_of is None:
@@ -76,10 +81,53 @@ class MonoidHandle:
         return max(0, slope * n_distinct + offset)
 
     def class_of(self, word: Word, rank: int, limit: int | None = None) -> set[Word]:
+        """Every word with the form of ``word``: a breadth-first walk by adjacent swaps.
+
+        A swap ``u[:i] + (u[i+1], u[i]) + u[i+2:]`` joins the class when its
+        form is the word's; each candidate is formed once, kept or rejected.
+        The walk reaches the whole class because swaps that stay inside it
+        connect it:
+
+        - every relation of ``rewrite.py`` for plac, sylv, stal, taig and baxt
+          swaps one adjacent pair (``acb = cab``, ``bac = bca``, ``cavb =
+          acvb``, ``bavb = abvb``, ``cudavb = cuadvb``, ``budavc = buadvc``);
+        - hypo's two quartic relations swap two disjoint pairs, and each
+          factors through one class-keeping swap: ``cadb -> acdb -> acbd``
+          (a <= b < c <= d) and ``bdac -> dbac -> dbca`` (a < b <= c < d).
+          By the row-break rule (``hypoplactic.word_form``) a swap of ``x <
+          y`` can move only the bit of the pair ``x, y``, and only when they
+          are consecutive in the support.  That forces b = a in the first
+          step, where ``c`` still stands before the last ``a``, and c = b in
+          the second, where ``d`` still stands before the last ``b``; so each
+          middle word is in the class.
+
+        A record with ``swap_connected`` False (the counterexample, whose
+        ``bxy = xyb`` and ``axyb = byxa`` are not swaps) filters every word
+        of the evaluation instead.  The word is formed first, then its
+        evaluation checked, then the total guard run.
+        """
         word_form = self.word_form
         target = word_form(word)
         ev = evaluation(word, rank)
-        return {w for w in words_with_evaluation(ev, limit) if word_form(w) == target}
+        if not self.swap_connected:
+            return {w for w in words_with_evaluation(ev, limit) if word_form(w) == target}
+        check_total(ev, limit)
+        members, rejected, level = {word}, set(), [word]
+        while level:
+            found = []
+            for u in level:
+                for i in range(len(u) - 1):
+                    if u[i] != u[i + 1]:
+                        v = u[:i] + (u[i + 1], u[i]) + u[i + 2:]
+                        if v in members or v in rejected:
+                            continue
+                        if word_form(v) == target:
+                            members.add(v)
+                            found.append(v)
+                        else:
+                            rejected.add(v)
+            level = found
+        return members
 
 
 _COUNTER = rewrite.presentation("counterexample")
@@ -136,8 +184,8 @@ HANDLES: dict[str, MonoidHandle] = {
     ),
     # the form is the class's canonical word; the object is that word formatted as its key
     "counterexample": MonoidHandle(
-        "counterexample", _counter_key, str, str, str,
-        relabel_invariant=False, word_form=_counter_form, format_form=format_word,
+        "counterexample", _counter_key, str, str, str, relabel_invariant=False,
+        word_form=_counter_form, format_form=format_word, swap_connected=False,
     ),
 }
 

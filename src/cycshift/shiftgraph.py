@@ -13,7 +13,8 @@ form-to-id table, and no map from words is kept.  Until the graph is frozen,
 each edge waits once, in a scratch list at its smaller end that is
 deduplicated as it grows, so memory follows the classes and edges.  A
 handle's ``class_graph`` (hypo's) replaces the necklaces and forms one word
-per class.  ``neighbors`` compares forms and formats only its answer.
+per class.  ``neighbors`` forms no necklace: it rotates the members that
+``class_of`` walks to and formats only its answer.
 A component is a view: the ids of its members over its parent's own ``keys``
 and ``nbrs``.  Searches, components and diameters run on ids; keys appear
 only at the edge, through the read-only ``adjacency`` mapping and a key-to-id
@@ -285,25 +286,21 @@ def evaluation_graph(
 def neighbors(handle: MonoidHandle, word: Word, rank: int, limit: int | None = None) -> set[str]:
     """Keys of every rotation of every class member (the class itself included).
 
-    That is the union of the necklace cliques holding the word's class: the
-    rotation forms of every necklace that holds the word's form, or, from a
-    ``class_graph`` asked for the word's class alone, that class and its
-    neighbours.  Only the answer is formatted.
+    The members come from ``class_of``, a walk over the class alone; each
+    rotation that is not a member is formed once.  A ``class_graph`` is asked
+    for the word's class alone: that class and its neighbours.  The size
+    guard runs before any word is formed, and only the answer is formatted.
     """
     ev = ev_of(word, rank)
+    check_total(ev, limit)
+    word_form = handle.word_form
     if handle.class_graph is not None:
-        check_total(ev, limit)
-        ((own, nbrs),) = handle.class_graph(ev, handle.word_form(word)).items()
-        return {handle.format_form(handle.word_form(w)) for w in (own, *nbrs)}
-    stream = necklaces(ev, limit)  # the size guard runs before any word is formed
-    rotation_forms = _rotation_forms(handle, ev)
-    target = handle.word_form(word)
-    out = set()
-    for w in stream:
-        forms = rotation_forms(w)
-        if target in forms:
-            out.update(forms)
-    return set(map(handle.format_form, out))
+        ((own, nbrs),) = handle.class_graph(ev, word_form(word)).items()
+        return {handle.format_form(word_form(w)) for w in (own, *nbrs)}
+    members = handle.class_of(word, rank, limit)
+    rotated = {w[i:] + w[:i] for w in members for i in range(1, len(w))} - members
+    forms = {word_form(word), *map(word_form, rotated)}
+    return set(map(handle.format_form, forms))
 
 
 def component(handle: MonoidHandle, word: Word, rank: int, limit: int | None = None) -> ShiftGraph:

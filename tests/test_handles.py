@@ -9,7 +9,8 @@ import pytest
 
 from cycshift.handles import HANDLES, MonoidHandle
 from cycshift.hypoplactic import QuasiRibbonTableau
-from cycshift.words import format_word
+from cycshift.shiftgraph import full_support_evaluations
+from cycshift.words import format_word, words_with_evaluation
 
 #: every word of rank <= 3 and length <= 5
 WORDS = [w for n in range(6) for w in itertools.product((1, 2, 3), repeat=n)]
@@ -176,3 +177,35 @@ def test_replace_keeps_a_given_key_function():
     copy = dataclasses.replace(h, key_of=f)
     assert copy.key_of is f
     assert dataclasses.replace(h).key_of is h.key_of
+
+
+#: every full-support evaluation of rank <= 4 and total <= 6; the records below are
+#: relabel-invariant, so these words stand for every word of rank <= 4 and length <= 6
+EVALUATIONS = [ev for k in range(5) for ev in full_support_evaluations(k, 6)]
+
+
+@pytest.mark.parametrize("name", [name for name, h in HANDLES.items() if h.swap_connected])
+def test_swap_walk_is_the_evaluation_filter(name):
+    """``class_of``'s walk lists what a filter over the whole evaluation lists."""
+    h = HANDLES[name]
+    assert h.relabel_invariant
+    for ev in EVALUATIONS:
+        forms = {w: h.word_form(w) for w in words_with_evaluation(ev)}
+        classes = {}
+        for w, form in forms.items():
+            classes.setdefault(form, set()).add(w)
+        for w, form in forms.items():
+            assert h.class_of(w, len(ev)) == classes[form], w
+
+
+def test_counterexample_classes_are_not_swap_connected():
+    """``234`` and ``342`` share a class that no class-keeping swap joins."""
+    h = HANDLES["counterexample"]
+    assert not h.swap_connected
+    cls = h.class_of((2, 3, 4), 4)
+    assert cls == {(2, 3, 4), (3, 4, 2)}
+    for w in cls:
+        swaps = {w[:i] + (w[i + 1], w[i]) + w[i + 2:] for i in range(len(w) - 1)}
+        assert swaps.isdisjoint(cls), w
+    # so a walk from 234 would miss 342
+    assert dataclasses.replace(h, swap_connected=True).class_of((2, 3, 4), 4) == {(2, 3, 4)}

@@ -78,6 +78,14 @@ def _counting(h):
     return dataclasses.replace(h, word_form=word_form, format_form=format_form), forms, formats
 
 
+def _swaps(words):
+    return {w[:i] + (w[i + 1], w[i]) + w[i + 2:] for w in words for i in range(len(w) - 1)}
+
+
+def _rotations(words):
+    return {w[i:] + w[:i] for w in words for i in range(len(w))}
+
+
 @pytest.mark.parametrize("ev", [(), (1,), (2, 2), (3, 3), (2, 1, 2), (1, 1, 1, 1, 1), (2, 2, 2)])
 def test_every_word_is_keyed_once(ev):
     for name in ("plac", "hypo", "stal", "sylv", "taig", "baxt", "counterexample"):
@@ -87,15 +95,27 @@ def test_every_word_is_keyed_once(ev):
         assert sorted(forms) == list(words_with_evaluation(ev)), (name, ev)
         assert len(forms) == multinomial(ev)
         assert len(formats) == len(set(formats)) == classes, (name, ev)
-        for word in words_with_evaluation(ev):
+        h = handle(name)
+        words = {w: h.word_form(w) for w in words_with_evaluation(ev)}
+        for word in words:
+            members = {w for w, form in words.items() if form == words[word]}
+            forms.clear()
+            assert counted.class_of(word, len(ev)) == members, (name, word)
+            if h.swap_connected:
+                # the class and its one-swap neighbours, each formed once
+                assert sorted(forms) == sorted(members | _swaps(members)), (name, word)
+            else:
+                # the filter: every word once, and the query word once more
+                assert sorted(forms) == sorted([*words, word]), (name, word)
+            walked = set(forms)
             forms.clear()
             formats.clear()
             got = neighbors(counted, word, len(ev))
-            # every word once, and the query word once more for its target form
-            assert sorted(forms) == sorted([*words_with_evaluation(ev), word]), (name, word)
+            # class_of's words, then the query word and the members' rotations
+            assert set(forms) <= walked | _rotations(members), (name, word)
             # only the answer is formatted, each key once
             assert len(formats) == len(set(formats)) == len(got), (name, word)
-            assert set(map(handle(name).format_form, formats)) == got, (name, word)
+            assert set(map(h.format_form, formats)) == got, (name, word)
 
 
 def test_hypo_neighbors_walk_from_the_word_class_alone():
@@ -120,13 +140,14 @@ def test_neighbors_checks_the_alphabet_first():
 
 
 def test_neighbors_is_every_rotation_of_every_class_member():
-    for name in ("plac", "hypo", "sylv", "baxt"):
-        h = handle(name)
+    # the necklace engine's clique union: the class and its graph neighbours
+    for name, h in HANDLES.items():
+        engine = dataclasses.replace(h, class_graph=None)
         for ev in [(2, 2), (3, 3), (2, 1, 2), (1, 2, 1, 1)]:
+            adj = evaluation_graph(engine, ev).adjacency
             for word in words_with_evaluation(ev):
-                cls = h.class_of(word, len(ev))
-                want = {h.key_of(w[i:] + w[:i]) for w in cls for i in range(len(w))}
-                assert neighbors(h, word, len(ev)) == want, (name, word)
+                k = h.key_of(word)
+                assert neighbors(h, word, len(ev)) == adj[k] | {k}, (name, word)
 
 
 def test_component_sizes_and_diameters():
