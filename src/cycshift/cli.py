@@ -34,8 +34,11 @@ def _rank_of(args, word) -> int:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 

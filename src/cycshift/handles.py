@@ -103,15 +103,15 @@ class MonoidHandle:
 
         A record with ``swap_connected`` False (the counterexample, whose
         ``bxy = xyb`` and ``axyb = byxa`` are not swaps) filters every word
-        of the evaluation instead.  The word is formed first, then its
-        evaluation checked, then the total guard run.
+        of the evaluation instead.  The evaluation is checked and the total
+        guard run before any word is formed.
         """
+        ev = evaluation(word, rank)
+        check_total(ev, limit)
         word_form = self.word_form
         target = word_form(word)
-        ev = evaluation(word, rank)
         if not self.swap_connected:
             return {w for w in words_with_evaluation(ev, limit) if word_form(w) == target}
-        check_total(ev, limit)
         members, rejected, level = {word}, set(), [word]
         while level:
             found = []
@@ -134,11 +134,12 @@ _COUNTER = rewrite.presentation("counterexample")
 
 
 def _counter_form(word: Word) -> Word:
-    return _COUNTER.close(word).canonical
+    # the engine runs check_total under its caller's limit before forming words
+    return _COUNTER.close(word, len(word)).canonical
 
 
 def _counter_key(word: Word) -> str:
-    return format_word(_counter_form(word))
+    return format_word(_COUNTER.close(word).canonical)  # the object keeps the default limit
 
 
 HANDLES: dict[str, MonoidHandle] = {

@@ -35,7 +35,7 @@ from functools import cached_property
 from math import gcd
 
 from .handles import MonoidHandle
-from .words import Evaluation, Word, check_total, evaluation as ev_of, necklaces
+from .words import Evaluation, Word, check_total, check_word, evaluation as ev_of, necklaces
 
 
 def _freeze(ids: Iterable[int]) -> array:
@@ -397,6 +397,7 @@ def diameter_scan(
     """
     if distinct_up_to_relabeling and not handle.relabel_invariant:
         raise ValueError(f"{handle.name} is not invariant under relabeling")
+    check_word((), rank)  # the alphabet check alone: a negative rank is refused
     evs = (
         full_support_evaluations(rank, max_total)
         if distinct_up_to_relabeling

@@ -10,12 +10,13 @@ restricted to uppermost label occurrences; the shift done for each visited
 symbol is a rotation of an explicitly factorized reading of the current tree.
 Every factorization and every intermediate invariant is checked at runtime:
 a violation raises AssertionError and means a bug, never a silent fallback.
-The builder holds U and each tree of the walk as arrays over postfix
-positions (``PostfixTree``), built from a word.  A subtree is a run of that
-order, so each piece of a factorization is a run or two, read as label
-slices; a tree's key is its postfix reading, which ``right_bst`` inverts.
-It works on the symbols as given.  ``shift_moves`` returns the step
-witnesses alone (taiga lifts them); ``shift_path`` adds the trees.
+The builder takes the postfix readings of T and U (``trees.labels``), which
+``right_bst`` inverts, and holds U and each tree of its walk as arrays over
+postfix positions (``PostfixTree``), with no ``Node``.  A subtree is a run of
+that order, so each piece of a factorization is a run or two, read as label
+slices; a tree's key is its postfix reading.  It works on the symbols as
+given.  ``shift_moves`` returns the step witnesses alone, which taiga lifts
+from its trees' ``labels``; ``shift_path`` starts at ``t`` and adds the trees.
 
 Each shift reads the current tree as ``moved + rest`` and moves on to
 ``rest + moved``.  The base step moves the first visited symbol with its
@@ -334,10 +335,10 @@ def _index(word: Word):
     return tree, parent, count, topmost, classes
 
 
-def traversal_plan(u_root: Node | None, index=None) -> list[PlanStep]:
-    """Plan the topmost-occurrence postfix walk of ``u_root``; one step per symbol."""
-    _require(u_root is not None, "plan needs a non-empty tree")
-    u, parent, count, topmost, classes = index or _index(labels(u_root))
+def traversal_plan(u_word: Word, index=None) -> list[PlanStep]:
+    """Plan the topmost-occurrence postfix walk of ``right_bst(u_word)``; one step per symbol."""
+    _require(len(u_word) > 0, "plan needs a non-empty tree")
+    u, parent, count, topmost, classes = index or _index(u_word)
     labs = u.labels
     order = [p for p, lab in enumerate(labs) if topmost[lab] == p]
     _require(len(order) == len(count), "one walk step per distinct symbol")
@@ -436,9 +437,9 @@ def _embed_at(step: PlanStep, tree: PostfixTree, at: int):
 
 
 class _PathBuilder:
-    def __init__(self, t_word: Word, u_root: Node, u_word: Word):
+    def __init__(self, t_word: Word, u_word: Word):
         index = _index(u_word)
-        self.plan = traversal_plan(u_root, index)
+        self.plan = traversal_plan(u_word, index)
         self.n = len(self.plan)
         self.u, self.parent, self.count, self.topmost, classes = index
         self.is_top = [self.topmost[lab] == p for p, lab in enumerate(self.u.labels)]
@@ -840,25 +841,23 @@ class _PathBuilder:
         return self.words, self.moves, self.keys
 
 
-def shift_moves(t: Node | None, u: Node | None) -> tuple[tuple[Word, int], ...]:
-    """The step witnesses ``(w, k)`` of ``shift_path(t, u)``, with no element built.
+def shift_moves(t_word: Word, u_word: Word) -> tuple[tuple[Word, int], ...]:
+    """The step witnesses ``(w, k)`` from ``right_bst(t_word)`` to ``right_bst(u_word)``.
 
-    Requires equal evaluations.
+    Both are postfix readings (``trees.labels``).  Requires equal evaluations.
     """
-    t_labels, u_labels = labels(t), labels(u)
-    if sorted(t_labels) != sorted(u_labels):
+    if sorted(t_word) != sorted(u_word):
         raise ValueError("shift path requires equal evaluations")
-    if t_labels == u_labels:
+    if list(t_word) == list(u_word):
         return ()
-    return compress_path(*_PathBuilder(t_labels, u, u_labels).run()).moves
+    return compress_path(*_PathBuilder(t_word, u_word).run()).moves
 
 
 def shift_path(t: Node | None, u: Node | None) -> ShiftPath:
     """Path of at most n cyclic shifts from ``t`` to ``u`` (n = distinct symbols).
 
-    Requires equal evaluations.  Each element is ``right_bst`` of its step's
-    rotated witness.
+    Requires equal evaluations.  The first element is ``t``; each later one
+    is ``right_bst`` of its step's rotated witness.
     """
-    moves = shift_moves(t, u)
-    first = right_bst(labels(t))
-    return ShiftPath((first, *(right_bst(w[k:] + w[:k]) for w, k in moves)), moves)
+    moves = shift_moves(labels(t), labels(u))
+    return ShiftPath((t, *(right_bst(w[k:] + w[:k]) for w, k in moves)), moves)

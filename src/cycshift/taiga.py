@@ -12,7 +12,7 @@ from collections import Counter
 
 from . import sylvester
 from .paths import ShiftPath, compress_path
-from .trees import Node, postfix, serialize
+from .trees import Node, labels, postfix, serialize
 from .words import Word
 
 
@@ -104,35 +104,28 @@ def check_mult_bst(root: Node | None) -> None:
         stack.append((node.right, node.label, hi))
 
 
-def drop_multiplicities(root: Node | None) -> Node | None:
-    """Forget multiplicities; distinct labels make the result a (both-strict) BST."""
-    if root is None:
-        return None
-    return Node(root.label, 1, drop_multiplicities(root.left), drop_multiplicities(root.right))
-
-
 def shift_path(t: Node | None, u: Node | None) -> ShiftPath:
     """Lift the stripped-tree witnesses (``sylvester.shift_moves``), repeating each symbol.
 
+    ``labels`` lists each node once in postfix order, which is the stripped
+    tree's postfix reading, so the witnesses come from the trees as given.
     Each tree of the lift is compared through ``word_form`` of a word that
     represents it, so only the path's elements are built as trees.
     """
     t_word, u_word = tuple(symbols(t)), tuple(symbols(u))
     if sorted(t_word) != sorted(u_word):
         raise ValueError("shift path requires equal evaluations")
-    if t is None:
-        return ShiftPath((None,), ())
     forms, target = [word_form(t_word)], word_form(u_word)
     if forms[0] == target:
-        return ShiftPath((mult_bst(t_word),), ())
+        return ShiftPath((t,), ())
     mult = Counter(t_word)
 
     def expand(word: Word) -> Word:
         return tuple(a for sym in word for a in (sym,) * mult[sym])
 
-    elements: list[Node | None] = [mult_bst(t_word)]
+    elements: list[Node | None] = [t]
     moves: list[tuple[Word, int]] = []
-    for w, k in sylvester.shift_moves(drop_multiplicities(t), drop_multiplicities(u)):
+    for w, k in sylvester.shift_moves(labels(t), labels(u)):
         uv = expand(w)
         split = len(expand(w[:k]))
         if word_form(uv) != forms[-1]:

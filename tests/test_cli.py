@@ -11,6 +11,8 @@ from cycshift import cli
 from cycshift.cli import main
 from cycshift.handles import HANDLES
 from cycshift.paths import ShiftPath
+from cycshift.rewrite import presentation
+from cycshift.words import format_word, parse_word
 
 
 def run_cli(capsys, *argv):
@@ -225,3 +227,34 @@ def test_verify_criterion_7_output_is_pinned(capsys):
     code, out, _ = run_cli(capsys, "verify", "--criteria", "7")
     assert code == 0
     assert out == CRITERION_7
+
+
+def test_scan_rejects_a_negative_rank(capsys):
+    code, out, err = run_cli(capsys, "scan", "--monoid", "plac", "--rank", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: rank must be non-negative, got -1\n"
+
+
+def test_an_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, "class", "--monoid", "plac", "--word", "12", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write --out {target}: ") and "Traceback" not in err
+
+
+def test_counterexample_follows_max_total(capsys):
+    word = "13434343432"
+    code, out, _ = run_cli(capsys, "class", "--monoid", "counterexample", "--word", word, "--max-total", "12")
+    closed = presentation("counterexample").close(parse_word(word), 12).members
+    assert code == 0 and out.split() == sorted(format_word(w) for w in closed)
+    for command in ("neighbors", "diameter"):
+        code, _, _ = run_cli(capsys, command, "--monoid", "counterexample", "--word", word, "--max-total", "12")
+        assert code == 0
+    code, _, _ = run_cli(
+        capsys, "path", "--monoid", "counterexample", "--word1", word, "--word2", "13432434343",
+        "--max-total", "12",
+    )
+    assert code == 0
+    code, out, err = run_cli(capsys, "class", "--monoid", "counterexample", "--word", word)
+    assert code == 2 and out == ""
+    assert err == "error: evaluation total 11 exceeds enumeration limit 10 (evaluation (1, 1, 5, 4))\n"

@@ -60,3 +60,12 @@ def test_check_path_accepts_the_empty_path_of_every_monoid():
         h = handle(name)
         empty = h.element(())
         check_path(h, h.shift_path(empty, empty), h.key(empty), h.key(empty))
+
+
+@pytest.mark.parametrize("name", ["hypo", "sylv", "stal", "taig"])
+def test_a_shift_path_starts_at_its_first_argument(name):
+    h = handle(name)
+    pairs = [((), ()), ((2, 1, 3), (2, 1, 3)), ((3, 3, 1, 2), (1, 2, 3, 3)), ((1, 3, 2, 1), (2, 1, 1, 3))]
+    for w1, w2 in pairs:
+        a, b = h.element(w1), h.element(w2)
+        assert h.shift_path(a, b).elements[0] is a

@@ -107,7 +107,7 @@ def test_traversal_plan_reference_tree():
         ),
     )
     check_right_strict(t)
-    plan = traversal_plan(t)
+    plan = traversal_plan(labels(t))
     step = next(s for s in plan if s.label == 6)
     assert step.lower == 1 and step.upper == 8 and step.min_sym == 2
     assert step.anchor_extra == 3
@@ -118,10 +118,10 @@ def test_traversal_plan_reference_tree():
 
 
 def test_traversal_plan_chain_trees():
-    plan = traversal_plan(right_bst((1, 2, 3, 4)))
+    plan = traversal_plan(labels(right_bst((1, 2, 3, 4))))
     first = plan[0]
     assert first.label == 1 and first.lower is None and first.upper == 2
-    only = traversal_plan(right_bst((7,)))[0]
+    only = traversal_plan(labels(right_bst((7,))))[0]
     assert only.lower is None and only.upper is None
     assert serialize(right_bst(only.anchor)) == "7(-)(-)"
 

@@ -4,18 +4,22 @@ from cycshift.handles import handle
 from cycshift.paths import check_path
 from cycshift.rewrite import presentation
 from cycshift.shiftgraph import evaluation_graph
-from cycshift.sylvester import key as sylv_key
+from cycshift.sylvester import key as sylv_key, right_bst
 from cycshift.taiga import (
     check_mult_bst,
-    drop_multiplicities,
     key,
     mult_bst,
     shift_path,
 )
-from cycshift.trees import Node
+from cycshift.trees import Node, labels
 from cycshift.words import parse_word, words_with_evaluation
 
 key_of = handle("taig").key_of
+
+
+def drop_multiplicities(root):
+    """The stripped tree: ``labels`` lists each node once, in postfix order."""
+    return right_bst(labels(root))
 
 
 def test_insert_examples():
