@@ -26,6 +26,17 @@ from .words import (
 )
 
 
+def _count(text: str) -> int:
+    """A non-negative int option; argparse reports a refusal as a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _rank_of(args, word) -> int:
     if args.rank is not None:
         return args.rank
@@ -154,14 +165,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(wa, required=True)
         if enumerates:
             p.add_argument("--rank", type=int, default=None)
-            p.add_argument("--max-total", type=int, default=DEFAULT_MAX_TOTAL, dest="max_total")
+            p.add_argument("--max-total", type=_count, default=DEFAULT_MAX_TOTAL, dest="max_total")
         p.add_argument("--out", default=None)
         return p
 
     psymbol = command("psymbol", "print the canonical key and a drawing", enumerates=False)
     psymbol.add_argument("--format", choices=("text", "json"), default="text")
     cls = command("class", "list every word of the congruence class")
-    cls.add_argument("--max-class", type=int, default=DEFAULT_MAX_CLASS, dest="max_class")
+    cls.add_argument("--max-class", type=_count, default=DEFAULT_MAX_CLASS, dest="max_class")
     command("neighbors", "canonical keys one shift away")
     comp = command("component", "the connected component of the class")
     comp.add_argument("--format", choices=("text", "dot", "json"), default="text")
@@ -170,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     scan = command("scan", "per-evaluation component census", (), enumerates=False)
     scan.add_argument("--rank", type=int, required=True)
-    scan.add_argument("--max-total", type=int, default=DEFAULT_MAX_TOTAL, dest="max_total")
+    scan.add_argument("--max-total", type=_count, default=DEFAULT_MAX_TOTAL, dest="max_total")
     scan.add_argument("--distinct", action="store_true",
                       help="one evaluation per count multiset (relabeling symmetry)")
 

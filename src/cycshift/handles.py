@@ -11,7 +11,9 @@ to reference insertions of their own.  The graph engine, the CLI and
 ``verify`` read the monoids from ``HANDLES`` alone; the rewriting oracle keeps
 its own ``rewrite.PRESENTATIONS`` so that it shares no code with what it
 checks.  A record may give ``class_graph``, its shift graph built on class
-descriptions (hypo's row breaks), which the graph engine then uses.
+descriptions (hypo's row breaks), which the graph engine then uses; one that
+``saturates`` (stal, taig) lets the engine build an evaluation's graph from
+its counts capped at 2.
 
 ``MonoidHandle.class_of`` is the one way to list a class, for every monoid
 (``tests/test_lint.py`` keeps it the only one): it walks the class from the
@@ -64,6 +66,9 @@ class MonoidHandle:
     key_of: Callable[[Word], str] | None = field(default=None, kw_only=True)
     #: every class is connected by adjacent swaps that stay inside it (``class_of``)
     swap_connected: bool = field(default=True, kw_only=True)
+    #: the shift graph of an evaluation is that of its counts capped at 2, keys
+    #: aside (``shiftgraph.evaluation_graph``)
+    saturates: bool = field(default=False, kw_only=True)
 
     def __post_init__(self):
         if self.key_of is None:
@@ -168,14 +173,14 @@ HANDLES: dict[str, MonoidHandle] = {
         StalacticTableau.key, StalacticTableau.draw, StalacticTableau.to_json,
         StalacticTableau.symbols, StalacticTableau.check,
         stalactic.shift_path, path_law=(0, 3),
-        word_form=stalactic.word_form, format_form=stalactic.format_form,
+        word_form=stalactic.word_form, format_form=stalactic.format_form, saturates=True,
     ),
     "taig": MonoidHandle(
         "taig", taiga.mult_bst,
         taiga.key, partial(sylvester.draw, with_mult=True), partial(tree_json, with_mult=True),
         taiga.symbols, taiga.check_mult_bst,
         taiga.shift_path, path_law=(1, 0),
-        word_form=taiga.word_form, format_form=taiga.format_form,
+        word_form=taiga.word_form, format_form=taiga.format_form, saturates=True,
     ),
     "baxt": MonoidHandle(
         "baxt", baxter.twin_pair,

@@ -144,15 +144,19 @@ class PresentedMonoid:
 
     name: str
     moves: MoveFn
-    _cache: dict[Word, frozenset[Word]] = field(default_factory=dict, repr=False)
+    _cache: dict[Word, CongruenceClass] = field(default_factory=dict, repr=False)
 
     def close(self, word: Word, limit: int | None = None) -> CongruenceClass:
-        """The full congruence class of ``word`` by breadth-first closure."""
+        """The full congruence class of ``word`` by breadth-first closure.
+
+        The cache maps each member of a closed class to the class itself, so
+        a hit costs one lookup and the canonical word is found once per class.
+        """
         bound = DEFAULT_MAX_TOTAL if limit is None else limit
         if len(word) > bound:
             raise LimitExceededError(f"word length {len(word)} exceeds closure limit {bound}")
-        cached = self._cache.get(word)
-        if cached is None:
+        cls = self._cache.get(word)
+        if cls is None:
             seen = {word}
             frontier = [word]
             while frontier:
@@ -163,13 +167,13 @@ class PresentedMonoid:
                             seen.add(w2)
                             nxt.append(w2)
                 frontier = nxt
-            cached = frozenset(seen)
-            if len(self._cache) + len(cached) > _CACHE_WORDS:
+            cls = CongruenceClass(frozenset(seen), min(seen))
+            if len(self._cache) + len(cls) > _CACHE_WORDS:
                 self._cache.clear()
-            if len(cached) <= _CACHE_WORDS:
-                for w in cached:
-                    self._cache[w] = cached
-        return CongruenceClass(cached, min(cached))
+            if len(cls) <= _CACHE_WORDS:
+                for w in cls.members:
+                    self._cache[w] = cls
+        return cls
 
     def word_neighbors(self, word: Word, limit: int | None = None) -> list[CongruenceClass]:
         """Classes of all rotations of all members of the class of ``word``."""

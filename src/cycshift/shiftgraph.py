@@ -5,16 +5,18 @@ i, and ``nbrs[i]`` is a frozen, sorted ``array('I')`` of its neighbours' ids,
 4 bytes per directed edge, with no self-loop.  Two classes are adjacent when
 some member of one, rotated, lands in the other.  All rotations of a word are
 pairwise adjacent, so the graph is the union of one clique per necklace
-(rotation class).  The necklaces of an evaluation are streamed, each at its
-least rotation (``words.necklaces``), and the ids of its distinct rotations
-are joined pairwise: every word is formed once (``handle.word_form``, a
-tuple), every class formatted once (``handle.format_form``) through a
-form-to-id table, and no map from words is kept.  Until the graph is frozen,
-each edge waits once, in a scratch list at its smaller end that is
-deduplicated as it grows, so memory follows the classes and edges.  A
-handle's ``class_graph`` (hypo's) replaces the necklaces and forms one word
-per class.  ``neighbors`` forms no necklace: it rotates the members that
-``class_of`` walks to and formats only its answer.
+(rotation class).  The necklaces of an evaluation are streamed, each once
+(``words.necklaces``: starting with the least symbol used once, or else at
+its least rotation), and the ids of its distinct rotations are joined
+pairwise: every word is formed once (``handle.word_form``, a tuple), every
+class formatted once (``handle.format_form``) through a form-to-id table,
+and no map from words is kept.  Until the graph is frozen, each edge waits
+once, in a scratch list at its smaller end that is deduplicated as it grows,
+so memory follows the classes and edges.  A handle's ``class_graph``
+(hypo's) replaces the necklaces and forms one word per class.  A handle that
+``saturates`` (stal, taig) builds an evaluation from its counts capped at 2
+and keys one padded word per class.  ``neighbors`` forms no necklace: it
+rotates the members that ``class_of`` walks to and formats only its answer.
 A component is a view: the ids of its members over its parent's own ``keys``
 and ``nbrs``.  Searches, components and diameters run on ids; keys appear
 only at the edge, through the read-only ``adjacency`` mapping and a key-to-id
@@ -221,6 +223,17 @@ def _rotation_forms(handle: MonoidHandle, ev: Evaluation):
     return of
 
 
+def _pad(word: Word, ev: Evaluation) -> Word:
+    """``word`` with the first copy of each symbol repeated up to its count in ``ev``."""
+    out, seen = [], set()
+    for a in word:
+        if a not in seen:
+            seen.add(a)
+            out += [a] * (ev[a - 1] - 2)
+        out.append(a)
+    return tuple(out)
+
+
 #: a scratch list of neighbour ids is deduplicated once it passes twice its last
 #: deduplicated length plus this, so it stays near the class's degree
 _SLACK = 64
@@ -232,8 +245,48 @@ def evaluation_graph(
 ) -> ShiftGraph:
     """The full shift graph of one evaluation; ``representatives`` gets a word per class.
 
+    A handle that ``saturates`` (stal, taig) builds an evaluation with a
+    count above 2 from its saturation, every count capped at 2.  Each class
+    of the saturated graph keeps its id and neighbours, and takes the key of
+    its word padded back to ``ev`` by repeating the first copy of each
+    symbol whose count is above 2.  The graphs are the same:
+
+    - a stal class is ``(σ, ev)``, where σ is the order of the symbols'
+      rightmost occurrences, and every order of the support is a class.  A
+      cut ``u|v`` gives ``vu``, whose order σ' takes each symbol at its
+      rightmost copy in ``u``, or in ``v`` when ``u`` has none;
+    - deleting all but two copies of a symbol, keeping its rightmost copy
+      and its rightmost copy in ``u``, preserves σ, σ' and whether ``u`` and
+      ``v`` are empty, so every edge of ``ev`` is an edge of the saturation;
+    - padding before a symbol's first copy preserves them too, since that
+      copy is never its symbol's rightmost copy, and is its rightmost copy
+      in ``u`` only when the other copy lies in ``v``; so every edge of the
+      saturation is an edge of ``ev``, between the classes of the padded
+      words, which have the same σ;
+    - a taig class is the binary search tree of σ (inserted right to left)
+      with the counts as multiplicities, so its graph is the image of
+      stal's, and the tree's shape does not depend on the counts.
+    """
+    if handle.saturates and max(ev, default=0) > 2:
+        check_total(ev, limit)
+        reps: dict[str, Word] = {}
+        g = _build(handle, tuple(min(c, 2) for c in ev), limit, reps)
+        words = [_pad(reps[k], ev) for k in g.keys]
+        keys = [handle.format_form(handle.word_form(w)) for w in words]
+        if representatives is not None:
+            representatives.update(zip(keys, words))
+        return ShiftGraph(handle.name, len(ev), ev, keys, g.nbrs)
+    return _build(handle, ev, limit, representatives)
+
+
+def _build(
+    handle: MonoidHandle, ev: Evaluation, limit: int | None,
+    representatives: dict[str, Word] | None,
+) -> ShiftGraph:
+    """The graph of ``ev`` from the handle's ``class_graph``, or else from the necklaces.
+
     Each class is formatted once, through a form-to-id table or from the
-    word the handle's ``class_graph`` gives for it.
+    word the ``class_graph`` gives for it.
     """
     if handle.class_graph is not None:
         check_total(ev, limit)
@@ -252,6 +305,7 @@ def evaluation_graph(
     larger: list[list[int]] = []
     dedup_at: list[int] = []
     for w in necklaces(ev, limit):
+        fresh = len(keys)
         rotations = []
         for f in rotation_forms(w):
             i = table.get(f)
@@ -270,7 +324,8 @@ def evaluation_graph(
                 dedup_at[i] = 2 * len(ids) + _SLACK
         if representatives is not None:
             for i, c in enumerate(rotations):
-                representatives.setdefault(keys[c], w[i:] + w[:i])
+                if c >= fresh:
+                    representatives.setdefault(keys[c], w[i:] + w[:i])
     del table
     # row i: its smaller neighbours, which the rows before it hand down in order, then its larger
     nbrs = [array("I") for _ in keys]

@@ -123,18 +123,27 @@ def words_with_evaluation(ev: Evaluation, limit: int | None = None) -> Iterator[
 
 
 def necklaces(ev: Evaluation, limit: int | None = None) -> Iterator[Word]:
-    """Yield each word with evaluation ``ev`` that is the least of its rotations.
+    """Yield one word of each rotation class (necklace) with evaluation ``ev``.
 
-    Every rotation class (necklace) appears once, at its least rotation, in
-    lexicographic order.  A least rotation starts with the least symbol, so
+    When some symbol occurs once, the least such symbol ``s`` anchors every
+    necklace: a necklace then has period its length, so exactly one of its
+    rotations starts with ``s``, and ``(s,) + tail`` for every arrangement
+    ``tail`` of the other symbols lists each necklace once, with no rotation
+    compared.  Otherwise each necklace appears at its least rotation, in
+    lexicographic order: a least rotation starts with the least symbol, so
     only the arrangements of the rest follow it, and only the rotations that
-    also start with that symbol can be smaller.  The limit is checked as in
-    ``words_with_evaluation``.
+    also start with that symbol can be smaller.  When the least symbol is
+    the anchor, both rules give the same words in the same order.  The limit
+    is checked as in ``words_with_evaluation``.
     """
     check_total(ev, limit)
     symbols = _sorted_symbols(ev)
     if not symbols:
         return iter([()])
+    if 1 in ev:
+        anchor = ev.index(1) + 1
+        symbols.remove(anchor)
+        return ((anchor,) + tail for tail in _arrangements(symbols))
     least, n = symbols[0], len(symbols)
 
     def gen() -> Iterator[Word]:

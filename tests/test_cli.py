@@ -258,3 +258,37 @@ def test_counterexample_follows_max_total(capsys):
     code, out, err = run_cli(capsys, "class", "--monoid", "counterexample", "--word", word)
     assert code == 2 and out == ""
     assert err == "error: evaluation total 11 exceeds enumeration limit 10 (evaluation (1, 1, 5, 4))\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--monoid", "plac", "--rank", "2", "--max-total", "-1"),
+        ("class", "--monoid", "plac", "--word", "12", "--max-total", "-1"),
+        ("component", "--monoid", "stal", "--word", "1233", "--max-total", "-2"),
+        ("class", "--monoid", "plac", "--word", "132", "--max-class", "-1"),
+    ],
+)
+def test_a_negative_count_option_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    flag, value = argv[-2:]
+    assert err.splitlines()[-1].endswith(
+        f"error: argument {flag}: must be a non-negative integer, got '{value}'"
+    )
+
+
+def test_count_options_keep_their_other_answers(capsys):
+    # zero is a bound like any other, and a non-integer keeps argparse's own message
+    code, out, _ = run_cli(capsys, "scan", "--monoid", "plac", "--rank", "2", "--max-total", "0")
+    assert code == 0 and out.splitlines()[2].split() == ["0,0", "1", "1", "0", "Y"]
+    code, _, err = run_cli(capsys, "class", "--monoid", "plac", "--word", "132", "--max-class", "0")
+    assert code == 2 and err == "error: class has 2 members, over the --max-class bound 0\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--monoid", "plac", "--rank", "2", "--max-total", "x"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        "error: argument --max-total: invalid int value: 'x'"
+    )

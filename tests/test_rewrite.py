@@ -29,6 +29,19 @@ def test_close_canonical_is_lex_min():
     assert cls.canonical == min(cls.members)
 
 
+def test_close_hands_every_member_the_cached_class(monkeypatch):
+    plac = presentation("plac")
+    cls = plac.close(parse_word("132"))
+    # a hit neither closes again nor looks for the canonical word again
+    monkeypatch.setattr(plac, "moves", None)
+    monkeypatch.setattr(rewrite, "min", None, raising=False)
+    assert plac.close(parse_word("312")) is plac.close(parse_word("132")) is cls
+    assert cls.canonical == parse_word("132")
+    # the length guard still runs before the lookup
+    with pytest.raises(LimitExceededError):
+        plac.close(parse_word("132"), 2)
+
+
 def test_close_respects_limit():
     plac = presentation("plac")
     with pytest.raises(LimitExceededError):

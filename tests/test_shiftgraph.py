@@ -23,7 +23,7 @@ from cycshift.shiftgraph import (
     to_dot,
     to_json,
 )
-from cycshift.words import multinomial, parse_word, words_with_evaluation
+from cycshift.words import LimitExceededError, multinomial, parse_word, words_with_evaluation
 
 
 def distances_from(adj, start):
@@ -89,13 +89,26 @@ def _rotations(words):
 @pytest.mark.parametrize("ev", [(), (1,), (2, 2), (3, 3), (2, 1, 2), (1, 1, 1, 1, 1), (2, 2, 2)])
 def test_every_word_is_keyed_once(ev):
     for name in ("plac", "hypo", "stal", "sylv", "taig", "baxt", "counterexample"):
-        # the necklace engine, also for a record that builds its graph from a model
-        counted, forms, formats = _counting(dataclasses.replace(handle(name), class_graph=None))
+        h = handle(name)
+        if h.saturates:
+            # the saturated build: the words of the counts capped at 2, and one
+            # padded word per class when some count is above 2
+            counted, forms, formats = _counting(h)
+            classes = len(evaluation_graph(counted, ev).adjacency)
+            sat = tuple(min(c, 2) for c in ev)
+            padded = 0 if sat == ev else classes
+            assert len(forms) == multinomial(sat) + padded, (name, ev)
+            # each saturated class, then each padded word, formatted once
+            assert len(formats) == classes + padded, (name, ev)
+        # the necklace engine, also for a record that builds its graph from a
+        # model or from its saturation
+        counted, forms, formats = _counting(
+            dataclasses.replace(h, class_graph=None, saturates=False)
+        )
         classes = len(evaluation_graph(counted, ev).adjacency)
         assert sorted(forms) == list(words_with_evaluation(ev)), (name, ev)
         assert len(forms) == multinomial(ev)
         assert len(formats) == len(set(formats)) == classes, (name, ev)
-        h = handle(name)
         words = {w: h.word_form(w) for w in words_with_evaluation(ev)}
         for word in words:
             members = {w for w, form in words.items() if form == words[word]}
@@ -295,15 +308,17 @@ def test_engine_matches_reference(name):
         # the engine gets the same forms without computing them again
         forms = {w: h.word_form(w) for w in keys}
         cached = SimpleNamespace(
-            name=h.name, word_form=forms.__getitem__, format_form=h.format_form, class_graph=None
+            name=h.name, word_form=forms.__getitem__, format_form=h.format_form,
+            class_graph=None, saturates=False,
         )
         ref = reference_graph(h, ev, keys)
         ref_adj, ref_json, ref_dot = dict(ref.adjacency), to_json(ref), to_dot(ref)
         ref_comps = ref.components()
         ref_comp_adjs = [dict(c.adjacency) for c in ref_comps]
         ref_diameters = [reference_diameter(c) for c in ref_comps]
-        # the necklace engine, and the record's own model when it has one
-        for g in [evaluation_graph(cached, ev)] + ([evaluation_graph(h, ev)] if h.class_graph else []):
+        # the necklace engine, and the record's own build when it has a model or saturates
+        own = [evaluation_graph(h, ev)] if h.class_graph or h.saturates else []
+        for g in [evaluation_graph(cached, ev)] + own:
             assert dict(g.adjacency) == ref_adj, ev
             # each frozen neighbour array: sorted, no repeats, no self-loop
             for i, row in enumerate(g.nbrs):
@@ -313,6 +328,30 @@ def test_engine_matches_reference(name):
             comps = g.components()
             assert [dict(c.adjacency) for c in comps] == ref_comp_adjs, ev
             assert [diameter(c) for c in comps] == ref_diameters, ev
+
+
+#: every evaluation of rank 4 and total <= 8 with a count above 2; a lower
+#: rank's graph is that of its zero-padded rank-4 form
+SATURATED_EVALUATIONS = [
+    ev for ev in itertools.product(range(9), repeat=4) if sum(ev) <= 8 and max(ev) > 2
+]
+
+
+@pytest.mark.parametrize("name", [name for name, h in HANDLES.items() if h.saturates])
+def test_saturated_graphs_are_the_necklace_engine_graphs(name):
+    h = handle(name)
+    engine = dataclasses.replace(h, saturates=False)
+    for ev in SATURATED_EVALUATIONS:
+        reps, want_reps = {}, {}
+        g = evaluation_graph(h, ev, representatives=reps)
+        want = evaluation_graph(engine, ev, representatives=want_reps)
+        assert g.vertices == want.vertices and g.edges() == want.edges(), ev
+        assert reps.keys() == want_reps.keys(), ev
+        assert all(h.key_of(w) == k and sorted(w) == sorted(want_reps[k]) for k, w in reps.items()), ev
+    # the guard reads the evaluation's own total, with the engine's message
+    with pytest.raises(LimitExceededError) as exc:
+        evaluation_graph(h, (4, 3, 1), 7)
+    assert str(exc.value) == "evaluation total 8 exceeds enumeration limit 7 (evaluation (4, 3, 1))"
 
 
 def _graph(n, edges):

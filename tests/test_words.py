@@ -98,14 +98,37 @@ def test_words_with_evaluation_are_the_distinct_permutations():
         assert list(words_with_evaluation(ev)) == sorted(set(itertools.permutations(_symbols(ev)))), ev
 
 
+def _anchor(ev):
+    """The least symbol used once, or None."""
+    return ev.index(1) + 1 if 1 in ev else None
+
+
 def test_necklaces_are_the_least_rotations():
-    for ev in SMALL_EVALUATIONS:
+    # where the anchor is the least symbol, or no symbol is single
+    kept = [ev for ev in SMALL_EVALUATIONS if _anchor(ev) in (None, *_symbols(ev)[:1])]
+    assert (1, 2, 2) in kept and (2, 2) in kept and (2, 1) not in kept
+    for ev in kept:
         want = [
             w for w in words_with_evaluation(ev)
             if all(w <= w[i:] + w[:i] for i in range(len(w)))
         ]
         got = list(necklaces(ev))
         assert got == sorted(want) and len(set(got)) == len(got), ev
+
+
+def test_necklaces_are_one_word_per_rotation_class():
+    for ev in SMALL_EVALUATIONS:
+        got = list(necklaces(ev))
+        assert len(set(got)) == len(got), ev
+        owner = {}
+        for w in got:
+            for i in range(max(len(w), 1)):
+                assert owner.setdefault(w[i:] + w[:i], w) == w, (ev, w)
+        # every word is a rotation of exactly one yielded word
+        assert sorted(owner) == list(words_with_evaluation(ev)), ev
+        anchor = _anchor(ev)
+        if anchor is not None:
+            assert all(w[0] == anchor for w in got), ev
 
 
 def test_necklaces_limit_is_checked_at_the_call():
