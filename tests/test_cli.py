@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -292,3 +293,26 @@ def test_count_options_keep_their_other_answers(capsys):
     assert capsys.readouterr().err.splitlines()[-1].endswith(
         "error: argument --max-total: invalid int value: 'x'"
     )
+
+
+#: README's CLI examples and one constructive path each of hypo, sylv, taig and
+#: stal, with the sha256 of the stdout each prints
+PINNED_OUTPUTS = [
+    ("psymbol --monoid sylv --word 5451761524", "55870978a46a0cfe39062e3e014df1fa1dff6db071547e5d771cff3aee7e9a6b"),
+    ("class --monoid plac --word 132", "45ca8f73385061565aac04931c26735d749a7dd8b98d5bdd9b291fea66bc0b63"),
+    ("neighbors --monoid plac --word 12345", "aa3c835323465cd99563d921a438133f50193f1b68133ee807143f90572d6631"),
+    ("component --monoid stal --word 1233 --format dot", "1d940e78bf5440fcb9e7fcd413fb59d9eff2928ce0b9059d5505440d6044262d"),
+    ("diameter --monoid plac --rank 5 --word 12345", "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d"),
+    ("path --monoid hypo --word1 244135 --word2 135244", "ec813aafcbb0ae32b944a301a556cef7e15de7cc32ba275ed8808451b1ef0288"),
+    ("scan --monoid stal --rank 3 --max-total 6", "a7135d14320634bb688b7d4f23efe753b5373df81af8a8dea0578c69ffd2e02a"),
+    ("path --monoid sylv --word1 5451761 --word2 1675415", "db79e89f3fc16b4d99b4255c1720a5328ff4f1a068e098dcacd38cd0e0b44a73"),
+    ("path --monoid taig --word1 31524461 --word2 16442513", "fcfba551aab8714e51817b57e17c9c4f7a198d99d287d25db12cc7fa251d883a"),
+    ("path --monoid stal --word1 1551453 --word2 5115354", "02e3393524e4d893796127cb771e0eb04b5c7743ad7c9afe3f1c677979ca37f1"),
+]
+
+
+@pytest.mark.parametrize(("command", "digest"), PINNED_OUTPUTS)
+def test_cli_output_is_pinned(command, digest, capsys):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

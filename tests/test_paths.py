@@ -1,8 +1,10 @@
+import hashlib
+
 import pytest
 
 from cycshift.handles import handle
 from cycshift.paths import ShiftPath, check_path
-from cycshift.shiftgraph import evaluation_graph, from_adjacency
+from cycshift.shiftgraph import evaluation_graph, from_adjacency, full_support_evaluations
 
 SYLV = handle("sylv")
 T, U = SYLV.element((1, 2)), SYLV.element((2, 1))
@@ -69,3 +71,31 @@ def test_a_shift_path_starts_at_its_first_argument(name):
     for w1, w2 in pairs:
         a, b = h.element(w1), h.element(w2)
         assert h.shift_path(a, b).elements[0] is a
+
+
+#: every full-support evaluation of rank <= 4 and total <= 6, and the standard rank 5
+PINNED_EVALUATIONS = [ev for k in range(5) for ev in full_support_evaluations(k, 6)] + [(1,) * 5]
+
+PATH_DIGESTS = {
+    "hypo": "12021179bf9de3e116b1885eb22a810525fd1c561dbe1260557e47184561c744",
+    "stal": "7bf009fa43c8dc1ffdefd9c097f1c376cc5dcd043e1ad802386b5807826fff77",
+}
+
+
+@pytest.mark.parametrize("name", list(PATH_DIGESTS))
+def test_hypo_and_stal_paths_are_pinned(name):
+    # one sha256 over the moves and element keys of the path between every
+    # two classes of a component: a change to the builder that alters any
+    # path, even to another valid one, changes the digest
+    h = handle(name)
+    digest = hashlib.sha256()
+    for ev in PINNED_EVALUATIONS:
+        reps = {}
+        graph = evaluation_graph(h, ev, representatives=reps)
+        for comp in graph.components():
+            elements = [h.element(reps[k]) for k in comp.vertices]
+            for a in elements:
+                for b in elements:
+                    path = h.shift_path(a, b)
+                    digest.update(repr((path.moves, [h.key(el) for el in path.elements])).encode())
+    assert digest.hexdigest() == PATH_DIGESTS[name]
