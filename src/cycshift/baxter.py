@@ -1,8 +1,10 @@
 """Pairs of twin binary search trees (the Baxter monoid).
 
 The right component is the right strict BST of the word; the left component
-is built by left strict leaf insertion reading the word left to right.  The
-two trees carry the same symbols and have complementary canopies.
+is the left strict BST, the tree that leaf insertion builds reading the word
+left to right (an equal symbol goes right).  The two trees carry the same
+symbols and have complementary canopies.  Both are replayed from the class's
+form (``word_form``), with no insertion.
 """
 
 from __future__ import annotations
@@ -10,34 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import sylvester
-from .trees import Node, labels, serialize, spine_sizes, to_json as tree_json
+from .trees import Node, labels, replay, serialize, spine_sizes, to_json as tree_json
 from .words import Word
-
-
-def _left_insert_mut(root: Node | None, a: int) -> Node:
-    new = Node(a)
-    if root is None:
-        return new
-    node = root
-    while True:
-        if a < node.label:
-            if node.left is None:
-                node.left = new
-                return root
-            node = node.left
-        else:
-            if node.right is None:
-                node.right = new
-                return root
-            node = node.right
-
-
-def left_bst(word: Word) -> Node | None:
-    """Insert the symbols of ``word`` left to right (equal symbols go right)."""
-    root: Node | None = None
-    for a in word:
-        root = _left_insert_mut(root, a)
-    return root
 
 
 def check_left_strict(root: Node | None) -> None:
@@ -127,7 +103,11 @@ class TwinPair:
 
 
 def twin_pair(word: Word) -> TwinPair:
-    return TwinPair(left_bst(word), sylvester.right_bst(word))
+    """The twin pair of ``word``, both trees replayed from its ``word_form``."""
+    n = len(word)
+    form = word_form(word)
+    symbols = form[:n]
+    return TwinPair(replay(symbols, form[n:2 * n]), replay(symbols, form[2 * n:]))
 
 
 def word_form(word: Word) -> tuple[int, ...]:

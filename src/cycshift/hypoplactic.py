@@ -19,7 +19,7 @@ from functools import cache
 from itertools import product
 
 from .paths import ShiftPath
-from .words import Evaluation, Word, format_run
+from .words import Evaluation, Word, format_word
 
 
 def _offsets(rows) -> list[int]:
@@ -131,16 +131,10 @@ class QuasiRibbonTableau:
         return tuple(_offsets(list(self.rows)))
 
     def key(self) -> str:
-        return "/".join(f"{o}:{format_run(r)}" for o, r in zip(self.offsets, self.rows))
+        return "/".join(f"{o}:{format_word(r)}" for o, r in zip(self.offsets, self.rows))
 
     def symbols(self) -> list[int]:
         return [a for row in self.rows for a in row]
-
-    def row_of(self, symbol: int) -> int:
-        for i, row in enumerate(self.rows):
-            if row[0] <= symbol <= row[-1] and symbol in row:
-                return i
-        raise ValueError(f"symbol {symbol} not in tableau")
 
     def columns(self) -> list[list[int]]:
         """Columns left to right, each listed bottom to top."""
@@ -179,14 +173,6 @@ def quasi_ribbon(word: Word) -> QuasiRibbonTableau:
     return QuasiRibbonTableau(_rows(word_form(word)))
 
 
-def distinct_symbols(word: Word) -> list[int]:
-    return sorted(set(word))
-
-
-def _same_row(t: QuasiRibbonTableau, lo: int, hi: int) -> bool:
-    return t.row_of(lo) == t.row_of(hi)
-
-
 def shift_path(t: QuasiRibbonTableau, u: QuasiRibbonTableau) -> ShiftPath:
     """Cyclic-shift path from ``t`` to ``u`` using at most (#distinct symbols)-1 shifts.
 
@@ -194,30 +180,30 @@ def shift_path(t: QuasiRibbonTableau, u: QuasiRibbonTableau) -> ShiftPath:
     the pair (i, i+1) agree with ``u`` (same row vs. split rows) by rotating
     either the column reading, split after the column holding the rightmost i,
     or the row reading, split after the row holding the symbols i+1.  The
-    already-settled part on symbols <= i is never broken up.
+    already-settled part on symbols <= i is never broken up.  Rows strictly
+    increase, so i+1 shares the row of i unless it starts a row.
     """
     t_syms, u_syms = sorted(t.symbols()), sorted(u.symbols())
     if t_syms != u_syms:
         raise ValueError("shift path requires equal evaluations")
-    syms = distinct_symbols(tuple(t_syms))
+    syms = sorted(set(t_syms))
+    goal = {row[0] for row in u.rows}
     elements = [t]
     moves: list[tuple[Word, int]] = []
     cur = t
-    for idx in range(1, len(syms)):
-        lo, hi = syms[idx - 1], syms[idx]
-        cur_same = _same_row(cur, lo, hi)
-        goal_same = _same_row(u, lo, hi)
-        if cur_same == goal_same:
+    for lo, hi in zip(syms, syms[1:]):
+        split = hi in {row[0] for row in cur.rows}
+        if split == (hi in goal):
             continue
-        if cur_same:
+        if split:
+            # split the row reading after the row the symbols hi start (rows r.. read first)
+            r = next(ri for ri, row in enumerate(cur.rows) if row[0] == hi)
+            word, cut = cur.row_reading(), sum(map(len, cur.rows[r:]))
+        else:
             # split the column reading after the column holding the rightmost lo
             cols = cur.columns()
             c = max(ci for ci, col in enumerate(cols) if lo in col)
             word, cut = cur.column_reading(), sum(map(len, cols[: c + 1]))
-        else:
-            # split the row reading after the row holding the symbols hi (rows r.. read first)
-            r = next(ri for ri, row in enumerate(cur.rows) if hi in row)
-            word, cut = cur.row_reading(), sum(map(len, cur.rows[r:]))
         if quasi_ribbon(word) != cur:
             raise AssertionError("split reading does not represent the current tableau")
         nxt = quasi_ribbon(word[cut:] + word[:cut])

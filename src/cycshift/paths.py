@@ -2,6 +2,9 @@
 
 Every step records a witness: a word ``w`` and a split ``k`` such that the
 step's source is represented by ``w`` and its target by ``w[k:] + w[:k]``.
+A step moves: its two ends are different classes.  Each builder drops a
+shift that leaves its object as it was, and ``check_path`` rejects a step
+that does not move.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ def check_path(handle, path: ShiftPath, source: str, target: str, graph=None) ->
 
     ``handle`` is the monoid's ``MonoidHandle`` and the endpoints are class
     keys.  Each step's witness ``(w, k)`` must key to the step's source and
-    its rotation ``w[k:] + w[:k]`` to the step's target; each step must be an
-    edge of ``graph`` (a ``ShiftGraph``) when one is given; and the path may
-    take at most ``handle.path_bound(n)`` steps, ``n`` the number of distinct
-    symbols.
+    its rotation ``w[k:] + w[:k]`` to the step's target; the two ends of a
+    step must differ, and each step must be an edge of ``graph`` (a
+    ``ShiftGraph``) when one is given; and the path may take at most
+    ``handle.path_bound(n)`` steps, ``n`` the number of distinct symbols.
     """
     keys = [handle.key(el) for el in path.elements]
     if (keys[0], keys[-1]) != (source, target):
@@ -45,26 +48,11 @@ def check_path(handle, path: ShiftPath, source: str, target: str, graph=None) ->
     for (a, b), (w, k) in zip(zip(keys, keys[1:]), path.moves):
         if (handle.key_of(w), handle.key_of(w[k:] + w[:k])) != (a, b):
             raise ValueError(f"witness {w}|{k} does not shift {a} to {b}")
+        if a == b:
+            raise ValueError(f"step {a} -> {b} does not move")
         if graph is not None and not graph.has_edge(a, b):
             raise ValueError(f"step {a} -> {b} is not an edge")
     bound = handle.path_bound(len(set(handle.symbols(path.elements[0]))))
     if path.steps > bound:
         raise ValueError(f"{path.steps} steps exceed the bound {bound}")
 
-
-def compress_path(elements: list, moves: list[tuple[Word, int]], keys=None) -> ShiftPath:
-    """Drop trivial steps (consecutive equal elements) and their witnesses.
-
-    ``keys``, one per element, supplies the equality notion for element
-    types without a structural __eq__ (mutable tree nodes compare by identity).
-    """
-    if not elements:
-        raise ValueError("a path needs at least one element")
-    idents = elements if keys is None else keys
-    kept = [elements[0]]
-    kept_moves: list[tuple[Word, int]] = []
-    for el, ident, prev, mv in zip(elements[1:], idents[1:], idents, moves):
-        if ident != prev:
-            kept.append(el)
-            kept_moves.append(mv)
-    return ShiftPath(tuple(kept), tuple(kept_moves))

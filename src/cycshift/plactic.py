@@ -9,7 +9,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .words import Word, format_run
+from .words import Word, format_word
 
 
 def _insert_into_rows(rows: list[list[int]], a: int) -> None:
@@ -33,7 +33,7 @@ def word_form(word: Word) -> tuple[tuple[int, ...], ...]:
 
 def format_form(rows) -> str:
     """Canonical key of a plactic class from its rows (joined by '/')."""
-    return "/".join(map(format_run, rows))
+    return "/".join(map(format_word, rows))
 
 
 @dataclass(frozen=True)

@@ -176,12 +176,16 @@ def diameter(g: ShiftGraph) -> int:
     """Largest eccentricity of a connected graph; 1 at once for a complete one.
 
     Round r leaves each member's bitset, in id order, holding its ball of radius r.
-    A view on part of its parent renumbers its members first.
+    A view on part of its parent renumbers its members first.  A view comes
+    from one search, so it is connected; a whole graph is searched once
+    first, so a disconnected one raises before any bitset is built.
     """
     ids, nbrs = g.ids, g.nbrs
     n = len(ids)
     if n > 1 and all(len(nbrs[i]) == n - 1 for i in ids):
         return 1
+    if isinstance(ids, range) and n and sum(map(len, _levels(nbrs, 0))) < n:
+        raise ValueError("diameter of a disconnected graph is undefined")
     if n == len(nbrs):
         rows: Sequence[Sequence[int]] = nbrs
     else:

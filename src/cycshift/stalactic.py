@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .paths import ShiftPath, compress_path
+from .paths import ShiftPath
 from .words import Word, rotations
 
 
@@ -100,6 +100,7 @@ def shift_path(t: StalacticTableau, u: StalacticTableau) -> ShiftPath:
 
     Both endpoints first rotate their repeated symbols to the right end; the
     remaining single columns differ by a rotation, realized by one more shift.
+    Of these three shifts, one that leaves its tableau as it was is dropped.
     """
     if component_key(t) != component_key(u):
         raise ValueError("shift path requires equal component keys")
@@ -128,9 +129,6 @@ def shift_path(t: StalacticTableau, u: StalacticTableau) -> ShiftPath:
     t1 = stalactic_tableau(t_rest + bvec)
     u1 = stalactic_tableau(u_rest + bvec)
 
-    elements = [t, t1]
-    moves: list[tuple[Word, int]] = [(bvec + t_rest, len(bvec))]
-
     # middle shift: rotate the single columns of t1 into u1's order
     singles_t = height_one_word(t1)
     singles_u = height_one_word(u1)
@@ -147,12 +145,15 @@ def shift_path(t: StalacticTableau, u: StalacticTableau) -> ShiftPath:
         raise AssertionError("middle witness does not represent the rotated tableau")
     if stalactic_tableau(y + x) != t1:
         raise AssertionError("middle witness does not represent the source tableau")
-    elements.append(u1)
-    moves.append((y + x, len(y)))
 
-    elements.append(u)
-    moves.append((u_rest + bvec, len(u_rest)))
-    return compress_path(elements, moves)
+    # a shift that leaves the tableau as it was is no step
+    elements, moves = [t], []
+    for el, move in ((t1, (bvec + t_rest, len(bvec))), (u1, (y + x, len(y))),
+                     (u, (u_rest + bvec, len(u_rest)))):
+        if el != elements[-1]:
+            elements.append(el)
+            moves.append(move)
+    return ShiftPath(tuple(elements), tuple(moves))
 
 
 def column_symbols(t: StalacticTableau) -> Word:

@@ -14,9 +14,11 @@ The builder takes the postfix readings of T and U (``trees.labels``), which
 ``right_bst`` inverts, and holds U and each tree of its walk as arrays over
 postfix positions (``PostfixTree``), with no ``Node``.  A subtree is a run of
 that order, so each piece of a factorization is a run or two, read as label
-slices; a tree's key is its postfix reading.  It works on the symbols as
-given.  ``shift_moves`` returns the step witnesses alone, which taiga lifts
-from its trees' ``labels``; ``shift_path`` starts at ``t`` and adds the trees.
+slices; a tree's key is its postfix reading, so a shift that leaves the
+reading as it was is dropped, with no step.  It works on the symbols as
+given.  ``shift_moves`` returns the builder's step witnesses, which taiga
+lifts from its trees' ``labels``; ``shift_path`` starts at ``t`` and adds
+the trees.
 
 Each shift reads the current tree as ``moved + rest`` and moves on to
 ``rest + moved``.  The base step moves the first visited symbol with its
@@ -66,7 +68,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .paths import ShiftPath, compress_path
+from .paths import ShiftPath
 from .trees import Node, labels, replay, serialize, spine_sizes
 from .words import Word
 
@@ -457,23 +459,16 @@ class _PathBuilder:
         for h in range(1, self.n + 1):
             self.upsets.append([i for i in self.upsets[-1] if above[i] > h] + [h])
         self.primary_count = {lbl: len(split[0]) for lbl, split in classes.items()}
-        # each tree's word, and its key: the postfix reading, which right_bst inverts
-        self.words: list[Word] = []
-        self.keys: list[list[int]] = []
         self.moves: list[tuple[Word, int]] = []
         #: step index -> (left spine passed, match) for each pending anchor (``_check_spine``)
         self.matches: dict[int, tuple[list[int], tuple]] = {}
-        self._push(tuple(t_word))
+        #: the current tree of the walk
+        self.walk = PostfixTree(t_word)
 
     # -- the current walk tree ----------------------------------------------
 
-    def _push(self, word: Word) -> None:
-        """Make ``right_bst(word)`` the current walk tree."""
-        self.walk = PostfixTree(word)
-        self.words.append(word)
-        self.keys.append(self.walk.labels)
-
     def _emit(self, moved: list[int], rest: list[int]) -> None:
+        """Shift the current tree, read as ``moved + rest``; no step when it keeps the reading."""
         w1 = (*moved, *rest)
         # right to left insertion of w1 rebuilds the current tree exactly when
         # each symbol lands on the first unplaced node of its search path,
@@ -493,8 +488,10 @@ class _PathBuilder:
             count == len(w1) == len(labs),
             "factorized reading does not represent the current tree",
         )
-        self.moves.append((w1, len(moved)))
-        self._push((*rest, *moved))
+        walk = PostfixTree((*rest, *moved))
+        if walk.labels != labs:
+            self.moves.append((w1, len(moved)))
+            self.walk = walk
 
     def _reads(self, *runs: Run) -> list[int]:
         """The labels of each run in turn."""
@@ -829,28 +826,29 @@ class _PathBuilder:
             suffix = minima + suffix
         self._emit(prefix + moved, rest + suffix)
 
-    def run(self) -> tuple[list[Word], list[tuple[Word, int]], list[list[int]]]:
+    def run(self) -> tuple[tuple[Word, int], ...]:
         self.base_step()
         self._check_spine(1)
         for h in range(1, self.n):
             self.step(h)
         _require(
-            self.keys[-1] == self.u.labels,
+            self.walk.labels == self.u.labels,
             "path construction must end at the target tree",
         )
-        return self.words, self.moves, self.keys
+        return tuple(self.moves)
 
 
 def shift_moves(t_word: Word, u_word: Word) -> tuple[tuple[Word, int], ...]:
     """The step witnesses ``(w, k)`` from ``right_bst(t_word)`` to ``right_bst(u_word)``.
 
     Both are postfix readings (``trees.labels``).  Requires equal evaluations.
+    Every step changes the tree.
     """
     if sorted(t_word) != sorted(u_word):
         raise ValueError("shift path requires equal evaluations")
     if list(t_word) == list(u_word):
         return ()
-    return compress_path(*_PathBuilder(t_word, u_word).run()).moves
+    return _PathBuilder(t_word, u_word).run()
 
 
 def shift_path(t: Node | None, u: Node | None) -> ShiftPath:

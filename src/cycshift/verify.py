@@ -186,25 +186,36 @@ def _classes(h: MonoidHandle, ev: Evaluation) -> tuple[ShiftGraph, dict[str, obj
     return g, {k: h.element(w) for k, w in reps.items()}
 
 
-def _path_census(name: str, ev: Evaluation) -> tuple[int, int]:
-    """(bad, pairs) over the shift paths between every two classes of one component.
-
-    A path is bad when ``paths.check_path`` rejects it against the
-    evaluation's graph.
-    """
-    h = handle(name)
-    g, elements = _classes(h, ev)
+def _pair_census(groups: Iterable[list], check: Callable, error: type) -> tuple[int, int]:
+    """(bad, pairs) over the ordered pairs of each group; ``check`` raises ``error`` on a bad one."""
     bad = pairs = 0
-    for comp in g.components():
-        for source in comp.vertices:
-            for target in comp.vertices:
+    for group in groups:
+        for a in group:
+            for b in group:
                 pairs += 1
-                path = h.shift_path(elements[source], elements[target])
                 try:
-                    check_path(h, path, source, target, g)
-                except ValueError:
+                    check(a, b)
+                except error:
                     bad += 1
     return bad, pairs
+
+
+def _path_census(name: str, evs: Iterable[Evaluation]) -> tuple[int, int]:
+    """(bad, pairs) over the shift paths between every two classes of one component.
+
+    A path is bad when ``paths.check_path`` rejects it against its
+    evaluation's graph.  A group lists each class of a component as its key,
+    its object and the graph.
+    """
+    h = handle(name)
+
+    def check(source, target):
+        (a, el_a, g), (b, el_b, _) = source, target
+        check_path(h, h.shift_path(el_a, el_b), a, b, g)
+
+    groups = ([(k, elements[k], g) for k in comp.vertices]
+              for g, elements in (_classes(h, ev) for ev in evs) for comp in g.components())
+    return _pair_census(groups, check, ValueError)
 
 
 def criterion_5() -> list[CheckResult]:
@@ -212,15 +223,12 @@ def criterion_5() -> list[CheckResult]:
     # standard elements, ranks 2..5 (the sylvester invariants are checked internally)
     for name, detail in (("hypo", ""), ("sylv", "internal invariants asserted")):
         for n in range(2, 6):
-            bad, _ = _path_census(name, _standard_ev(n))
+            bad, _ = _path_census(name, [_standard_ev(n)])
             out.append(_check(f"c5 {name} paths rank {n}", bad == 0, detail, f"{bad} bad"))
     # every pattern of totals <= 6 up to rank 4
+    evs = [ev for rank in range(1, 5) for ev in full_support_evaluations(rank, 6)]
     for name in ("stal", "taig"):
-        bad = pairs = 0
-        for rank in range(1, 5):
-            for ev in full_support_evaluations(rank, 6):
-                b, p = _path_census(name, ev)
-                bad, pairs = bad + b, pairs + p
+        bad, pairs = _path_census(name, evs)
         out.append(_check(f"c5 {name} paths", bad == 0,
                           f"{pairs} pairs, totals <= 6", f"{bad} of {pairs} bad"))
     return out
@@ -327,33 +335,16 @@ def criterion_8() -> list[CheckResult]:
 
 def criterion_9() -> list[CheckResult]:
     out = []
-    pairs = 0
-    bad = 0
-    for rank in range(1, 5):
-        for ev in full_support_evaluations(rank, 6):
-            words = [t.reading() for t in _classes(handle("stal"), ev)[1].values()]
-            for u in words:
-                for v in words:
-                    pairs += 1
-                    try:
-                        stalactic.conjugacy_witness(u, v)
-                    except AssertionError:
-                        bad += 1
+    stal = handle("stal")
+    groups = ([t.reading() for t in _classes(stal, ev)[1].values()]
+              for rank in range(1, 5) for ev in full_support_evaluations(rank, 6))
+    bad, pairs = _pair_census(groups, stalactic.conjugacy_witness, AssertionError)
     out.append(_check("c9 stal witnesses", bad == 0,
                       f"{pairs} element pairs, totals <= 6", f"{bad} of {pairs} bad"))
-    pairs = 0
-    bad = 0
     by_ev: dict[tuple, list[Word]] = {}
     for w in _all_words(4, 4):
         by_ev.setdefault(tuple(sorted(w)), []).append(w)
-    for group in by_ev.values():
-        for p in group:
-            for q in group:
-                pairs += 1
-                try:
-                    baxter.conjugacy_witness(p, q)
-                except AssertionError:
-                    bad += 1
+    bad, pairs = _pair_census(by_ev.values(), baxter.conjugacy_witness, AssertionError)
     out.append(_check("c9 baxt witnesses", bad == 0,
                       f"{pairs} word pairs, lengths <= 4", f"{bad} of {pairs} bad"))
     return out

@@ -204,8 +204,3 @@ def format_word(word: Word) -> str:
     """Compact digit string when all symbols are single digits, else comma-separated."""
     text = "".join(map(str, word))
     return text if len(text) == len(word) else ",".join(map(str, word))
-
-
-def format_run(symbols) -> str:
-    """Format a run of symbols the same way words are formatted."""
-    return format_word(tuple(symbols))

@@ -5,7 +5,6 @@ from cycshift.baxter import (
     canopy,
     complementary,
     conjugacy_witness,
-    left_bst,
     twin_pair,
 )
 from cycshift.handles import handle
@@ -32,16 +31,16 @@ def test_canopies():
 
 
 def test_canopy_single_node_and_empty():
-    assert canopy(left_bst((3,))) == ""
+    assert canopy(twin_pair((3,)).left) == ""
     with pytest.raises(ValueError):
         canopy(None)
 
 
 def test_twin_validation():
     with pytest.raises(ValueError):
-        TwinPair(left_bst((1, 2)), right_bst((1, 1)))
+        TwinPair(twin_pair((1, 2)).left, right_bst((1, 1)))
     with pytest.raises(ValueError):
-        TwinPair(left_bst((1, 2)), None)
+        TwinPair(twin_pair((1, 2)).left, None)
 
 
 def test_all_pairs_are_twins():

@@ -167,6 +167,19 @@ def test_every_record_keys_through_its_form(name):
         MonoidHandle(name, h.element, h.key, h.draw, h.to_json)
 
 
+def test_every_option_is_set_by_some_record():
+    """A field with a default that every record leaves at it is an option nothing uses.
+
+    ``key_of`` reads as set on every record, since ``__post_init__`` fills it in.
+    """
+    defaults = {f.name: f.default for f in dataclasses.fields(MonoidHandle)
+                if f.default is not dataclasses.MISSING}
+    assert defaults
+    unused = [name for name, default in defaults.items()
+              if all(getattr(h, name) == default for h in HANDLES.values())]
+    assert unused == []
+
+
 def test_replace_keeps_a_given_key_function():
     """perfbench's ``Tracer.handle`` swaps ``key_of`` for a timed copy this way."""
     h = HANDLES["sylv"]

@@ -30,6 +30,14 @@ def test_check_path_rejects_a_false_witness():
         check_path(SYLV, ShiftPath((T, U), ()), KT, KU)
 
 
+def test_check_path_rejects_a_step_that_does_not_move():
+    # the witness is right, (1, 2) keys to T before and after the empty shift
+    still = ShiftPath((T, T), (((1, 2), 0),))
+    for graph in (None, GRAPH):
+        with pytest.raises(ValueError, match="does not move"):
+            check_path(SYLV, still, KT, KT, graph)
+
+
 def test_check_path_rejects_a_step_off_the_graph():
     # both endpoints are vertices, but not adjacent
     apart = from_adjacency("sylv", 2, (1, 1), {KT: (), KU: ()})

@@ -161,17 +161,24 @@ def test_hypo_and_stal_shift_paths_pass_the_checker(w, data):
     path = h.shift_path(a, b)
     check_path(h, path, h.key(a), h.key(b), graph)
     assert path.steps >= distance(graph, h.key(a), h.key(b))
-    # stal components: rotate the height-1 columns, put the taller ones back anywhere
-    w = data.draw(st.lists(st.integers(1, 5), max_size=8))
+    # stal components: rotate the height-1 columns, put the taller ones back
+    # anywhere; up to 11 letters through the checker, up to 7 also edge by edge
+    w = tuple(data.draw(st.lists(st.integers(1, 7), max_size=11)))
     h = handle("stal")
-    a = h.element(tuple(w))
+    a = h.element(w)
     singles = [c for c in a.columns if c[1] == 1]
     r = data.draw(st.integers(0, max(len(singles) - 1, 0)))
     columns = singles[r:] + singles[:r]
     for c in data.draw(st.permutations([c for c in a.columns if c[1] > 1])):
         columns.insert(data.draw(st.integers(0, len(columns))), c)
     b = stalactic.StalacticTableau(tuple(columns))
-    check_path(h, h.shift_path(a, b), h.key(a), h.key(b))
+    path = h.shift_path(a, b)
+    if len(w) > 7:
+        check_path(h, path, h.key(a), h.key(b))
+        return
+    graph = evaluation_graph(h, evaluation(w, 7), 7)
+    check_path(h, path, h.key(a), h.key(b), graph)
+    assert path.steps >= distance(graph, h.key(a), h.key(b))
 
 
 @settings(max_examples=60)

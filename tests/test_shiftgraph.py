@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 from array import array
 from collections import deque
 from types import SimpleNamespace
@@ -375,6 +376,20 @@ def test_diameter_small_graphs():
         diameter(_graph(3, [(0, 1)]))
     with pytest.raises(ValueError, match="disconnected"):
         diameter(_graph(2, []))
+
+
+def test_diameter_refuses_a_disconnected_graph_before_any_bitset():
+    # stal's standard rank-7 graph: 5,040 classes in 720 components, where one
+    # bitset per class would take megabytes before the rounds saw the split
+    g = evaluation_graph(handle("stal"), (1,) * 7)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="disconnected"):
+            diameter(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
 
 
 def test_distances_from_unknown_vertex_is_a_value_error():
