@@ -2,7 +2,7 @@
 
 A record maps words to canonical class keys and names the monoid's object, a
 tableau, tree or twin pair: its insertion, key, drawing, JSON form,
-validation, symbols, and the constructive shift path with its bound.  A key
+validation, symbols, and the constructive shift path.  A key
 takes two steps: ``word_form`` maps each word to a hashable tuple (tableau
 rows or columns, a tree's spine sizes or child arrays, a canonical word), and
 ``format_form`` turns each class's form into its key.  ``key_of`` is the two
@@ -14,6 +14,9 @@ checks.  A record may give ``class_graph``, its shift graph built on class
 descriptions (hypo's row breaks), which the graph engine then uses; one that
 ``saturates`` (stal, taig) lets the engine build an evaluation's graph from
 its counts capped at 2.
+
+``MonoidHandle.law`` is the one home of the paper's table of diameter laws;
+``path_bound`` reads its upper ends, and ``verify``'s c4 and c6 read it too.
 
 ``MonoidHandle.class_of`` is the one way to list a class, for every monoid
 (``tests/test_lint.py`` keeps it the only one): it walks the class from the
@@ -55,8 +58,9 @@ class MonoidHandle:
     #: evaluation -> {a word per class: its neighbours' words}, with no word enumerated;
     #: given a class's form as well, the entry of that class alone
     class_graph: Callable[..., dict[Word, set[Word]]] | None = None
-    #: the shift path's length bound ``a*n + b`` as ``(a, b)``, n distinct symbols
-    path_law: tuple[int, int] | None = None
+    #: n distinct symbols -> the paper's (lower, upper) bound on a component's
+    #: diameter; the abstract gives baxt and the counterexample none
+    law: Callable[[int], tuple[int, int]] | None = None
     #: order-preserving relabelings of the alphabet leave the congruence alone
     relabel_invariant: bool = True
     #: word -> hashable class form, the one the graph engine calls per word
@@ -78,12 +82,12 @@ class MonoidHandle:
     def path_bound(self, n_distinct: int) -> int:
         """Most shifts ``shift_path`` takes between objects on ``n_distinct`` symbols.
 
-        Never negative: hypo's ``n - 1`` would read -1 for the empty word.
+        The upper end of ``law``, never negative: hypo's ``n - 1`` would read
+        -1 for the empty word.
         """
-        if self.path_law is None:
+        if self.shift_path is None:
             raise ValueError(f"{self.name} has no constructive shift path")
-        slope, offset = self.path_law
-        return max(0, slope * n_distinct + offset)
+        return max(0, self.law(n_distinct)[1])
 
     def class_of(self, word: Word, rank: int, limit: int | None = None) -> set[Word]:
         """Every word with the form of ``word``: a breadth-first walk by adjacent swaps.
@@ -147,39 +151,49 @@ def _counter_key(word: Word) -> str:
     return format_word(_COUNTER.close(word).canonical)  # the object keeps the default limit
 
 
+def _tree_law(n: int) -> tuple[int, int]:
+    return n - 1, n
+
+
+def _stal_law(n: int) -> tuple[int, int]:
+    d = 3 if n > 2 else max(0, n - 1)
+    return d, d
+
+
 HANDLES: dict[str, MonoidHandle] = {
     "plac": MonoidHandle(
         "plac", plactic.young_tableau,
         YoungTableau.key, YoungTableau.draw, YoungTableau.to_json,
         YoungTableau.symbols, YoungTableau.check,
+        law=lambda n: (n - 1, max(n - 1, 2 * n - 3)),
         word_form=plactic.word_form, format_form=plactic.format_form,
     ),
     "hypo": MonoidHandle(
         "hypo", hypoplactic.quasi_ribbon,
         QuasiRibbonTableau.key, QuasiRibbonTableau.draw, QuasiRibbonTableau.to_json,
         QuasiRibbonTableau.symbols, QuasiRibbonTableau.check,
-        hypoplactic.shift_path, class_graph=hypoplactic.class_graph, path_law=(1, -1),
+        hypoplactic.shift_path, class_graph=hypoplactic.class_graph, law=lambda n: (n - 1, n - 1),
         word_form=hypoplactic.word_form, format_form=hypoplactic.format_form,
     ),
     "sylv": MonoidHandle(
         "sylv", sylvester.right_bst,
         sylvester.key, sylvester.draw, tree_json,
         labels, sylvester.check_right_strict,
-        sylvester.shift_path, path_law=(1, 0),
+        sylvester.shift_path, law=_tree_law,
         word_form=sylvester.word_form, format_form=sylvester.format_form,
     ),
     "stal": MonoidHandle(
         "stal", stalactic.stalactic_tableau,
         StalacticTableau.key, StalacticTableau.draw, StalacticTableau.to_json,
         StalacticTableau.symbols, StalacticTableau.check,
-        stalactic.shift_path, path_law=(0, 3),
+        stalactic.shift_path, law=_stal_law,
         word_form=stalactic.word_form, format_form=stalactic.format_form, saturates=True,
     ),
     "taig": MonoidHandle(
         "taig", taiga.mult_bst,
         taiga.key, partial(sylvester.draw, with_mult=True), partial(tree_json, with_mult=True),
         taiga.symbols, taiga.check_mult_bst,
-        taiga.shift_path, path_law=(1, 0),
+        taiga.shift_path, law=_tree_law,
         word_form=taiga.word_form, format_form=taiga.format_form, saturates=True,
     ),
     "baxt": MonoidHandle(

@@ -22,13 +22,6 @@ from .paths import ShiftPath
 from .words import Evaluation, Word, format_word
 
 
-def _offsets(rows) -> list[int]:
-    offs = [0]
-    for row in rows[:-1]:
-        offs.append(offs[-1] + len(row) - 1)
-    return offs if rows else []
-
-
 def word_form(word: Word) -> tuple[Word, tuple[int, ...]]:
     """The sorted word and its row breaks, the class's hashable form.
 
@@ -128,7 +121,10 @@ class QuasiRibbonTableau:
 
     @property
     def offsets(self) -> tuple[int, ...]:
-        return tuple(_offsets(list(self.rows)))
+        offs = [0] if self.rows else []
+        for row in self.rows[:-1]:
+            offs.append(offs[-1] + len(row) - 1)
+        return tuple(offs)
 
     def key(self) -> str:
         return "/".join(f"{o}:{format_word(r)}" for o, r in zip(self.offsets, self.rows))

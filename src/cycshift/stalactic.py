@@ -156,21 +156,16 @@ def shift_path(t: StalacticTableau, u: StalacticTableau) -> ShiftPath:
     return ShiftPath(tuple(elements), tuple(moves))
 
 
-def column_symbols(t: StalacticTableau) -> Word:
-    """The distinct column symbols, left to right (each once)."""
-    return tuple(a for a, _ in t.columns)
-
-
 def conjugacy_witness(u: Word, v: Word) -> tuple[Word, Word]:
     """Two-sided intertwiners for words with equal evaluations.
 
     Returns (g, h) with g the column symbols of the source tableau and h those
-    of the target, satisfying g u == v g and u h == h v in the monoid.
+    of the target, satisfying g u == v g and u h == h v in the monoid.  A
+    word's column symbols are the first half of its ``word_form``.
     """
     if sorted(u) != sorted(v):
         raise ValueError("conjugacy witnesses require equal evaluations")
-    g = column_symbols(stalactic_tableau(u))
-    h = column_symbols(stalactic_tableau(v))
+    g, h = (form[:len(form) // 2] for form in (word_form(u), word_form(v)))
     if word_form(g + u) != word_form(v + g):
         raise AssertionError("left witness fails")
     if word_form(u + h) != word_form(h + v):

@@ -56,10 +56,6 @@ def _expect(name: str, got, want) -> CheckResult:
                   f"got {_show(got)}, expected {_show(want)}")
 
 
-def _standard_ev(n: int) -> tuple[int, ...]:
-    return (1,) * n
-
-
 # ---------------------------------------------------------------------------
 # criterion 1: the worked cocharge sequence
 
@@ -144,26 +140,18 @@ def criterion_4() -> list[CheckResult]:
         # evaluations with unused symbols relabel to lower full-support ranks
         return max(scan(name, r).max_diameter for r in range(1, rank + 1))
 
-    for n in range(2, 6):
-        out.append(
-            _expect(f"c4 hypo rank {n} max diameter", max_diam_through("hypo", n), n - 1)
-        )
-    for name in ("sylv", "taig"):
-        for n in range(2, 6):
-            d = max_diam_through(name, n)
-            out.append(_check(f"c4 {name} rank {n} max diameter", n - 1 <= d <= n,
-                              f"= {d}, within [{n-1},{n}]", f"{d} outside [{n-1},{n}]"))
-    stal_expect = {1: 0, 2: 1, 3: 3, 4: 3, 5: 3}
-    for n in range(1, 6):
-        out.append(
-            _expect(
-                f"c4 stal rank {n} max diameter", max_diam_through("stal", n), stal_expect[n]
-            )
-        )
-    for n in range(2, 6):
-        d = max_diam_through("plac", n)
-        out.append(_check(f"c4 plac rank {n} max diameter", d == n - 1 and d <= 2 * n - 3,
-                          f"= {d} = n-1 <= {2*n-3}", f"{d}, expected {n-1}"))
+    # exact laws must be met and ranges kept; plac's maximum is its range's lower end
+    for name in ("hypo", "sylv", "taig", "stal", "plac"):
+        for n in range(1 if name == "stal" else 2, 6):
+            d, (lo, hi) = max_diam_through(name, n), handle(name).law(n)
+            title = f"c4 {name} rank {n} max diameter"
+            if name == "plac":
+                out.append(_check(title, d == lo, f"= {d} = n-1 <= {hi}", f"{d}, expected {lo}"))
+            elif lo == hi:
+                out.append(_expect(title, d, lo))
+            else:
+                out.append(_check(title, lo <= d <= hi, f"= {d}, within [{lo},{hi}]",
+                                  f"{d} outside [{lo},{hi}]"))
     for name in ("plac", "hypo", "sylv", "taig"):
         split = [n for n in range(2, 6) if not scan(name, n).all_single_component]
         out.append(_check(f"c4 {name} components = evaluation classes", not split,
@@ -223,7 +211,7 @@ def criterion_5() -> list[CheckResult]:
     # standard elements, ranks 2..5 (the sylvester invariants are checked internally)
     for name, detail in (("hypo", ""), ("sylv", "internal invariants asserted")):
         for n in range(2, 6):
-            bad, _ = _path_census(name, [_standard_ev(n)])
+            bad, _ = _path_census(name, [(1,) * n])
             out.append(_check(f"c5 {name} paths rank {n}", bad == 0, detail, f"{bad} bad"))
     # every pattern of totals <= 6 up to rank 4
     evs = [ev for rank in range(1, 5) for ev in full_support_evaluations(rank, 6)]
@@ -248,9 +236,9 @@ def criterion_6() -> list[CheckResult]:
             seq_row = cocharge_seq(row)
             seq_col = cocharge_seq(col)
             gap = max(abs(a - b) for a, b in zip(seq_row, seq_col))
-            g = evaluation_graph(h, _standard_ev(n))
+            g = evaluation_graph(h, (1,) * n)
             d = distance(g, h.key_of(row), h.key_of(col))
-            out.append(_check(f"c6 {name} rank {n} row/column", gap == n - 1 and d >= n - 1,
+            out.append(_check(f"c6 {name} rank {n} row/column", gap == h.law(n)[0] <= d,
                               f"cocharge gap {gap}, distance {d}", f"gap {gap}, distance {d}"))
     return out
 

@@ -9,7 +9,8 @@ import pytest
 
 from cycshift.handles import HANDLES, MonoidHandle
 from cycshift.hypoplactic import QuasiRibbonTableau
-from cycshift.shiftgraph import full_support_evaluations
+from cycshift.paths import check_path
+from cycshift.shiftgraph import evaluation_graph, full_support_evaluations
 from cycshift.words import format_word, words_with_evaluation
 
 #: every word of rank <= 3 and length <= 5
@@ -33,8 +34,41 @@ def test_path_bounds_are_the_papers_laws():
     bounds = {name: h.path_bound(5) for name, h in HANDLES.items() if h.shift_path}
     assert bounds == {"hypo": 4, "sylv": 5, "stal": 3, "taig": 5}
     assert HANDLES["hypo"].path_bound(0) == 0
+    assert [HANDLES["stal"].path_bound(n) for n in (1, 2, 5)] == [0, 1, 3]
     with pytest.raises(ValueError, match="no constructive shift path"):
         HANDLES["plac"].path_bound(5)
+
+
+#: the abstract's table at n = 1..5 distinct symbols, as (lower, upper)
+ABSTRACT_LAWS = {
+    "plac": [(0, 0), (1, 1), (2, 3), (3, 5), (4, 7)],
+    "hypo": [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)],
+    "sylv": [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
+    "taig": [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
+    "stal": [(0, 0), (1, 1), (3, 3), (3, 3), (3, 3)],
+}
+
+
+def test_law_table_is_the_abstracts():
+    assert {name for name, h in HANDLES.items() if h.law} == set(ABSTRACT_LAWS)
+    for name, h in HANDLES.items():
+        assert h.shift_path is None or h.law is not None, name
+        if h.law:
+            assert all(0 <= h.law(n)[0] <= h.law(n)[1] for n in range(1, 13)), name
+    assert {name: [HANDLES[name].law(n) for n in range(1, 6)] for name in ABSTRACT_LAWS} == ABSTRACT_LAWS
+
+
+def test_stal_paths_at_rank_two_take_at_most_one_step():
+    """Two symbols make at most two classes, so ``path_bound(2)`` is 1, not 3."""
+    h = HANDLES["stal"]
+    for ev in itertools.product(range(1, 5), repeat=2):
+        reps = {}
+        graph = evaluation_graph(h, ev, representatives=reps)
+        for comp in graph.components():
+            for a, b in itertools.product(comp.vertices, repeat=2):
+                path = h.shift_path(h.element(reps[a]), h.element(reps[b]))
+                check_path(h, path, a, b, graph)  # at most path_bound(2) steps
+                assert path.steps <= 1, (a, b)
 
 
 def _plac_key(word):
