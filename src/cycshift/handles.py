@@ -20,17 +20,17 @@ its counts capped at 2.
 
 ``MonoidHandle.class_of`` is the one way to list a class, for every monoid
 (``tests/test_lint.py`` keeps it the only one): it walks the class from the
-query word by adjacent swaps that keep the word's form, so it forms the class
-and its one-swap neighbours, not the evaluation.  Only the counterexample
-record, whose classes swaps do not connect, filters the arrangements of the
-evaluation.  The tests hold both to the presentation oracle.
+query word by the record's ``moves`` that keep the word's form, so it forms
+the class and its one-move neighbours, not the evaluation.  The
+counterexample moves by its relations, which generate its classes; every
+other record by adjacent swaps.  The tests hold all to the presentation oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Hashable
+from typing import Callable, Hashable, Iterator
 
 from . import baxter, hypoplactic, plactic, rewrite, stalactic, sylvester, taiga
 from .baxter import TwinPair
@@ -40,6 +40,13 @@ from .plactic import YoungTableau
 from .stalactic import StalacticTableau
 from .trees import labels, to_json as tree_json
 from .words import Word, check_total, evaluation, format_word, words_with_evaluation
+
+
+def adjacent_swaps(word: Word) -> Iterator[Word]:
+    """Each ``word[:i] + (word[i+1], word[i]) + word[i+2:]`` of two distinct letters."""
+    for i in range(len(word) - 1):
+        if word[i] != word[i + 1]:
+            yield word[:i] + (word[i + 1], word[i]) + word[i + 2:]
 
 
 @dataclass(frozen=True)
@@ -68,8 +75,8 @@ class MonoidHandle:
     format_form: Callable[[Hashable], str] = field(kw_only=True)
     #: word -> class key in one call, ``format_form(word_form(w))`` unless given
     key_of: Callable[[Word], str] | None = field(default=None, kw_only=True)
-    #: every class is connected by adjacent swaps that stay inside it (``class_of``)
-    swap_connected: bool = field(default=True, kw_only=True)
+    #: word -> the words one step away; those that stay in a class connect it (``class_of``)
+    moves: Callable[[Word], Iterator[Word]] = field(default=adjacent_swaps, kw_only=True)
     #: the shift graph of an evaluation is that of its counts capped at 2, keys
     #: aside (``shiftgraph.evaluation_graph``)
     saturates: bool = field(default=False, kw_only=True)
@@ -90,12 +97,13 @@ class MonoidHandle:
         return max(0, self.law(n_distinct)[1])
 
     def class_of(self, word: Word, rank: int, limit: int | None = None) -> set[Word]:
-        """Every word with the form of ``word``: a breadth-first walk by adjacent swaps.
+        """Every word with the form of ``word``: a breadth-first walk by ``moves``.
 
-        A swap ``u[:i] + (u[i+1], u[i]) + u[i+2:]`` joins the class when its
-        form is the word's; each candidate is formed once, kept or rejected.
-        The walk reaches the whole class because swaps that stay inside it
-        connect it:
+        A move of a member joins the class when its form is the word's; each
+        candidate is formed once, kept or rejected.  The walk reaches the
+        whole class because the moves that stay inside it connect it.  The
+        counterexample moves by its relations (``rewrite.py``), which
+        generate its classes; every other record by ``adjacent_swaps``:
 
         - every relation of ``rewrite.py`` for plac, sylv, stal, taig and baxt
           swaps one adjacent pair (``acb = cab``, ``bac = bca``, ``cavb =
@@ -110,31 +118,23 @@ class MonoidHandle:
           the second, where ``d`` still stands before the last ``b``; so each
           middle word is in the class.
 
-        A record with ``swap_connected`` False (the counterexample, whose
-        ``bxy = xyb`` and ``axyb = byxa`` are not swaps) filters every word
-        of the evaluation instead.  The evaluation is checked and the total
-        guard run before any word is formed.
+        The word's alphabet and total are checked before any word is formed.
         """
-        ev = evaluation(word, rank)
-        check_total(ev, limit)
-        word_form = self.word_form
+        check_total(evaluation(word, rank), limit)
+        word_form, moves = self.word_form, self.moves
         target = word_form(word)
-        if not self.swap_connected:
-            return {w for w in words_with_evaluation(ev, limit) if word_form(w) == target}
         members, rejected, level = {word}, set(), [word]
         while level:
             found = []
             for u in level:
-                for i in range(len(u) - 1):
-                    if u[i] != u[i + 1]:
-                        v = u[:i] + (u[i + 1], u[i]) + u[i + 2:]
-                        if v in members or v in rejected:
-                            continue
-                        if word_form(v) == target:
-                            members.add(v)
-                            found.append(v)
-                        else:
-                            rejected.add(v)
+                for v in moves(u):
+                    if v in members or v in rejected:
+                        continue
+                    if word_form(v) == target:
+                        members.add(v)
+                        found.append(v)
+                    else:
+                        rejected.add(v)
             level = found
         return members
 
@@ -205,7 +205,7 @@ HANDLES: dict[str, MonoidHandle] = {
     # the form is the class's canonical word; the object is that word formatted as its key
     "counterexample": MonoidHandle(
         "counterexample", _counter_key, str, str, str, relabel_invariant=False,
-        word_form=_counter_form, format_form=format_word, swap_connected=False,
+        word_form=_counter_form, format_form=format_word, moves=rewrite.counterexample_moves,
     ),
 }
 

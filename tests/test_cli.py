@@ -246,11 +246,19 @@ def test_an_unwritable_out_is_a_usage_error(tmp_path, capsys):
 def test_counterexample_follows_max_total(capsys):
     word = "13434343432"
     code, out, _ = run_cli(capsys, "class", "--monoid", "counterexample", "--word", word, "--max-total", "12")
-    closed = presentation("counterexample").close(parse_word(word), 12).members
+    oracle = presentation("counterexample")
+    closed = oracle.close(parse_word(word), 12).members
     assert code == 0 and out.split() == sorted(format_word(w) for w in closed)
-    for command in ("neighbors", "diameter"):
-        code, _, _ = run_cli(capsys, command, "--monoid", "counterexample", "--word", word, "--max-total", "12")
-        assert code == 0
+    code, out, _ = run_cli(capsys, "neighbors", "--monoid", "counterexample", "--word", word, "--max-total", "12")
+    rotated = oracle.word_neighbors(parse_word(word), 12)
+    assert code == 0 and out.split() == sorted(format_word(c.canonical) for c in rotated)
+    code, _, _ = run_cli(capsys, "diameter", "--monoid", "counterexample", "--word", word, "--max-total", "12")
+    assert code == 0
+    # 72,072 words share this evaluation; the walk forms the class alone
+    longer = "1343434343432"
+    code, out, _ = run_cli(capsys, "class", "--monoid", "counterexample", "--word", longer, "--max-total", "13")
+    closed = oracle.close(parse_word(longer), 13).members
+    assert code == 0 and out.split() == sorted(format_word(w) for w in closed)
     code, _, _ = run_cli(
         capsys, "path", "--monoid", "counterexample", "--word1", word, "--word2", "13432434343",
         "--max-total", "12",

@@ -7,9 +7,10 @@ import random
 
 import pytest
 
-from cycshift.handles import HANDLES, MonoidHandle
+from cycshift.handles import HANDLES, MonoidHandle, adjacent_swaps
 from cycshift.hypoplactic import QuasiRibbonTableau
 from cycshift.paths import check_path
+from cycshift.rewrite import presentation
 from cycshift.shiftgraph import evaluation_graph, full_support_evaluations
 from cycshift.words import format_word, words_with_evaluation
 
@@ -231,7 +232,7 @@ def test_replace_keeps_a_given_key_function():
 EVALUATIONS = [ev for k in range(5) for ev in full_support_evaluations(k, 6)]
 
 
-@pytest.mark.parametrize("name", [name for name, h in HANDLES.items() if h.swap_connected])
+@pytest.mark.parametrize("name", [name for name, h in HANDLES.items() if h.moves is adjacent_swaps])
 def test_swap_walk_is_the_evaluation_filter(name):
     """``class_of``'s walk lists what a filter over the whole evaluation lists."""
     h = HANDLES[name]
@@ -248,11 +249,34 @@ def test_swap_walk_is_the_evaluation_filter(name):
 def test_counterexample_classes_are_not_swap_connected():
     """``234`` and ``342`` share a class that no class-keeping swap joins."""
     h = HANDLES["counterexample"]
-    assert not h.swap_connected
+    assert h.moves is not adjacent_swaps
     cls = h.class_of((2, 3, 4), 4)
     assert cls == {(2, 3, 4), (3, 4, 2)}
     for w in cls:
         swaps = {w[:i] + (w[i + 1], w[i]) + w[i + 2:] for i in range(len(w) - 1)}
         assert swaps.isdisjoint(cls), w
     # so a walk from 234 would miss 342
-    assert dataclasses.replace(h, swap_connected=True).class_of((2, 3, 4), 4) == {(2, 3, 4)}
+    assert dataclasses.replace(h, moves=adjacent_swaps).class_of((2, 3, 4), 4) == {(2, 3, 4)}
+
+
+def test_counterexample_walk_is_the_closure():
+    """The walk by the counterexample's relations lists the oracle's class of every word."""
+    h, oracle = HANDLES["counterexample"], presentation("counterexample")
+    for n in range(8):
+        for w in itertools.product((1, 2, 3, 4), repeat=n):
+            assert h.class_of(w, 4) == oracle.close(w, 7).members, w
+
+
+def test_counterexample_walk_is_the_evaluation_filter():
+    """The walk lists what a filter over the evaluation lists, on words of rank <= 4 and length <= 6."""
+    h = HANDLES["counterexample"]
+    # the evaluations' zero counts give the words of lower rank
+    for ev in itertools.product(range(7), repeat=4):
+        if sum(ev) > 6:
+            continue
+        classes = {}
+        for w in words_with_evaluation(ev):
+            classes.setdefault(h.word_form(w), set()).add(w)
+        for members in classes.values():
+            for w in members:
+                assert h.class_of(w, 4) == members, w

@@ -79,10 +79,6 @@ def _counting(h):
     return dataclasses.replace(h, word_form=word_form, format_form=format_form), forms, formats
 
 
-def _swaps(words):
-    return {w[:i] + (w[i + 1], w[i]) + w[i + 2:] for w in words for i in range(len(w) - 1)}
-
-
 def _rotations(words):
     return {w[i:] + w[:i] for w in words for i in range(len(w))}
 
@@ -115,12 +111,9 @@ def test_every_word_is_keyed_once(ev):
             members = {w for w, form in words.items() if form == words[word]}
             forms.clear()
             assert counted.class_of(word, len(ev)) == members, (name, word)
-            if h.swap_connected:
-                # the class and its one-swap neighbours, each formed once
-                assert sorted(forms) == sorted(members | _swaps(members)), (name, word)
-            else:
-                # the filter: every word once, and the query word once more
-                assert sorted(forms) == sorted([*words, word]), (name, word)
+            # the class and its members' one-move neighbours, each formed once
+            stepped = {v for u in members for v in h.moves(u)}
+            assert sorted(forms) == sorted(members | stepped), (name, word)
             walked = set(forms)
             forms.clear()
             formats.clear()
@@ -353,6 +346,42 @@ def test_saturated_graphs_are_the_necklace_engine_graphs(name):
     with pytest.raises(LimitExceededError) as exc:
         evaluation_graph(h, (4, 3, 1), 7)
     assert str(exc.value) == "evaluation total 8 exceeds enumeration limit 7 (evaluation (4, 3, 1))"
+
+
+#: (finer, coarser): every class of the coarser monoid is a union of classes of the finer
+REFINEMENTS = [
+    ("plac", "hypo"), ("sylv", "hypo"), ("baxt", "hypo"), ("baxt", "sylv"),
+    ("sylv", "taig"), ("stal", "taig"), ("baxt", "taig"),
+]
+
+
+def test_a_quotient_shift_graph_is_the_image_of_the_finer_one():
+    """Keying each finer class's word by the coarser record maps the finer graph's
+    vertices onto the coarser graph's, and its edges, loops dropped, onto the coarser edges.
+
+    This pits hypo's ``class_graph``, the saturated stal and taig builds and
+    the necklace engine against each other.
+    """
+    built = {}
+
+    def graph(name, ev):
+        if (name, ev) not in built:
+            reps = {}
+            built[name, ev] = evaluation_graph(handle(name), ev, representatives=reps), reps
+        return built[name, ev]
+
+    def is_image(finer, coarser, ev):
+        (g, reps), (q, _) = graph(finer, ev), graph(coarser, ev)
+        key_of = handle(coarser).key_of
+        f = {k: key_of(reps[k]) for k in g.keys}
+        edges = {tuple(sorted((f[a], f[b]))) for a, b in g.edges() if f[a] != f[b]}
+        return set(f.values()) == set(q.vertices) and edges == set(q.edges())
+
+    for ev in [(1,) * 6, (1,) * 7, (2, 2, 1, 1), (3, 1, 2), (2, 2, 2), (1, 2, 1, 2, 1)]:
+        for finer, coarser in REFINEMENTS:
+            assert is_image(finer, coarser, ev), (finer, coarser, ev)
+    # baxt does not refine stal
+    assert not is_image("baxt", "stal", (1,) * 6)
 
 
 def _graph(n, edges):
