@@ -43,6 +43,13 @@ def _rank_of(args, word) -> int:
     return max(word, default=0)
 
 
+def _query(args):
+    """The handle, the word and its rank of a one-word command; the handle is read first."""
+    h = handle(args.monoid)
+    word = parse_word(args.word)
+    return h, word, _rank_of(args, word)
+
+
 def _emit(args, text: str) -> None:
     if args.out:
         try:
@@ -66,9 +73,7 @@ def cmd_psymbol(args) -> int:
 
 
 def cmd_class(args) -> int:
-    h = handle(args.monoid)
-    word = parse_word(args.word)
-    rank = _rank_of(args, word)
+    h, word, rank = _query(args)
     members = sorted(h.class_of(word, rank, args.max_total))
     if len(members) > args.max_class:
         raise LimitExceededError(
@@ -79,18 +84,14 @@ def cmd_class(args) -> int:
 
 
 def cmd_neighbors(args) -> int:
-    h = handle(args.monoid)
-    word = parse_word(args.word)
-    rank = _rank_of(args, word)
+    h, word, rank = _query(args)
     keys = neighbors(h, word, rank, args.max_total)
     _emit(args, "\n".join(sorted(keys)))
     return 0
 
 
 def cmd_component(args) -> int:
-    h = handle(args.monoid)
-    word = parse_word(args.word)
-    rank = _rank_of(args, word)
+    h, word, rank = _query(args)
     g = component(h, word, rank, args.max_total)
     if args.format == "text":
         lines = [f"{len(g.vertices)} vertices, {g.edge_count} edges, diameter {diameter(g)}"]
@@ -102,9 +103,7 @@ def cmd_component(args) -> int:
 
 
 def cmd_diameter(args) -> int:
-    h = handle(args.monoid)
-    word = parse_word(args.word)
-    rank = _rank_of(args, word)
+    h, word, rank = _query(args)
     g = component(h, word, rank, args.max_total)
     _emit(args, str(diameter(g)))
     return 0

@@ -111,9 +111,10 @@ class QuasiRibbonTableau:
         self.check()
 
     def check(self) -> None:
+        # every row first: the overlap test reads the next row's first symbol
+        if not all(self.rows):
+            raise ValueError("quasi-ribbon rows must be non-empty")
         for i, row in enumerate(self.rows):
-            if not row:
-                raise ValueError("quasi-ribbon rows must be non-empty")
             if any(row[j] > row[j + 1] for j in range(len(row) - 1)):
                 raise ValueError(f"row {i} not weakly increasing: {row}")
             if i + 1 < len(self.rows) and row[-1] >= self.rows[i + 1][0]:

@@ -271,8 +271,8 @@ def evaluation_graph(
       with the counts as multiplicities, so its graph is the image of
       stal's, and the tree's shape does not depend on the counts.
     """
+    check_total(ev, limit)
     if handle.saturates and max(ev, default=0) > 2:
-        check_total(ev, limit)
         reps: dict[str, Word] = {}
         g = _build(handle, tuple(min(c, 2) for c in ev), limit, reps)
         words = [_pad(reps[k], ev) for k in g.keys]
@@ -293,7 +293,6 @@ def _build(
     word the ``class_graph`` gives for it.
     """
     if handle.class_graph is not None:
-        check_total(ev, limit)
         model = handle.class_graph(ev)
         keys = {w: handle.format_form(handle.word_form(w)) for w in model}
         if representatives is not None:

@@ -86,30 +86,24 @@ def _require(cond: bool, msg: str, *args) -> None:
 # insertion
 
 
-def _insert_mut(root: Node | None, a: int) -> Node:
-    """Leaf-insert ``a`` in place: go left when a <= label, right otherwise."""
-    new = Node(a)
-    if root is None:
-        return new
-    node = root
-    while True:
-        if a <= node.label:
-            if node.left is None:
-                node.left = new
-                return root
-            node = node.left
-        else:
-            if node.right is None:
-                node.right = new
-                return root
-            node = node.right
-
-
 def right_bst(word: Word) -> Node | None:
-    """Insert the symbols of ``word`` right to left into the empty tree."""
-    root: Node | None = None
-    for a in reversed(word):
-        root = _insert_mut(root, a)
+    """Leaf-insert ``word`` right to left: left at a node when <= its label, else right."""
+    if not word:
+        return None
+    root = Node(word[-1])
+    for a in word[-2::-1]:
+        node = root
+        while True:
+            if a <= node.label:
+                if node.left is None:
+                    node.left = Node(a)
+                    break
+                node = node.left
+            elif node.right is None:
+                node.right = Node(a)
+                break
+            else:
+                node = node.right
     return root
 
 
@@ -141,13 +135,12 @@ def format_form(form: tuple[int, ...]) -> str:
 
 
 def check_right_strict(root: Node | None) -> None:
-    """Validate the BST ordering and the repeated-label structure.
+    """Validate the order: each node is >= its left subtree and < its right subtree.
 
-    In an ordered tree a node lies below an equal label exactly when its
-    upper bound is its own label; only the uppermost occurrence may have a
-    right subtree.
+    The order alone keeps a right subtree off every occurrence below an equal
+    label: such an occurrence lies in the equal label's left subtree, so a
+    node below it on the right would be both above and at most that label.
     """
-    repeated = None
     stack: list[tuple[Node | None, int | None, int | None]] = [(root, None, None)]
     while stack:
         node, lo, hi = stack.pop()
@@ -157,12 +150,8 @@ def check_right_strict(root: Node | None) -> None:
             raise ValueError("right subtree must be strictly greater than its ancestor")
         if hi is not None and node.label > hi:
             raise ValueError("left subtree must be <= its ancestor")
-        if node.right is not None and node.label == hi and repeated is None:
-            repeated = node.label
         stack.append((node.left, lo, node.label))
         stack.append((node.right, node.label, hi))
-    if repeated is not None:
-        raise ValueError(f"non-uppermost node {repeated} has a right subtree")
 
 
 def draw(root: Node | None, with_mult: bool = False) -> str:

@@ -16,31 +16,26 @@ from .trees import Node, labels, postfix, serialize
 from .words import Word
 
 
-def _insert_mut(root: Node | None, a: int) -> Node:
-    if root is None:
-        return Node(a, 1)
-    node = root
-    while True:
-        if a == node.label:
-            node.mult += 1
-            return root
-        if a < node.label:
-            if node.left is None:
-                node.left = Node(a, 1)
-                return root
-            node = node.left
-        else:
-            if node.right is None:
-                node.right = Node(a, 1)
-                return root
-            node = node.right
-
-
 def mult_bst(word: Word) -> Node | None:
-    """Insert the symbols of ``word`` right to left into the empty tree."""
-    root: Node | None = None
-    for a in reversed(word):
-        root = _insert_mut(root, a)
+    """Leaf-insert ``word`` right to left; a repeated symbol bumps its node's multiplicity."""
+    if not word:
+        return None
+    root = Node(word[-1])
+    for a in word[-2::-1]:
+        node = root
+        while a != node.label:
+            if a < node.label:
+                if node.left is None:
+                    node.left = Node(a)
+                    break
+                node = node.left
+            elif node.right is None:
+                node.right = Node(a)
+                break
+            else:
+                node = node.right
+        else:
+            node.mult += 1
     return root
 
 
@@ -89,19 +84,13 @@ def key(root: Node | None) -> str:
 
 
 def check_mult_bst(root: Node | None) -> None:
-    stack: list[tuple[Node | None, int | None, int | None]] = [(root, None, None)]
-    while stack:
-        node, lo, hi = stack.pop()
-        if node is None:
-            continue
-        if node.mult < 1:
-            raise ValueError("multiplicities must be positive")
-        if lo is not None and node.label <= lo:
-            raise ValueError("labels must strictly increase rightwards")
-        if hi is not None and node.label >= hi:
-            raise ValueError("labels must strictly decrease leftwards")
-        stack.append((node.left, lo, node.label))
-        stack.append((node.right, node.label, hi))
+    """Sylvester's order with distinct labels, so strict, and positive multiplicities."""
+    sylvester.check_right_strict(root)
+    nodes = postfix(root)
+    if len({x.label for x in nodes}) < len(nodes):
+        raise ValueError("labels must be distinct")
+    if any(x.mult < 1 for x in nodes):
+        raise ValueError("multiplicities must be positive")
 
 
 def shift_path(t: Node | None, u: Node | None) -> ShiftPath:

@@ -3,6 +3,7 @@ import pytest
 from cycshift.baxter import (
     TwinPair,
     canopy,
+    check_left_strict,
     complementary,
     conjugacy_witness,
     twin_pair,
@@ -10,7 +11,7 @@ from cycshift.baxter import (
 from cycshift.handles import handle
 from cycshift.rewrite import presentation
 from cycshift.sylvester import right_bst
-from cycshift.trees import serialize
+from cycshift.trees import Node, serialize
 from cycshift.words import parse_word, words_with_evaluation
 
 PAIR_WORD = parse_word("42531643")
@@ -41,6 +42,14 @@ def test_twin_validation():
         TwinPair(twin_pair((1, 2)).left, right_bst((1, 1)))
     with pytest.raises(ValueError):
         TwinPair(twin_pair((1, 2)).left, None)
+    # both trees are 1(-)(2(-)(-)), each strict its own way, with equal canopies
+    with pytest.raises(ValueError, match="twin canopies must be complementary"):
+        TwinPair(twin_pair((1, 2)).left, right_bst((2, 1)))
+    check_left_strict(twin_pair(PAIR_WORD).left)
+    with pytest.raises(ValueError, match="right subtree must be >= its ancestor"):
+        check_left_strict(Node(2, right=Node(1)))
+    with pytest.raises(ValueError, match="left subtree must be strictly below its ancestor"):
+        check_left_strict(Node(2, left=Node(2)))
 
 
 def test_all_pairs_are_twins():

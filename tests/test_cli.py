@@ -100,6 +100,16 @@ def test_component_dot(capsys):
     assert out.count("--") == 3  # triangle of the three length-3 classes
 
 
+def test_component_text(capsys):
+    # the default format: a summary line, then the vertices in order
+    code, out, _ = run_cli(capsys, "component", "--monoid", "stal", "--word", "1233")
+    assert code == 0
+    assert out == (
+        "6 vertices, 10 edges, diameter 3\n"
+        "1^1|2^1|3^2\n1^1|3^2|2^1\n2^1|1^1|3^2\n2^1|3^2|1^1\n3^2|1^1|2^1\n3^2|2^1|1^1\n"
+    )
+
+
 def test_determinism(capsys):
     args = ("component", "--monoid", "sylv", "--word", "1234", "--format", "json")
     code1, out1, _ = run_cli(capsys, *args)
@@ -146,6 +156,9 @@ def test_user_errors_exit_2(capsys):
     code, out, err = run_cli(capsys, "component", "--monoid", "plac", "--word", "123", "--rank", "2")
     assert code == 2 and out == ""
     assert err == "error: symbol 3 outside alphabet 1..2\n"
+    code, out, err = run_cli(capsys, "path", "--monoid", "sylv", "--word1", "12", "--word2", "112")
+    assert code == 2 and out == ""
+    assert err == "error: the two words must share an evaluation\n"
     code, _, err = run_cli(capsys, "verify", "--criteria", "99")
     assert code == 2
     assert err.startswith("error: unknown criteria [99]")

@@ -54,6 +54,9 @@ def test_validation():
         QuasiRibbonTableau(((2, 1),))
     with pytest.raises(ValueError):
         QuasiRibbonTableau(((1, 3), (3, 4)))  # overlap column not strict
+    for rows in (((),), ((1,), ())):
+        with pytest.raises(ValueError, match="rows must be non-empty"):
+            QuasiRibbonTableau(rows)
 
 
 def test_agreement_with_presentation():

@@ -133,3 +133,60 @@ def test_every_definition_has_a_caller_outside_the_tests():
             if callers <= 0:
                 found.append(f"{path.name}:{node.lineno} {node.name}")
     assert found == []
+
+
+def _functools_caches(tree):
+    """Each use of ``functools.cache`` or ``lru_cache`` as (line, name, bounded, inside a function).
+
+    ``bounded`` holds for an ``lru_cache`` called with an integer ``maxsize``.
+    A decorator runs where its ``def`` stands; the body runs inside a function.
+    """
+    aliases = {"functools.cache": "cache", "functools.lru_cache": "lru_cache"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            aliases.update({alias.asname or alias.name: alias.name for alias in node.names})
+
+    def name_of(node):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            return aliases.get(f"{node.value.id}.{node.attr}")
+        return aliases.get(node.id) if isinstance(node, ast.Name) else None
+
+    found = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for child in getattr(node, "decorator_list", []):
+                visit(child, inside)
+            for child in node.body if isinstance(node.body, list) else [node.body]:
+                visit(child, True)
+            return
+        name = name_of(node.func) if isinstance(node, ast.Call) else name_of(node)
+        if name in ("cache", "lru_cache"):
+            size = None
+            if isinstance(node, ast.Call):
+                given = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+                size = given[0].value if given and isinstance(given[0], ast.Constant) else None
+            bounded = name == "lru_cache" and type(size) is int
+            found.append((node.lineno, name, bounded, inside))
+            children = node.args + node.keywords if isinstance(node, ast.Call) else []
+        else:
+            children = ast.iter_child_nodes(node)
+        for child in children:
+            visit(child, inside)
+
+    visit(tree, False)
+    return found
+
+
+def test_module_level_caches_are_bounded():
+    # a cache outside a function lives as long as the process, so it must be an
+    # lru_cache with an integer maxsize; functools.cache only lives in a call
+    found, bounded = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for line, name, is_bounded, inside in _functools_caches(ast.parse(path.read_text(), str(path))):
+            if is_bounded and not inside:
+                bounded.add(path.stem)
+            elif not inside:
+                found.append(f"{path.name}:{line} {name}")
+    assert found == []
+    assert {"sylvester", "stalactic"} <= bounded

@@ -42,6 +42,9 @@ def test_tableau_validation():
         YoungTableau(((1, 2), (1,)))
     with pytest.raises(ValueError):
         YoungTableau(((1,), (2, 3)))
+    for rows in (((),), ((1,), ())):
+        with pytest.raises(ValueError, match="rows must be non-empty"):
+            YoungTableau(rows)
 
 
 def test_key_style():

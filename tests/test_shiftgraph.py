@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from cycshift.handles import HANDLES, handle
 from cycshift.paths import check_path
 from cycshift.shiftgraph import (
+    ShiftGraph,
     component,
     diameter,
     diameter_scan,
@@ -405,6 +406,18 @@ def test_diameter_small_graphs():
         diameter(_graph(3, [(0, 1)]))
     with pytest.raises(ValueError, match="disconnected"):
         diameter(_graph(2, []))
+
+
+def test_diameter_refuses_a_disconnected_view():
+    # ids given as an array skip the whole-graph search, so only the rounds'
+    # own guard stops them: two separate edges, alone and as a view on a
+    # parent with one more vertex, whose rows are renumbered
+    edges = [array("I", [1]), array("I", [0]), array("I", [3]), array("I", [2])]
+    for nbrs in (edges, edges + [array("I")]):
+        keys = [str(i) for i in range(len(nbrs))]
+        g = ShiftGraph("test", 0, (), keys, nbrs, array("I", range(4)))
+        with pytest.raises(ValueError, match="disconnected"):
+            diameter(g)
 
 
 def test_diameter_refuses_a_disconnected_graph_before_any_bitset():

@@ -53,6 +53,8 @@ def test_validation_catches_bad_trees():
     bad2 = Node(5, left=Node(5, left=None, right=Node(6)))
     with pytest.raises(ValueError):
         check_right_strict(bad2)
+    with pytest.raises(ValueError, match="right subtree must be strictly greater"):
+        check_right_strict(Node(2, right=Node(2)))
 
 
 def test_classification_worked_example():

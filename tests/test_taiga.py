@@ -44,6 +44,12 @@ def test_validation():
         check_mult_bst(Node(2, mult=0))
     with pytest.raises(ValueError):
         check_mult_bst(Node(2, left=Node(2)))
+    # sylvester's order first, then distinct labels
+    with pytest.raises(ValueError, match="right subtree must be strictly greater"):
+        check_mult_bst(Node(2, right=Node(1)))
+    with pytest.raises(ValueError, match="labels must be distinct"):
+        check_mult_bst(Node(2, left=Node(1, right=Node(2))))
+    check_mult_bst(Node(2, 3, Node(1, 2), Node(3)))
 
 
 def test_equality_criterion():

@@ -1,5 +1,8 @@
 """The shared tree helpers: postfix order, the sylvester postfix arrays, and the postfix key."""
 
+import itertools
+import operator
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -51,3 +54,77 @@ def test_postfix_reading_rebuilds_the_sylvester_tree(w):
     # the builder keys a tree by its postfix labels, which is injective
     t = sylvester.right_bst(w)
     assert serialize(sylvester.right_bst(tuple(labels(t)))) == serialize(t)
+
+
+def _shapes(n):
+    """Every binary tree shape on ``n`` nodes, as nested ``(left, right)`` pairs; None is empty."""
+    if n == 0:
+        yield None
+        return
+    for k in range(n):
+        for left in _shapes(k):
+            for right in _shapes(n - 1 - k):
+                yield left, right
+
+
+def _build(shape):
+    return None if shape is None else Node(0, 0, _build(shape[0]), _build(shape[1]))
+
+
+def _every_tree(max_nodes, symbols, mults=(1,)):
+    """Every tree of at most ``max_nodes`` nodes, each node given every label and multiplicity.
+
+    A shape's nodes are built once and relabelled in place, so a caller must
+    be done with each tree before it asks for the next.
+    """
+    for n in range(max_nodes + 1):
+        for shape in _shapes(n):
+            root = _build(shape)
+            nodes = postfix(root)
+            for labs in itertools.product(symbols, repeat=n):
+                for ms in itertools.product(mults, repeat=n):
+                    for x, a, m in zip(nodes, labs, ms):
+                        x.label, x.mult = a, m
+                    yield root
+
+
+def _ordered(root, left_ok, right_ok):
+    """Whether ``left_ok(y, x)`` holds for each label x and each label y below it
+    on the left, and ``right_ok(y, x)`` for each y below it on the right."""
+    return all(
+        all(left_ok(y.label, x.label) for y in postfix(x.left))
+        and all(right_ok(y.label, x.label) for y in postfix(x.right))
+        for x in postfix(root)
+    )
+
+
+def _accepts(check, root):
+    try:
+        check(root)
+    except ValueError:
+        return False
+    return True
+
+
+def test_check_right_strict_accepts_exactly_the_ordered_trees():
+    # every tree of at most 5 nodes over 1..3 (11,497 trees)
+    accepted = set()
+    for root in _every_tree(5, (1, 2, 3)):
+        naive = _ordered(root, operator.le, operator.gt)
+        assert _accepts(sylvester.check_right_strict, root) == naive, serialize(root)
+        if naive:
+            accepted.add(serialize(root))
+    # and the ordered trees are the insertions of the words
+    inserted = {serialize(sylvester.right_bst(w))
+                for n in range(6) for w in itertools.product((1, 2, 3), repeat=n)}
+    assert accepted == inserted
+
+
+def test_check_mult_bst_accepts_exactly_the_strictly_ordered_trees_with_positive_multiplicities():
+    # every tree of at most 4 nodes over 1..3 with multiplicities 0..2 (95,671
+    # trees), and every tree of 5 nodes with multiplicity 1; the 2.48 million
+    # trees of 5 nodes with multiplicities 0..2 would take about 20 s
+    trees = itertools.chain(_every_tree(4, (1, 2, 3), (0, 1, 2)), _every_tree(5, (1, 2, 3)))
+    for root in trees:
+        naive = _ordered(root, operator.lt, operator.gt) and all(x.mult > 0 for x in postfix(root))
+        assert _accepts(taiga.check_mult_bst, root) == naive, serialize(root, with_mult=True)
