@@ -2,9 +2,11 @@
 
 Every step records a witness: a word ``w`` and a split ``k`` such that the
 step's source is represented by ``w`` and its target by ``w[k:] + w[:k]``.
-A step moves: its two ends are different classes.  Each builder drops a
-shift that leaves its object as it was, and ``check_path`` rejects a step
-that does not move.
+A step moves: its two ends are different classes.  ``follow`` builds and
+checks the stalactic and taiga paths from their witnesses, dropping a shift
+that leaves the class as it was; the hypoplactic and sylvester builders check
+their own steps.  ``check_path`` checks any path against a handle's keys and
+rejects a step that does not move.
 """
 
 from __future__ import annotations
@@ -28,6 +30,30 @@ class ShiftPath:
     def step_words(self) -> list[tuple[Word, Word]]:
         """Word pairs (uv, vu) witnessing each step."""
         return [(w, w[k:] + w[:k]) for w, k in self.moves]
+
+
+def follow(start, t_word: Word, u_word: Word, witnesses, word_form, element) -> ShiftPath:
+    """The checked path that ``witnesses`` walk from ``start`` to ``u_word``'s class.
+
+    ``t_word`` represents ``start``; ``word_form`` maps a word to its class's
+    form and ``element`` to its object.  Each witness ``(w, k)`` must read the current class; its rotation
+    ``w[k:] + w[:k]`` is the next one, and a witness that keeps the class is
+    no step.  The walk must end at ``u_word``'s class.
+    """
+    if sorted(t_word) != sorted(u_word):
+        raise ValueError("shift path requires equal evaluations")
+    elements, moves, form = [start], [], word_form(t_word)
+    for w, k in witnesses:
+        if word_form(w) != form:
+            raise AssertionError(f"witness {w}|{k} does not read the current element")
+        vu = w[k:] + w[:k]
+        last, form = form, word_form(vu)
+        if form != last:
+            moves.append((w, k))
+            elements.append(element(vu))
+    if form != word_form(u_word):
+        raise AssertionError("shift path did not reach its target")
+    return ShiftPath(tuple(elements), tuple(moves))
 
 
 def check_path(handle, path: ShiftPath, source: str, target: str, graph=None) -> None:

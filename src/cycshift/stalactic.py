@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .paths import ShiftPath
+from .paths import ShiftPath, follow
 from .words import Word, rotations
 
 
@@ -98,62 +98,32 @@ def component_key(t: StalacticTableau) -> tuple[Word, tuple[tuple[int, int], ...
 def shift_path(t: StalacticTableau, u: StalacticTableau) -> ShiftPath:
     """Path of at most 3 shifts between tableaux with equal component keys.
 
-    Both endpoints first rotate their repeated symbols to the right end; the
-    remaining single columns differ by a rotation, realized by one more shift.
-    Of these three shifts, one that leaves its tableau as it was is dropped.
+    The witnesses are read off the endpoints and ``paths.follow`` checks
+    them.  Both endpoints first rotate their repeated symbols to the right
+    end; the remaining single columns, still in order, differ by a rotation,
+    realized by one more shift.  Of these three shifts, one that leaves its
+    tableau as it was is dropped.
     """
     if component_key(t) != component_key(u):
         raise ValueError("shift path requires equal component keys")
     if t == u:
-        return ShiftPath((t,), ())
-    rep = sorted(a for a, h in t.columns if h > 1)
-    bvec = tuple(rep)
+        return follow(t, t.reading(), u.reading(), (), word_form, stalactic_tableau)
 
-    def strip_leftmost(word: Word) -> Word:
-        pending = set(rep)
-        out = []
-        for a in word:
-            if a in pending:
-                pending.discard(a)
-            else:
-                out.append(a)
-        return tuple(out)
+    def rest(x: StalacticTableau) -> Word:
+        """The reading less the first copy of each repeated symbol: each tall column one shorter."""
+        return tuple(a for a, h in x.columns for _ in range(max(h - 1, 1)))
 
-    t_word, u_word = t.reading(), u.reading()
-    t_rest = strip_leftmost(t_word)
-    u_rest = strip_leftmost(u_word)
-    if stalactic_tableau(bvec + t_rest) != t:
-        raise AssertionError("re-fronted reading does not represent the source")
-    if stalactic_tableau(bvec + u_rest) != u:
-        raise AssertionError("re-fronted reading does not represent the target")
-    t1 = stalactic_tableau(t_rest + bvec)
-    u1 = stalactic_tableau(u_rest + bvec)
-
-    # middle shift: rotate the single columns of t1 into u1's order
-    singles_t = height_one_word(t1)
-    singles_u = height_one_word(u1)
-    mlen = len(singles_t)
+    bvec = tuple(a for a, h in sorted(t.columns) if h > 1)
+    singles_t, singles_u = height_one_word(t), height_one_word(u)
     split = next(
-        k for k in range(mlen + 1) if singles_t[k:] + singles_t[:k] == singles_u
+        k for k in range(len(singles_t) + 1) if singles_t[k:] + singles_t[:k] == singles_u
     )
-    # u1 = P(x y) and t1 = P(y x) with x = rotated singles tail + repeated block
-    s_word = tuple(a for a, h in u1.columns if h > 1 for _ in range(h))
-    s_stripped = strip_leftmost(s_word)
+    # P(y x) has t's singles, then the repeated block; P(x y) has u's singles
     x = singles_t[split:] + bvec
-    y = singles_t[:split] + s_stripped
-    if stalactic_tableau(x + y) != u1:
-        raise AssertionError("middle witness does not represent the rotated tableau")
-    if stalactic_tableau(y + x) != t1:
-        raise AssertionError("middle witness does not represent the source tableau")
-
-    # a shift that leaves the tableau as it was is no step
-    elements, moves = [t], []
-    for el, move in ((t1, (bvec + t_rest, len(bvec))), (u1, (y + x, len(y))),
-                     (u, (u_rest + bvec, len(u_rest)))):
-        if el != elements[-1]:
-            elements.append(el)
-            moves.append(move)
-    return ShiftPath(tuple(elements), tuple(moves))
+    y = singles_t[:split] + tuple(a for a, h in sorted(t.columns) if h > 1 for _ in range(h - 1))
+    u_rest = rest(u)
+    witnesses = ((bvec + rest(t), len(bvec)), (y + x, len(y)), (u_rest + bvec, len(u_rest)))
+    return follow(t, t.reading(), u.reading(), witnesses, word_form, stalactic_tableau)
 
 
 def conjugacy_witness(u: Word, v: Word) -> tuple[Word, Word]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 
 from . import sylvester
-from .paths import ShiftPath
+from .paths import ShiftPath, follow
 from .trees import Node, labels, postfix, serialize
 from .words import Word
 
@@ -98,36 +98,22 @@ def shift_path(t: Node | None, u: Node | None) -> ShiftPath:
 
     ``labels`` lists each node once in postfix order, which is the stripped
     tree's postfix reading, so the witnesses come from the trees as given.
-    Each tree of the lift is compared through ``word_form`` of a word that
-    represents it, so only the path's elements are built as trees.  No lifted
-    step is trivial: every sylvester step changes the stripped tree, and a
-    taiga tree's shape is the search tree of its stripped word.
+    ``paths.follow`` checks the lifted witnesses through ``word_form`` and
+    builds only the path's elements as trees.  No lifted step is trivial:
+    every sylvester step changes the stripped tree, and a taiga tree's shape
+    is the search tree of its stripped word.
     """
-    t_word, u_word = tuple(symbols(t)), tuple(symbols(u))
-    if sorted(t_word) != sorted(u_word):
-        raise ValueError("shift path requires equal evaluations")
+    t_word = tuple(symbols(t))
     mult = Counter(t_word)
 
     def expand(word: Word) -> Word:
         return tuple(a for sym in word for a in (sym,) * mult[sym])
 
-    elements: list[Node | None] = [t]
-    moves: list[tuple[Word, int]] = []
-    form = word_form(t_word)
-    for w, k in sylvester.shift_moves(labels(t), labels(u)):
-        uv = expand(w)
-        split = len(expand(w[:k]))
-        if word_form(uv) != form:
-            raise AssertionError("lifted reading does not represent the current tree")
-        vu = uv[split:] + uv[:split]
-        last, form = form, word_form(vu)
-        if form == last:
-            raise AssertionError("lifted step leaves the tree as it was")
-        moves.append((uv, split))
-        elements.append(mult_bst(vu))
-    if form != word_form(u_word):
-        raise AssertionError("lifted path did not reach its target")
-    return ShiftPath(tuple(elements), tuple(moves))
+    lifted = [(expand(w), len(expand(w[:k]))) for w, k in sylvester.shift_moves(labels(t), labels(u))]
+    path = follow(t, t_word, tuple(symbols(u)), lifted, word_form, mult_bst)
+    if path.steps != len(lifted):
+        raise AssertionError("a lifted step leaves the tree as it was")
+    return path
 
 
 def symbols(root: Node | None) -> list[int]:

@@ -100,22 +100,19 @@ def criterion_2() -> list[CheckResult]:
 
 
 def criterion_3() -> list[CheckResult]:
+    measures = {"vertices": lambda g: len(g.vertices), "edges": lambda g: g.edge_count,
+                "diameter": diameter}
     out = []
-    g = component(handle("plac"), parse_word("12345"), 5)
-    out.append(_expect("c3 plac component of 12345: vertices", len(g.vertices), 26))
-    out.append(_expect("c3 plac component of 12345: diameter", diameter(g), 4))
-    g = component(handle("hypo"), parse_word("123445"), 5)
-    out.append(_expect("c3 hypo component of 123445: vertices", len(g.vertices), 16))
-    # catalogued as 4; the shift 123445 = (1234)(45) ~ (45)(1234) = 451234 crosses two inversion cuts
-    out.append(_expect("c3 hypo component of 123445: diameter", diameter(g), 3))
-    g = component(handle("sylv"), parse_word("1234"), 4)
-    out.append(_expect("c3 sylv component of 1234: vertices", len(g.vertices), 14))
-    out.append(_expect("c3 sylv component of 1234: diameter", diameter(g), 3))
-    g = component(handle("stal"), parse_word("1233"), 3)
-    out.append(_expect("c3 stal component of 1233: vertices", len(g.vertices), 6))
-    # catalogued as 11; the singleton class of 3312 has degree 2, and 5 of the 15 pairs are not joined
-    out.append(_expect("c3 stal component of 1233: edges", g.edge_count, 10))
-    out.append(_expect("c3 stal component of 1233: diameter", diameter(g), 3))
+    for name, word, rank, want in (
+        ("plac", "12345", 5, {"vertices": 26, "diameter": 4}),
+        # diameter catalogued as 4; the shift 123445 = (1234)(45) ~ (45)(1234) = 451234 crosses two inversion cuts
+        ("hypo", "123445", 5, {"vertices": 16, "diameter": 3}),
+        ("sylv", "1234", 4, {"vertices": 14, "diameter": 3}),
+        # edges catalogued as 11; the singleton class of 3312 has degree 2, and 5 of the 15 pairs are not joined
+        ("stal", "1233", 3, {"vertices": 6, "edges": 10, "diameter": 3}),
+    ):
+        g = component(handle(name), parse_word(word), rank)
+        out += [_expect(f"c3 {name} component of {word}: {q}", measures[q](g), v) for q, v in want.items()]
     return out
 
 
@@ -252,16 +249,13 @@ def criterion_7() -> list[CheckResult]:
     h = handle("baxt")
     got = h.class_of(parse_word("2431"), 4)
     out.append(_expect("c7 readings of the 2431 pair", got, {parse_word("2431")}))
-    g = component(h, parse_word("123"), 3)
-    want = {h.key_of(parse_word(w)) for w in ("123", "231", "312")}
-    out.append(_expect("c7 component of 123", set(g.vertices), want))
-    outside = h.key_of(parse_word("132")) not in g.adjacency
-    out.append(_check("c7 132 outside the 123 component", outside, "", "it is inside"))
-    g = component(h, parse_word("1243"), 4)
-    want = {h.key_of(parse_word(w)) for w in ("1243", "2431", "4312", "3124")}
-    out.append(_expect("c7 component of 1243", set(g.vertices), want))
-    outside = h.key_of(parse_word("1234")) not in g.adjacency
-    out.append(_check("c7 1234 outside the 1243 component", outside, "", "it is inside"))
+    for word, members, outsider in (("123", ("123", "231", "312"), "132"),
+                                    ("1243", ("1243", "2431", "4312", "3124"), "1234")):
+        g = component(h, parse_word(word), len(word))
+        want = {h.key_of(parse_word(w)) for w in members}
+        out.append(_expect(f"c7 component of {word}", set(g.vertices), want))
+        outside = h.key_of(parse_word(outsider)) not in g.adjacency
+        out.append(_check(f"c7 {outsider} outside the {word} component", outside, "", "it is inside"))
     return out
 
 
@@ -394,7 +388,7 @@ CRITERIA: dict[int, Callable[[], list[CheckResult]]] = {
 
 def run(numbers: Iterable[int] | None = None) -> bool:
     """Run the selected criteria (all by default); True when everything passed."""
-    selected = sorted(numbers) if numbers else sorted(CRITERIA)
+    selected = sorted(set(numbers)) if numbers else sorted(CRITERIA)
     unknown = [n for n in selected if n not in CRITERIA]
     if unknown:
         raise ValueError(f"unknown criteria {unknown}; choose from {sorted(CRITERIA)}")

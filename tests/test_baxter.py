@@ -52,6 +52,14 @@ def test_twin_validation():
         check_left_strict(Node(2, left=Node(2)))
 
 
+def test_twin_pairs_compare_and_hash_by_key():
+    # 2143 and 2413 are one Baxter class, 2134 another
+    a, b = twin_pair((2, 1, 4, 3)), twin_pair((2, 4, 1, 3))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != twin_pair((2, 1, 3, 4))
+    assert a != a.key()
+
+
 def test_all_pairs_are_twins():
     for w in words_with_evaluation((2, 1, 1)):
         pair = twin_pair(w)  # constructor asserts complementarity

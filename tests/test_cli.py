@@ -152,6 +152,12 @@ def test_verify_criterion_3_exit_code(capsys):
     assert out.splitlines()[0] == "criterion 3: PASS"
 
 
+def test_verify_runs_a_repeated_criterion_once(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--criteria", "1,1")
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("criterion")] == ["criterion 1: PASS"]
+
+
 def test_user_errors_exit_2(capsys):
     code, out, err = run_cli(capsys, "component", "--monoid", "plac", "--word", "123", "--rank", "2")
     assert code == 2 and out == ""
@@ -159,6 +165,9 @@ def test_user_errors_exit_2(capsys):
     code, out, err = run_cli(capsys, "path", "--monoid", "sylv", "--word1", "12", "--word2", "112")
     assert code == 2 and out == ""
     assert err == "error: the two words must share an evaluation\n"
+    code, out, err = run_cli(capsys, "psymbol", "--monoid", "plac", "--word", "102")
+    assert code == 2 and out == ""
+    assert err == "error: symbols must be positive, got (1, 0, 2)\n"
     code, _, err = run_cli(capsys, "verify", "--criteria", "99")
     assert code == 2
     assert err.startswith("error: unknown criteria [99]")

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from cycshift.handles import HANDLES, MonoidHandle, adjacent_swaps
+from cycshift.handles import HANDLES, MonoidHandle, adjacent_swaps, handle
 from cycshift.hypoplactic import QuasiRibbonTableau
 from cycshift.paths import check_path
 from cycshift.rewrite import presentation
@@ -280,3 +280,8 @@ def test_counterexample_walk_is_the_evaluation_filter():
         for members in classes.values():
             for w in members:
                 assert h.class_of(w, 4) == members, w
+
+
+def test_an_unknown_monoid_is_refused_by_name():
+    with pytest.raises(ValueError, match="unknown monoid 'nope'; choose from"):
+        handle("nope")

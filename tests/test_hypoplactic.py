@@ -8,7 +8,7 @@ from cycshift.hypoplactic import (
 )
 from cycshift.paths import check_path
 from cycshift.rewrite import presentation
-from cycshift.shiftgraph import diameter, evaluation_graph
+from cycshift.shiftgraph import diameter, evaluation_graph, full_support_evaluations
 from cycshift.words import parse_word, words_with_evaluation
 
 QRT = quasi_ribbon(parse_word("113246546"))
@@ -124,3 +124,21 @@ def test_diameter_law_past_word_enumeration(ev, limit, classes, edges, diam):
     assert len(g.adjacency) == classes and len(g.components()) == 1
     assert edges is None or g.edge_count == edges
     assert diameter(g) == diam
+
+
+def test_every_step_changes_one_row_start():
+    # each step settles one pair (i, i+1), so a path takes at most n - 1 steps
+    hypo = handle("hypo")
+    evs = [ev for k in range(5) for ev in full_support_evaluations(k, 6)] + [(1,) * 6]
+    steps = 0
+    for ev in evs:
+        reps = {}
+        evaluation_graph(hypo, ev, representatives=reps)
+        elements = [quasi_ribbon(w) for w in reps.values()]
+        for t in elements:
+            for u in elements:
+                path = shift_path(t, u)
+                for a, b in zip(path.elements, path.elements[1:]):
+                    assert len({row[0] for row in a.rows} ^ {row[0] for row in b.rows}) == 1
+                steps += path.steps
+    assert steps == 4350

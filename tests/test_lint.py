@@ -71,6 +71,19 @@ def test_only_the_handles_list_a_class():
     assert found == []
 
 
+def test_only_follow_and_the_own_loops_build_a_path():
+    # paths.follow checks every other builder's witnesses, so only it and the
+    # hypo and sylv builders, which check their own steps, make a ShiftPath
+    found = {
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ShiftPath"
+    }
+    assert "paths.py" in found and found <= {"paths.py", "hypoplactic.py", "sylvester.py"}
+
+
 def _names_used(tree):
     """Every name a tree mentions: Name ids, attributes, import aliases, ``__all__``."""
     used = Counter()

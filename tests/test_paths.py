@@ -3,8 +3,9 @@ import hashlib
 import pytest
 
 from cycshift.handles import handle
-from cycshift.paths import ShiftPath, check_path
+from cycshift.paths import ShiftPath, check_path, follow
 from cycshift.shiftgraph import evaluation_graph, from_adjacency, full_support_evaluations
+from cycshift.stalactic import stalactic_tableau, word_form
 
 SYLV = handle("sylv")
 T, U = SYLV.element((1, 2)), SYLV.element((2, 1))
@@ -79,6 +80,42 @@ def test_a_shift_path_starts_at_its_first_argument(name):
     for w1, w2 in pairs:
         a, b = h.element(w1), h.element(w2)
         assert h.shift_path(a, b).elements[0] is a
+
+
+def _follow(t_word, u_word, witnesses):
+    return follow(stalactic_tableau(t_word), t_word, u_word, witnesses, word_form, stalactic_tableau)
+
+
+def test_follow_walks_its_witnesses():
+    path = _follow((1, 2, 3), (2, 3, 1), [((1, 2, 3), 1)])
+    assert path.moves == (((1, 2, 3), 1),)
+    assert path.elements == (stalactic_tableau((1, 2, 3)), stalactic_tableau((2, 3, 1)))
+
+
+def test_follow_refuses_unequal_evaluations():
+    with pytest.raises(ValueError, match="shift path requires equal evaluations"):
+        _follow((1, 2), (2, 2), [])
+
+
+def test_follow_refuses_a_witness_that_does_not_read_the_current_element():
+    # 312 rotates to the target 231, but it does not represent the start 123
+    with pytest.raises(AssertionError, match="does not read the current element"):
+        _follow((1, 2, 3), (2, 3, 1), [((3, 1, 2), 2)])
+
+
+def test_follow_refuses_a_walk_that_misses_its_target():
+    with pytest.raises(AssertionError, match="did not reach its target"):
+        _follow((1, 2, 3), (2, 3, 1), [])
+    with pytest.raises(AssertionError, match="did not reach its target"):
+        _follow((1, 2, 3), (2, 3, 1), [((1, 2, 3), 2)])
+
+
+def test_follow_takes_no_step_for_a_witness_that_keeps_the_class():
+    assert _follow((1, 2, 3), (1, 2, 3), [((1, 2, 3), 0)]).moves == ()
+    # 121 and its rotation 211 are one stalactic class; its rotation 112 is another
+    path = _follow((2, 1, 1), (1, 1, 2), [((1, 2, 1), 1), ((1, 2, 1), 0), ((1, 2, 1), 2)])
+    assert path.moves == (((1, 2, 1), 2),)
+    assert path.elements == (stalactic_tableau((2, 1, 1)), stalactic_tableau((1, 1, 2)))
 
 
 #: every full-support evaluation of rank <= 4 and total <= 6, and the standard rank 5

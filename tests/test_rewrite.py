@@ -149,3 +149,8 @@ def test_window_refuses_a_rewrite_that_changes_the_evaluation():
     assert _window((1, 2, 3), 1, (3, 2)) == (1, 3, 2)
     with pytest.raises(RuntimeError, match="changes the evaluation"):
         _window((1, 2, 3), 1, (3, 3))
+
+
+def test_an_unknown_presentation_is_refused_by_name():
+    with pytest.raises(ValueError, match="unknown presentation 'nope'; choose from"):
+        presentation("nope")
