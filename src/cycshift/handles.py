@@ -13,7 +13,9 @@ its own ``rewrite.PRESENTATIONS`` so that it shares no code with what it
 checks.  A record may give ``class_graph``, its shift graph built on class
 descriptions (hypo's row breaks), which the graph engine then uses; one that
 ``saturates`` (stal, taig) lets the engine build an evaluation's graph from
-its counts capped at 2.
+its counts capped at 2, each such saturation once per process.  taig's
+record names stal's as ``image_of``: every taig class is a union of stal
+classes, so the engine maps stal's saturated graphs onto taig's.
 
 ``MonoidHandle.law`` is the one home of the paper's table of diameter laws;
 ``path_bound`` reads its upper ends, and ``verify``'s c4 and c6 read it too.
@@ -80,6 +82,10 @@ class MonoidHandle:
     #: the shift graph of an evaluation is that of its counts capped at 2, keys
     #: aside (``shiftgraph.evaluation_graph``)
     saturates: bool = field(default=False, kw_only=True)
+    #: the name of a finer saturating record, each of whose classes lies in one
+    #: class of this one; the engine builds this record's saturated graphs as
+    #: the images of that record's
+    image_of: str | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         if self.key_of is None:
@@ -194,7 +200,7 @@ HANDLES: dict[str, MonoidHandle] = {
         taiga.key, partial(sylvester.draw, with_mult=True), partial(tree_json, with_mult=True),
         taiga.symbols, taiga.check_mult_bst,
         taiga.shift_path, law=_tree_law,
-        word_form=taiga.word_form, format_form=taiga.format_form, saturates=True,
+        word_form=taiga.word_form, format_form=taiga.format_form, saturates=True, image_of="stal",
     ),
     "baxt": MonoidHandle(
         "baxt", baxter.twin_pair,

@@ -14,8 +14,10 @@ and no map from words is kept.  Until the graph is frozen, each edge waits
 once, in a scratch list at its smaller end that is deduplicated as it grows,
 so memory follows the classes and edges.  A handle's ``class_graph``
 (hypo's) replaces the necklaces and forms one word per class.  A handle that
-``saturates`` (stal, taig) builds an evaluation from its counts capped at 2
-and keys one padded word per class.  ``neighbors`` forms no necklace: it
+``saturates`` (stal, taig) takes an evaluation from its counts capped at 2
+and keys one padded word per class; each saturation with a count of 2 is
+built once per process, in a bounded cache, and taig's (``image_of``) as the
+image of stal's, with no necklace formed.  ``neighbors`` forms no necklace: it
 rotates the members that ``class_of`` walks to and formats only its answer.
 A component is a view: the ids of its members over its parent's own ``keys``
 and ``nbrs``.  Searches, components and diameters run on ids; keys appear
@@ -33,10 +35,10 @@ from bisect import bisect_left
 from collections import deque  # noqa: F401  unused here; perfbench/spans.py patches this name
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 
-from .handles import MonoidHandle
+from .handles import HANDLES, MonoidHandle
 from .words import Evaluation, Word, check_total, check_word, evaluation as ev_of, necklaces
 
 
@@ -249,11 +251,12 @@ def evaluation_graph(
 ) -> ShiftGraph:
     """The full shift graph of one evaluation; ``representatives`` gets a word per class.
 
-    A handle that ``saturates`` (stal, taig) builds an evaluation with a
-    count above 2 from its saturation, every count capped at 2.  Each class
-    of the saturated graph keeps its id and neighbours, and takes the key of
-    its word padded back to ``ev`` by repeating the first copy of each
-    symbol whose count is above 2.  The graphs are the same:
+    A handle that ``saturates`` (stal, taig) takes an evaluation with a
+    count of 2 or more from its saturation, every count capped at 2, which
+    ``_saturation`` builds once per process.  Each class of the saturated
+    graph keeps its id and neighbours, and takes the key of its word padded
+    back to ``ev`` by repeating the first copy of each symbol whose count is
+    above 2.  The graphs are the same:
 
     - a stal class is ``(σ, ev)``, where σ is the order of the symbols'
       rightmost occurrences, and every order of the support is a class.  A
@@ -268,19 +271,70 @@ def evaluation_graph(
       saturation is an edge of ``ev``, between the classes of the padded
       words, which have the same σ;
     - a taig class is the binary search tree of σ (inserted right to left)
-      with the counts as multiplicities, so its graph is the image of
-      stal's, and the tree's shape does not depend on the counts.
+      with the counts as multiplicities, so the tree's shape does not
+      depend on the counts, and every taig class is a union of stal
+      classes: taig's saturated graph is the image of stal's
+      (``MonoidHandle.image_of``).
+
+    An evaluation with every count at most 1 is its own saturation and
+    shares it with no other, so it is built directly and not kept.
     """
     check_total(ev, limit)
-    if handle.saturates and max(ev, default=0) > 2:
-        reps: dict[str, Word] = {}
-        g = _build(handle, tuple(min(c, 2) for c in ev), limit, reps)
-        words = [_pad(reps[k], ev) for k in g.keys]
+    if not handle.saturates or max(ev, default=0) < 2:
+        return _build(handle, ev, limit, representatives)
+    sat = tuple(min(c, 2) for c in ev)
+    keys, nbrs, words = _saturation(handle, sat)
+    if sat != ev:
+        words = [_pad(w, ev) for w in words]
         keys = [handle.format_form(handle.word_form(w)) for w in words]
-        if representatives is not None:
-            representatives.update(zip(keys, words))
-        return ShiftGraph(handle.name, len(ev), ev, keys, g.nbrs)
-    return _build(handle, ev, limit, representatives)
+    if representatives is not None:
+        representatives.update(zip(keys, words))
+    return ShiftGraph(handle.name, len(ev), ev, list(keys), list(nbrs))
+
+
+#: a rank-r scan meets at most 2^r full-support saturations, so 64 entries hold
+#: a rank-6 scan of stal, or a rank-5 scan of taig with the stal saturations it
+#: is the image of; a rank-6, total-9 stal entry keeps about 0.44 MB
+@lru_cache(maxsize=64)
+def _saturation(handle: MonoidHandle, sat: Evaluation):
+    """The keys, frozen rows and one word per class of a saturated evaluation with a count of 2.
+
+    The words are each class's first in the necklace stream.  A record with
+    ``image_of`` maps that record's saturated graph instead of forming
+    necklaces: a class's word is kept from the finer class that first lands
+    in it, so its ids, rows and words are those of its own necklace build.
+    """
+    if handle.image_of is not None:
+        _, finer_nbrs, finer_words = _saturation(HANDLES[handle.image_of], sat)
+        return _image(handle, finer_nbrs, finer_words)
+    reps: dict[str, Word] = {}
+    g = _build(handle, sat, sum(sat), reps)
+    return tuple(g.keys), tuple(g.nbrs), tuple(reps[k] for k in g.keys)
+
+
+def _image(handle: MonoidHandle, nbrs: Sequence[array], words: Sequence[Word]):
+    """``handle``'s graph on a finer record's classes, given by their rows and words.
+
+    Each word is formed once; a class of ``handle`` takes the id, and the
+    word, of the first finer class in it.  Its row joins the rows of its
+    finer classes, mapped, with the loop dropped: every member of a class
+    lies in one finer class, so every edge comes from a finer edge.
+    """
+    word_form, format_form = handle.word_form, handle.format_form
+    table: dict = {}
+    keys, kept, ids = [], [], []
+    for w in words:
+        f = word_form(w)
+        i = table.get(f)
+        if i is None:
+            i = table[f] = len(keys)
+            keys.append(format_form(f))
+            kept.append(w)
+        ids.append(i)
+    rows: list[set[int]] = [set() for _ in keys]
+    for i, row in zip(ids, nbrs):
+        rows[i].update(map(ids.__getitem__, row))
+    return tuple(keys), tuple(_freeze(r - {i}) for i, r in enumerate(rows)), tuple(kept)
 
 
 def _build(
@@ -308,7 +362,6 @@ def _build(
     larger: list[list[int]] = []
     dedup_at: list[int] = []
     for w in necklaces(ev, limit):
-        fresh = len(keys)
         rotations = []
         for f in rotation_forms(w):
             i = table.get(f)
@@ -317,6 +370,9 @@ def _build(
                 keys.append(format_form(f))
                 larger.append([])
                 dedup_at.append(_SLACK)
+                if representatives is not None:
+                    r = len(rotations)
+                    representatives.setdefault(keys[i], w[r:] + w[:r])
             rotations.append(i)
         clique = sorted(set(rotations))
         for k, i in enumerate(clique[:-1], 1):
@@ -325,10 +381,6 @@ def _build(
             if len(ids) > dedup_at[i]:
                 larger[i] = ids = list(set(ids))
                 dedup_at[i] = 2 * len(ids) + _SLACK
-        if representatives is not None:
-            for i, c in enumerate(rotations):
-                if c >= fresh:
-                    representatives.setdefault(keys[c], w[i:] + w[:i])
     del table
     # row i: its smaller neighbours, which the rows before it hand down in order, then its larger
     nbrs = [array("I") for _ in keys]

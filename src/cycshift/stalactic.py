@@ -15,20 +15,21 @@ from .words import Word, rotations
 
 
 def word_form(word: Word) -> tuple[int, ...]:
-    """The column symbols, then the column heights: the class's hashable form.
+    """The column symbols right to left, then their heights: the class's hashable form.
 
     Columns follow the rightmost occurrences; heights are the counts.  The
     form is flat, a third the size of a tuple of pairs, since a standard
-    evaluation keeps one form per word.
+    evaluation keeps one form per word; it lists the columns right to left,
+    as the word's last occurrences read backwards, which saves a reversal.
     """
-    order = tuple(reversed(dict.fromkeys(reversed(word))))
-    return order + tuple(map(word.count, order))
+    last = dict.fromkeys(reversed(word))
+    return (*last, *map(word.count, last))
 
 
 @lru_cache(maxsize=64)
 def _template(k: int) -> str:
-    """The key of a flat form with k columns, as a format string: ``{0}^{k}|{1}^{k+1}|...``."""
-    return "|".join(f"{{{i}}}^{{{k + i}}}" for i in range(k))
+    """The key of a flat form with k columns, as a format string: ``{k-1}^{2k-1}|{k-2}^{2k-2}|...``."""
+    return "|".join(f"{{{k - 1 - i}}}^{{{2 * k - 1 - i}}}" for i in range(k))
 
 
 def format_form(form: tuple[int, ...]) -> str:
@@ -50,7 +51,7 @@ class StalacticTableau:
             raise ValueError("column heights must be positive")
 
     def key(self) -> str:
-        return format_form(sum(zip(*self.columns), ()))  # the symbols, then the heights
+        return format_form(sum(zip(*self.columns[::-1]), ()))  # the form: symbols, then heights, right to left
 
     def reading(self) -> Word:
         """Column word: each symbol repeated to its height, left to right."""
@@ -74,9 +75,9 @@ class StalacticTableau:
 
 def stalactic_tableau(word: Word) -> StalacticTableau:
     """The tableau ``word`` inserts to right to left: its columns."""
-    form = word_form(word)
+    form = word_form(word)[::-1]  # the heights, then the symbols, left to right
     k = len(form) // 2
-    return StalacticTableau(tuple(zip(form[:k], form[k:])))
+    return StalacticTableau(tuple(zip(form[k:], form[:k])))
 
 
 def height_one_word(t: StalacticTableau) -> Word:
@@ -130,12 +131,11 @@ def conjugacy_witness(u: Word, v: Word) -> tuple[Word, Word]:
     """Two-sided intertwiners for words with equal evaluations.
 
     Returns (g, h) with g the column symbols of the source tableau and h those
-    of the target, satisfying g u == v g and u h == h v in the monoid.  A
-    word's column symbols are the first half of its ``word_form``.
+    of the target, satisfying g u == v g and u h == h v in the monoid.
     """
     if sorted(u) != sorted(v):
         raise ValueError("conjugacy witnesses require equal evaluations")
-    g, h = (form[:len(form) // 2] for form in (word_form(u), word_form(v)))
+    g, h = (tuple(a for a, _ in stalactic_tableau(w).columns) for w in (u, v))
     if word_form(g + u) != word_form(v + g):
         raise AssertionError("left witness fails")
     if word_form(u + h) != word_form(h + v):

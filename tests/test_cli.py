@@ -325,8 +325,9 @@ def test_count_options_keep_their_other_answers(capsys):
     )
 
 
-#: README's CLI examples and one constructive path each of hypo, sylv, taig and
-#: stal, with the sha256 of the stdout each prints
+#: README's CLI examples, one constructive path each of hypo, sylv, taig and
+#: stal, and a taig scan and component export from the saturated build, with
+#: the sha256 of the stdout each prints
 PINNED_OUTPUTS = [
     ("psymbol --monoid sylv --word 5451761524", "55870978a46a0cfe39062e3e014df1fa1dff6db071547e5d771cff3aee7e9a6b"),
     ("class --monoid plac --word 132", "45ca8f73385061565aac04931c26735d749a7dd8b98d5bdd9b291fea66bc0b63"),
@@ -338,6 +339,8 @@ PINNED_OUTPUTS = [
     ("path --monoid sylv --word1 5451761 --word2 1675415", "db79e89f3fc16b4d99b4255c1720a5328ff4f1a068e098dcacd38cd0e0b44a73"),
     ("path --monoid taig --word1 31524461 --word2 16442513", "fcfba551aab8714e51817b57e17c9c4f7a198d99d287d25db12cc7fa251d883a"),
     ("path --monoid stal --word1 1551453 --word2 5115354", "02e3393524e4d893796127cb771e0eb04b5c7743ad7c9afe3f1c677979ca37f1"),
+    ("scan --monoid taig --rank 3 --max-total 6", "b11873081e26b8dc5fbafb2078cff03c9028c22399476479dd64e5f5d02e7f3b"),
+    ("component --monoid taig --word 1113332 --format json", "2bf6dd1a22f612c6114fc7b27e5b023887d1f56fd3db9a0cc056de76b5b65b79"),
 ]
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycshift import shiftgraph
 from cycshift.handles import HANDLES, handle
 from cycshift.paths import check_path
 from cycshift.shiftgraph import (
@@ -89,13 +90,17 @@ def test_every_word_is_keyed_once(ev):
     for name in ("plac", "hypo", "stal", "sylv", "taig", "baxt", "counterexample"):
         h = handle(name)
         if h.saturates:
-            # the saturated build: the words of the counts capped at 2, and one
-            # padded word per class when some count is above 2
+            # the saturated build: the words of the counts capped at 2, or for
+            # an image one word per class of the finer record's saturation when
+            # some count is 2, and one padded word per class when some count is above 2
             counted, forms, formats = _counting(h)
             classes = len(evaluation_graph(counted, ev).adjacency)
             sat = tuple(min(c, 2) for c in ev)
             padded = 0 if sat == ev else classes
-            assert len(forms) == multinomial(sat) + padded, (name, ev)
+            built = multinomial(sat)
+            if h.image_of is not None and 2 in sat:
+                built = len(evaluation_graph(handle(h.image_of), sat).adjacency)
+            assert len(forms) == built + padded, (name, ev)
             # each saturated class, then each padded word, formatted once
             assert len(formats) == classes + padded, (name, ev)
         # the necklace engine, also for a record that builds its graph from a
@@ -347,6 +352,38 @@ def test_saturated_graphs_are_the_necklace_engine_graphs(name):
     with pytest.raises(LimitExceededError) as exc:
         evaluation_graph(h, (4, 3, 1), 7)
     assert str(exc.value) == "evaluation total 8 exceeds enumeration limit 7 (evaluation (4, 3, 1))"
+
+
+@pytest.mark.parametrize("name", [name for name, h in HANDLES.items() if h.image_of])
+def test_an_image_keeps_the_ids_of_its_own_saturated_build(name):
+    # the image of the finer record's saturation against the record's own
+    # necklaces on the same saturation: the same keys, rows and words, in order
+    h = handle(name)
+    own = dataclasses.replace(h, image_of=None)
+    for ev in DIFFERENTIAL_EVALUATIONS + SATURATED_EVALUATIONS:
+        if max(ev) < 2:
+            continue
+        reps, want_reps = {}, {}
+        g = evaluation_graph(h, ev, representatives=reps)
+        want = evaluation_graph(own, ev, representatives=want_reps)
+        assert g.keys == want.keys and g.nbrs == want.nbrs, ev
+        assert list(reps.items()) == list(want_reps.items()), ev
+
+
+def test_only_saturations_with_a_count_of_2_are_kept():
+    stal = handle("stal")
+    cached = shiftgraph._saturation
+    cached.cache_clear()
+    for ev in [(), (1,), (1, 1, 1), (1, 0, 1)]:
+        evaluation_graph(stal, ev)
+    assert cached.cache_info().currsize == 0
+    # one saturation serves every evaluation that caps to it, whatever the limit
+    for ev, limit in [((2, 1), None), ((3, 1), None), ((12, 1), 13), ((1, 2), None)]:
+        evaluation_graph(stal, ev, limit)
+    assert cached.cache_info()[:2] == (2, 2)  # hits, misses
+    # the total guard runs before the cache
+    with pytest.raises(LimitExceededError):
+        evaluation_graph(stal, (12, 1))
 
 
 #: (finer, coarser): every class of the coarser monoid is a union of classes of the finer

@@ -26,7 +26,7 @@ def test_worked_tableau():
 
 
 def test_flat_form_keys_the_unchanged_columns():
-    """The form is the column symbols, then the heights; tableau and key read the same columns."""
+    """The form is the column symbols right to left, then their heights; tableau and key read the same columns."""
     stal = handle("stal")
     words = [w for n in range(7) for w in itertools.product((1, 2, 3, 4), repeat=n)]
     for w in words:
@@ -34,7 +34,7 @@ def test_flat_form_keys_the_unchanged_columns():
         order = tuple(sorted(last, key=last.get))
         columns = tuple((a, w.count(a)) for a in order)
         assert stalactic_tableau(w).columns == columns, w
-        assert stal.word_form(w) == order + tuple(h for _, h in columns), w
+        assert stal.word_form(w) == order[::-1] + tuple(h for _, h in reversed(columns)), w
         assert key_of(w) == stal.key(stal.element(w)) == "|".join(f"{a}^{h}" for a, h in columns), w
 
 
