@@ -20,6 +20,7 @@ from .words import (
     DEFAULT_MAX_CLASS,
     DEFAULT_MAX_TOTAL,
     LimitExceededError,
+    check_total,
     evaluation,
     format_word,
     parse_word,
@@ -63,7 +64,11 @@ def _emit(args, text: str) -> None:
 
 def cmd_psymbol(args) -> int:
     h = handle(args.monoid)
-    el = h.element(parse_word(args.word))
+    word = parse_word(args.word)
+    if args.max_total is not None:
+        check_total(evaluation(word, max(word, default=0)), args.max_total)
+    # only the counterexample's object is enumerated (its class's closure), up to the default bound
+    el = h.element(word, args.max_total) if h.name == "counterexample" else h.element(word)
     if args.format == "json":
         payload = {"monoid": h.name, "key": h.key(el), "object": h.to_json(el)}
         _emit(args, json.dumps(payload, indent=2, sort_keys=True))
@@ -170,6 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     psymbol = command("psymbol", "print the canonical key and a drawing", enumerates=False)
     psymbol.add_argument("--format", choices=("text", "json"), default="text")
+    psymbol.add_argument("--max-total", type=_count, default=None, dest="max_total")
     cls = command("class", "list every word of the congruence class")
     cls.add_argument("--max-class", type=_count, default=DEFAULT_MAX_CLASS, dest="max_class")
     command("neighbors", "canonical keys one shift away")

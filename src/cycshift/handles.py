@@ -11,11 +11,13 @@ to reference insertions of their own.  The graph engine, the CLI and
 ``verify`` read the monoids from ``HANDLES`` alone; the rewriting oracle keeps
 its own ``rewrite.PRESENTATIONS`` so that it shares no code with what it
 checks.  A record may give ``class_graph``, its shift graph built on class
-descriptions (hypo's row breaks), which the graph engine then uses; one that
-``saturates`` (stal, taig) lets the engine build an evaluation's graph from
-its counts capped at 2, each such saturation once per process.  taig's
-record names stal's as ``image_of``: every taig class is a union of stal
-classes, so the engine maps stal's saturated graphs onto taig's.
+descriptions (hypo's row breaks), which the graph engine then uses.  The
+engine builds evaluations with a count of 2 up to the symmetries a record
+declares: ``relabel_invariant``, ``saturates`` (stal, taig: counts capped at
+2) and ``mirror`` (reverse-complement for plac, hypo and baxt, complement for
+stal and taig; none for sylv, which reverse-complement sends to sylv#).
+taig's record names stal's as ``image_of``: every taig class is a union of
+stal classes, so the engine maps stal's graphs onto taig's.
 
 ``MonoidHandle.law`` is the one home of the paper's table of diameter laws;
 ``path_bound`` reads its upper ends, and ``verify``'s c4 and c6 read it too.
@@ -41,7 +43,9 @@ from .paths import ShiftPath
 from .plactic import YoungTableau
 from .stalactic import StalacticTableau
 from .trees import labels, to_json as tree_json
-from .words import Word, check_total, evaluation, format_word, words_with_evaluation
+from .words import (
+    Word, check_total, complement, evaluation, format_word, reverse_complement, words_with_evaluation,
+)
 
 
 def adjacent_swaps(word: Word) -> Iterator[Word]:
@@ -82,10 +86,14 @@ class MonoidHandle:
     #: the shift graph of an evaluation is that of its counts capped at 2, keys
     #: aside (``shiftgraph.evaluation_graph``)
     saturates: bool = field(default=False, kw_only=True)
-    #: the name of a finer saturating record, each of whose classes lies in one
-    #: class of this one; the engine builds this record's saturated graphs as
-    #: the images of that record's
+    #: the name of a finer record with the same ``mirror``, each of whose
+    #: classes lies in one class of this one; the engine builds this record's
+    #: graphs with a count of 2 as the images of that record's
     image_of: str | None = field(default=None, kw_only=True)
+    #: (word, rank) -> word, an involution onto the reversed evaluation that
+    #: sends classes to classes and rotations to rotations; the engine builds
+    #: one of an evaluation and its reverse (``shiftgraph.evaluation_graph``)
+    mirror: Callable[[Word, int], Word] | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         if self.key_of is None:
@@ -153,8 +161,8 @@ def _counter_form(word: Word) -> Word:
     return _COUNTER.close(word, len(word)).canonical
 
 
-def _counter_key(word: Word) -> str:
-    return format_word(_COUNTER.close(word).canonical)  # the object keeps the default limit
+def _counter_key(word: Word, limit: int | None = None) -> str:
+    return format_word(_COUNTER.close(word, limit).canonical)
 
 
 def _tree_law(n: int) -> tuple[int, int]:
@@ -172,14 +180,14 @@ HANDLES: dict[str, MonoidHandle] = {
         YoungTableau.key, YoungTableau.draw, YoungTableau.to_json,
         YoungTableau.symbols, YoungTableau.check,
         law=lambda n: (n - 1, max(n - 1, 2 * n - 3)),
-        word_form=plactic.word_form, format_form=plactic.format_form,
+        word_form=plactic.word_form, format_form=plactic.format_form, mirror=reverse_complement,
     ),
     "hypo": MonoidHandle(
         "hypo", hypoplactic.quasi_ribbon,
         QuasiRibbonTableau.key, QuasiRibbonTableau.draw, QuasiRibbonTableau.to_json,
         QuasiRibbonTableau.symbols, QuasiRibbonTableau.check,
         hypoplactic.shift_path, class_graph=hypoplactic.class_graph, law=lambda n: (n - 1, n - 1),
-        word_form=hypoplactic.word_form, format_form=hypoplactic.format_form,
+        word_form=hypoplactic.word_form, format_form=hypoplactic.format_form, mirror=reverse_complement,
     ),
     "sylv": MonoidHandle(
         "sylv", sylvester.right_bst,
@@ -194,6 +202,7 @@ HANDLES: dict[str, MonoidHandle] = {
         StalacticTableau.symbols, StalacticTableau.check,
         stalactic.shift_path, law=_stal_law,
         word_form=stalactic.word_form, format_form=stalactic.format_form, saturates=True,
+        mirror=complement,
     ),
     "taig": MonoidHandle(
         "taig", taiga.mult_bst,
@@ -201,12 +210,13 @@ HANDLES: dict[str, MonoidHandle] = {
         taiga.symbols, taiga.check_mult_bst,
         taiga.shift_path, law=_tree_law,
         word_form=taiga.word_form, format_form=taiga.format_form, saturates=True, image_of="stal",
+        mirror=complement,
     ),
     "baxt": MonoidHandle(
         "baxt", baxter.twin_pair,
         TwinPair.key, TwinPair.draw, TwinPair.to_json,
         TwinPair.symbols, TwinPair.check,
-        word_form=baxter.word_form, format_form=baxter.format_form,
+        word_form=baxter.word_form, format_form=baxter.format_form, mirror=reverse_complement,
     ),
     # the form is the class's canonical word; the object is that word formatted as its key
     "counterexample": MonoidHandle(

@@ -13,12 +13,11 @@ class formatted once (``handle.format_form``) through a form-to-id table,
 and no map from words is kept.  Until the graph is frozen, each edge waits
 once, in a scratch list at its smaller end that is deduplicated as it grows,
 so memory follows the classes and edges.  A handle's ``class_graph``
-(hypo's) replaces the necklaces and forms one word per class.  A handle that
-``saturates`` (stal, taig) takes an evaluation from its counts capped at 2
-and keys one padded word per class; each saturation with a count of 2 is
-built once per process, in a bounded cache, and taig's (``image_of``) as the
-image of stal's, with no necklace formed.  ``neighbors`` forms no necklace: it
-rotates the members that ``class_of`` walks to and formats only its answer.
+(hypo's) replaces the necklaces and forms one word per class.  An evaluation
+with a count of 2 or more keys one word per class of its canonical form's
+graph (``evaluation_graph``), which a bounded cache keeps, taig's as the
+image of stal's.  ``neighbors`` forms no necklace: it rotates the members
+that ``class_of`` walks to and formats only its answer.
 A component is a view: the ids of its members over its parent's own ``keys``
 and ``nbrs``.  Searches, components and diameters run on ids; keys appear
 only at the edge, through the read-only ``adjacency`` mapping and a key-to-id
@@ -251,13 +250,27 @@ def evaluation_graph(
 ) -> ShiftGraph:
     """The full shift graph of one evaluation; ``representatives`` gets a word per class.
 
-    A handle that ``saturates`` (stal, taig) takes an evaluation with a
-    count of 2 or more from its saturation, every count capped at 2, which
-    ``_saturation`` builds once per process.  Each class of the saturated
-    graph keeps its id and neighbours, and takes the key of its word padded
-    back to ``ev`` by repeating the first copy of each symbol whose count is
-    above 2.  The graphs are the same:
+    An evaluation with a count of 2 or more is served from the graph of its
+    canonical form (``_canonical``), kept in a bounded cache.  Each class
+    keeps its id and neighbours, and takes the key of its word taken back to
+    ``ev``: mirrored, relabeled onto the used symbols, and padded by
+    repeating the first copy of each symbol whose count is above 2.  Each
+    step is a bijection that maps rotations to rotations and classes to
+    classes, so the graphs are the same:
 
+    - an order-preserving relabeling maps each letter alone, so ``uv, vu``
+      go to ``u'v', v'u'``, and a relabel-invariant congruence to itself;
+    - complement, ``a -> r+1-a``, maps each letter alone too.  stal's
+      relation ``bavb = abvb`` names no order; taig's are sylv's ``cavb =
+      acvb`` (a <= b < c) and stal's, and the complement of a sylv instance
+      swaps ``x < y`` before a witness in ``(x, y]``: sylv's below ``y``,
+      stal's at ``y``;
+    - reverse-complement θ reverses products, so ``(uv, vu)`` goes to
+      ``(θ(v)θ(u), θ(u)θ(v))``.  It sends Knuth's ``acb = cab`` (a <= b <
+      c) to ``bac = bca`` (a < b <= c) and back (Schützenberger's
+      involution), each family of baxt's relations to itself, and keeps
+      hypo's row breaks: for consecutive ``a < b``, some b before some a
+      in ``w`` is some a' before some b' in θ(w), with ``b' < a'``;
     - a stal class is ``(σ, ev)``, where σ is the order of the symbols'
       rightmost occurrences, and every order of the support is a class.  A
       cut ``u|v`` gives ``vu``, whose order σ' takes each symbol at its
@@ -276,39 +289,61 @@ def evaluation_graph(
       classes: taig's saturated graph is the image of stal's
       (``MonoidHandle.image_of``).
 
-    An evaluation with every count at most 1 is its own saturation and
-    shares it with no other, so it is built directly and not kept.
+    An evaluation with every count at most 1 is built directly and not kept,
+    so standard graphs, the largest, leave no entry behind.
     """
     check_total(ev, limit)
-    if not handle.saturates or max(ev, default=0) < 2:
+    if max(ev, default=0) < 2:
         return _build(handle, ev, limit, representatives)
-    sat = tuple(min(c, 2) for c in ev)
-    keys, nbrs, words = _saturation(handle, sat)
-    if sat != ev:
-        words = [_pad(w, ev) for w in words]
+    key, mirrored = _canonical(handle, ev)
+    keys, nbrs, words = _canonical_graph(handle, key)
+    if key != ev:
+        if mirrored:
+            words = [handle.mirror(w, len(key)) for w in words]
+        if len(key) < len(ev):
+            used = [a for a, c in enumerate(ev, 1) if c]
+            words = [tuple(used[a - 1] for a in w) for w in words]
+        if handle.saturates and max(ev) > 2:
+            words = [_pad(w, ev) for w in words]
         keys = [handle.format_form(handle.word_form(w)) for w in words]
     if representatives is not None:
         representatives.update(zip(keys, words))
     return ShiftGraph(handle.name, len(ev), ev, list(keys), list(nbrs))
 
 
-#: a rank-r scan meets at most 2^r full-support saturations, so 64 entries hold
-#: a rank-6 scan of stal, or a rank-5 scan of taig with the stal saturations it
-#: is the image of; a rank-6, total-9 stal entry keeps about 0.44 MB
+def _canonical(handle: MonoidHandle, ev: Evaluation) -> tuple[Evaluation, bool]:
+    """The evaluation ``ev`` is served from, and whether it is reversed.
+
+    Unused symbols are dropped (a ``relabel_invariant`` record), counts capped
+    at 2 (one that ``saturates``), and the lesser of the result and its
+    reverse kept (one with a ``mirror``).
+    """
+    key = tuple(c for c in ev if c) if handle.relabel_invariant else ev
+    if handle.saturates:
+        key = tuple(min(c, 2) for c in key)
+    if handle.mirror is not None and key[::-1] < key:
+        return key[::-1], True
+    return key, False
+
+
+#: one record's census of the paper's table (rank 4, total <= 7) meets at most
+#: 35 forms, and taig's keeps stal's beside its own.  A scan keeps none: a
+#: rank-6, total-9 one meets 253 forms with a count of 2 (459 for sylv, 57 for
+#: stal), and baxt's would keep 122 MB, 2.9 MB for (2,1,1,2,1,2) (``tracemalloc``)
 @lru_cache(maxsize=64)
-def _saturation(handle: MonoidHandle, sat: Evaluation):
-    """The keys, frozen rows and one word per class of a saturated evaluation with a count of 2.
+def _canonical_graph(handle: MonoidHandle, key: Evaluation):
+    """The keys, frozen rows and one word per class of a canonical evaluation with a count of 2.
 
     The words are each class's first in the necklace stream.  A record with
-    ``image_of`` maps that record's saturated graph instead of forming
-    necklaces: a class's word is kept from the finer class that first lands
-    in it, so its ids, rows and words are those of its own necklace build.
+    ``image_of`` maps that record's graph instead of forming necklaces: a
+    class's word is kept from the finer class that first lands in it, so its
+    ids, rows and words are those of its own necklace build.
     """
     if handle.image_of is not None:
-        _, finer_nbrs, finer_words = _saturation(HANDLES[handle.image_of], sat)
+        _, finer_nbrs, finer_words = _canonical_graph(HANDLES[handle.image_of], key)
         return _image(handle, finer_nbrs, finer_words)
     reps: dict[str, Word] = {}
-    g = _build(handle, sat, sum(sat), reps)
+    g = _build(handle, key, sum(key), reps)
     return tuple(g.keys), tuple(g.nbrs), tuple(reps[k] for k in g.keys)
 
 
@@ -504,29 +539,31 @@ def diameter_scan(
     scanned; an evaluation with unused symbols relabels onto the full-support
     evaluation of a lower rank, so combining scans over ranks 1..n covers
     everything.  The handle must be relabel-invariant for that.
+
+    Every evaluation with one canonical form (``_canonical``) has the same
+    graph up to the relabeling of its vertices (``evaluation_graph``), so the
+    scan builds each form once, uncached and one at a time, and reads one row
+    off it for all of them.
     """
     if distinct_up_to_relabeling and not handle.relabel_invariant:
         raise ValueError(f"{handle.name} is not invariant under relabeling")
     check_word((), rank)  # the alphabet check alone: a negative rank is refused
-    evs = (
+    evs = list(
         full_support_evaluations(rank, max_total)
         if distinct_up_to_relabeling
         else _evaluations(rank, max_total, full_support=False)
     )
-    rows = []
-    for ev in evs:
-        g = evaluation_graph(handle, ev, max_total)
-        comps = g.components()
-        rows.append(
-            ScanRow(
-                evaluation=ev,
-                class_count=len(g.adjacency),
-                component_count=len(comps),
-                max_diameter=max((diameter(c) for c in comps), default=0),
-                single_component=len(comps) <= 1,
-            )
-        )
-    return ScanReport(handle.name, rank, max_total, rows)
+    rows: dict[Evaluation, tuple] = {}  # canonical form -> its row's counts
+    for key in (_canonical(handle, ev)[0] for ev in evs):
+        if key not in rows:
+            if max(key, default=0) < 2:
+                g = _build(handle, key, max_total, None)
+            else:
+                keys, nbrs, _ = _canonical_graph.__wrapped__(handle, key)
+                g = ShiftGraph(handle.name, len(key), key, list(keys), list(nbrs))
+            comps = g.components()
+            rows[key] = len(g.keys), len(comps), max((diameter(c) for c in comps), default=0), len(comps) <= 1
+    return ScanReport(handle.name, rank, max_total, [ScanRow(ev, *rows[_canonical(handle, ev)[0]]) for ev in evs])
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,16 @@ def rotations(word: Word) -> list[Word]:
     return [word[k:] + word[:k] for k in range(len(word) + 1)]
 
 
+def complement(word: Word, rank: int) -> Word:
+    """Each symbol ``a`` replaced by ``rank + 1 - a``: a word of the reversed evaluation."""
+    return tuple(rank + 1 - a for a in word)
+
+
+def reverse_complement(word: Word, rank: int) -> Word:
+    """The complement read right to left."""
+    return complement(word[::-1], rank)
+
+
 def multinomial(ev: Evaluation) -> int:
     """Number of distinct arrangements of the multiset described by ``ev``."""
     n = factorial(sum(ev))

@@ -206,7 +206,7 @@ def test_a_rejected_constructive_path_is_an_internal_error(monkeypatch, capsys):
         ("component", "--monoid", "plac", "--word", "12", "--max-class", "3"),
         ("psymbol", "--monoid", "plac", "--word", "12", "--format", "dot"),
         ("psymbol", "--monoid", "plac", "--word", "12", "--rank", "3"),
-        ("psymbol", "--monoid", "plac", "--word", "12", "--max-total", "3"),
+        ("psymbol", "--monoid", "plac", "--word", "12", "--max-class", "3"),
     ],
 )
 def test_options_a_command_ignores_are_rejected(argv):
@@ -291,6 +291,21 @@ def test_counterexample_follows_max_total(capsys):
     assert err == "error: evaluation total 11 exceeds enumeration limit 10 (evaluation (1, 1, 5, 4))\n"
 
 
+def test_psymbol_follows_max_total_for_the_counterexample(capsys):
+    word = "13434343432"
+    code, out, err = run_cli(capsys, "psymbol", "--monoid", "counterexample", "--word", word)
+    assert code == 2 and out == ""
+    assert err == "error: word length 11 exceeds closure limit 10\n"
+    code, out, _ = run_cli(capsys, "psymbol", "--monoid", "counterexample", "--word", word, "--max-total", "11")
+    canonical = format_word(presentation("counterexample").close(parse_word(word), 11).canonical)
+    assert code == 0 and out == f"key: {canonical}\n{canonical}\n"
+    # the bound, when given, holds for every record; an insertion has none by default
+    code, _, err = run_cli(capsys, "psymbol", "--monoid", "plac", "--word", word, "--max-total", "10")
+    assert code == 2 and err == "error: evaluation total 11 exceeds enumeration limit 10 (evaluation (1, 1, 5, 4))\n"
+    code, out, _ = run_cli(capsys, "psymbol", "--monoid", "plac", "--word", word)
+    assert code == 0 and out.startswith("key: ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -298,6 +313,7 @@ def test_counterexample_follows_max_total(capsys):
         ("class", "--monoid", "plac", "--word", "12", "--max-total", "-1"),
         ("component", "--monoid", "stal", "--word", "1233", "--max-total", "-2"),
         ("class", "--monoid", "plac", "--word", "132", "--max-class", "-1"),
+        ("psymbol", "--monoid", "counterexample", "--word", "12", "--max-total", "-1"),
     ],
 )
 def test_a_negative_count_option_is_a_usage_error(argv, capsys):
@@ -341,6 +357,11 @@ PINNED_OUTPUTS = [
     ("path --monoid stal --word1 1551453 --word2 5115354", "02e3393524e4d893796127cb771e0eb04b5c7743ad7c9afe3f1c677979ca37f1"),
     ("scan --monoid taig --rank 3 --max-total 6", "b11873081e26b8dc5fbafb2078cff03c9028c22399476479dd64e5f5d02e7f3b"),
     ("component --monoid taig --word 1113332 --format json", "2bf6dd1a22f612c6114fc7b27e5b023887d1f56fd3db9a0cc056de76b5b65b79"),
+    # graphs served from a relabeled or mirrored canonical form
+    ("scan --monoid plac --rank 3 --max-total 6", "b9ec2468469da1dce0d524a61f5ce8a05d57feae4da6c05cb604c8d9be8c9a7c"),
+    ("scan --monoid baxt --rank 3 --max-total 6 --distinct", "08807acef1c20d9022fbe44f263b89b2d403c1852373088224fa7b50df476f8b"),
+    ("component --monoid plac --word 2111 --format json", "7ea8e4455584c2224680fc8b6193a0db95a566ba7e6628537e619569298994b3"),
+    ("component --monoid hypo --word 3321 --format dot", "49489bf09d76037b7a6756ae3b16e2b7ef29746243c7f41efb2fdd90af7180f0"),
 ]
 
 

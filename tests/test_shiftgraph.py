@@ -4,7 +4,6 @@ import json
 import tracemalloc
 from array import array
 from collections import deque
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +25,7 @@ from cycshift.shiftgraph import (
     to_dot,
     to_json,
 )
-from cycshift.words import LimitExceededError, multinomial, parse_word, words_with_evaluation
+from cycshift.words import LimitExceededError, evaluation, multinomial, parse_word, words_with_evaluation
 
 
 def distances_from(adj, start):
@@ -81,6 +80,13 @@ def _counting(h):
     return dataclasses.replace(h, word_form=word_form, format_form=format_form), forms, formats
 
 
+def _necklace_engine(h, **fields):
+    """``h`` with every shortcut of the engine cleared: each evaluation is built from its own necklaces."""
+    return dataclasses.replace(
+        h, class_graph=None, saturates=False, image_of=None, mirror=None, relabel_invariant=False, **fields
+    )
+
+
 def _rotations(words):
     return {w[i:] + w[:i] for w in words for i in range(len(w))}
 
@@ -104,10 +110,8 @@ def test_every_word_is_keyed_once(ev):
             # each saturated class, then each padded word, formatted once
             assert len(formats) == classes + padded, (name, ev)
         # the necklace engine, also for a record that builds its graph from a
-        # model or from its saturation
-        counted, forms, formats = _counting(
-            dataclasses.replace(h, class_graph=None, saturates=False)
-        )
+        # model, its saturation, a finer record's graph or its mirror's
+        counted, forms, formats = _counting(_necklace_engine(h))
         classes = len(evaluation_graph(counted, ev).adjacency)
         assert sorted(forms) == list(words_with_evaluation(ev)), (name, ev)
         assert len(forms) == multinomial(ev)
@@ -307,18 +311,15 @@ def test_engine_matches_reference(name):
     for ev, keys in cases:
         # the engine gets the same forms without computing them again
         forms = {w: h.word_form(w) for w in keys}
-        cached = SimpleNamespace(
-            name=h.name, word_form=forms.__getitem__, format_form=h.format_form,
-            class_graph=None, saturates=False,
-        )
+        cached = _necklace_engine(h, word_form=forms.__getitem__)
         ref = reference_graph(h, ev, keys)
         ref_adj, ref_json, ref_dot = dict(ref.adjacency), to_json(ref), to_dot(ref)
         ref_comps = ref.components()
         ref_comp_adjs = [dict(c.adjacency) for c in ref_comps]
         ref_diameters = [reference_diameter(c) for c in ref_comps]
-        # the necklace engine, and the record's own build when it has a model or saturates
-        own = [evaluation_graph(h, ev)] if h.class_graph or h.saturates else []
-        for g in [evaluation_graph(cached, ev)] + own:
+        # the necklace engine, and the record's own build: from its model, or
+        # served from its canonical form when some count is 2 or more
+        for g in [evaluation_graph(cached, ev), evaluation_graph(h, ev)]:
             assert dict(g.adjacency) == ref_adj, ev
             # each frozen neighbour array: sorted, no repeats, no self-loop
             for i, row in enumerate(g.nbrs):
@@ -340,7 +341,7 @@ SATURATED_EVALUATIONS = [
 @pytest.mark.parametrize("name", [name for name, h in HANDLES.items() if h.saturates])
 def test_saturated_graphs_are_the_necklace_engine_graphs(name):
     h = handle(name)
-    engine = dataclasses.replace(h, saturates=False)
+    engine = _necklace_engine(h)
     for ev in SATURATED_EVALUATIONS:
         reps, want_reps = {}, {}
         g = evaluation_graph(h, ev, representatives=reps)
@@ -352,6 +353,28 @@ def test_saturated_graphs_are_the_necklace_engine_graphs(name):
     with pytest.raises(LimitExceededError) as exc:
         evaluation_graph(h, (4, 3, 1), 7)
     assert str(exc.value) == "evaluation total 8 exceeds enumeration limit 7 (evaluation (4, 3, 1))"
+
+
+#: every evaluation of rank 4 and total <= 8 with a count of 2 or more, unused symbols included
+SERVED_EVALUATIONS = [
+    ev for ev in itertools.product(range(9), repeat=4) if sum(ev) <= 8 and max(ev) > 1
+]
+
+
+@pytest.mark.parametrize("name", [name for name, h in HANDLES.items() if h.mirror or h.saturates])
+def test_served_graphs_are_the_direct_builds(name):
+    # the graph served from the canonical form (relabeled, capped, mirrored)
+    # against the evaluation's own necklaces
+    h = handle(name)
+    direct = _necklace_engine(h)
+    for ev in SERVED_EVALUATIONS:
+        reps = {}
+        g = evaluation_graph(h, ev, representatives=reps)
+        want = evaluation_graph(direct, ev)
+        assert g.vertices == want.vertices and g.edges() == want.edges(), ev
+        assert [c.vertices for c in g.components()] == [c.vertices for c in want.components()], ev
+        assert reps.keys() == set(g.keys), ev
+        assert all(h.key_of(w) == k and evaluation(w, 4) == ev for k, w in reps.items()), ev
 
 
 @pytest.mark.parametrize("name", [name for name, h in HANDLES.items() if h.image_of])
@@ -372,18 +395,36 @@ def test_an_image_keeps_the_ids_of_its_own_saturated_build(name):
 
 def test_only_saturations_with_a_count_of_2_are_kept():
     stal = handle("stal")
-    cached = shiftgraph._saturation
+    cached = shiftgraph._canonical_graph
     cached.cache_clear()
     for ev in [(), (1,), (1, 1, 1), (1, 0, 1)]:
         evaluation_graph(stal, ev)
     assert cached.cache_info().currsize == 0
-    # one saturation serves every evaluation that caps to it, whatever the limit
-    for ev, limit in [((2, 1), None), ((3, 1), None), ((12, 1), 13), ((1, 2), None)]:
+    # one canonical form serves every evaluation that caps, relabels or
+    # mirrors to it, whatever the limit: (1, 2) is the complement of (2, 1)
+    for ev, limit in [((2, 1), None), ((3, 1), None), ((12, 1), 13), ((1, 2), None), ((0, 2, 1), None)]:
         evaluation_graph(stal, ev, limit)
-    assert cached.cache_info()[:2] == (2, 2)  # hits, misses
+    assert cached.cache_info()[:2] == (4, 1)  # hits, misses
     # the total guard runs before the cache
     with pytest.raises(LimitExceededError):
         evaluation_graph(stal, (12, 1))
+
+
+def test_a_scan_builds_each_canonical_form_once(monkeypatch):
+    stal = handle("stal")
+    built = []
+    build = shiftgraph._build
+    monkeypatch.setattr(shiftgraph, "_build", lambda h, ev, *rest: built.append(ev) or build(h, ev, *rest))
+    cached = shiftgraph._canonical_graph
+    cached.cache_clear()
+    report = diameter_scan(stal, 5, 8)
+    forms = {shiftgraph._canonical(stal, row.evaluation)[0] for row in report.rows}
+    # unused symbols, counts above 2 and mirrors share one build: 32 forms with
+    # a count of 2 and 6 with none (the empty one included) for 1,287 rows
+    assert sorted(built) == sorted(forms) and len(forms) == 38 and len(report.rows) == 1287
+    # a scan holds one form at a time and leaves nothing in the cache
+    assert cached.cache_info().currsize == 0
+    assert report.render() == diameter_scan(_necklace_engine(stal), 5, 8).render()
 
 
 #: (finer, coarser): every class of the coarser monoid is a union of classes of the finer

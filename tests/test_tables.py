@@ -5,13 +5,14 @@ symmetries against the keys of every word of an evaluation; the Baxter
 values are observations, not laws of the paper.
 """
 
+import dataclasses
 from math import comb, factorial
 
 import pytest
 
 from cycshift.handles import HANDLES, handle
 from cycshift.shiftgraph import diameter, evaluation_graph, full_support_evaluations
-from cycshift.words import words_with_evaluation
+from cycshift.words import complement, reverse_complement, words_with_evaluation
 
 
 def involutions(n):
@@ -71,26 +72,20 @@ def test_full_support_class_counts(name):
 # symmetries
 
 
-def reverse_complement(word, rank):
-    return tuple(rank + 1 - a for a in reversed(word))
-
-
-def complement(word, rank):
-    return tuple(rank + 1 - a for a in word)
-
-
 def respects(h, symmetry, ev):
     """Whether ``symmetry`` sends every class of ``ev`` into one class.
 
     When it does, it must also map the graph of ``ev`` isomorphically onto the
-    graph of ``ev`` reversed, which holds the symmetric images.
+    graph of ``ev`` reversed, which holds the symmetric images; both graphs
+    are built from their own necklaces, not served through ``h.mirror``.
     """
     rank, f = len(ev), {}
     for w in words_with_evaluation(ev):
         image = h.key_of(symmetry(w, rank))
         if f.setdefault(h.key_of(w), image) != image:
             return False
-    g, q = evaluation_graph(h, ev), evaluation_graph(h, ev[::-1])
+    direct = dataclasses.replace(h, class_graph=None, saturates=False, image_of=None, mirror=None)
+    g, q = evaluation_graph(direct, ev), evaluation_graph(direct, ev[::-1])
     assert sorted(f.values()) == q.vertices, (h.name, ev)
     assert sorted(tuple(sorted((f[a], f[b]))) for a, b in g.edges()) == q.edges(), (h.name, ev)
     return True
@@ -99,11 +94,24 @@ def respects(h, symmetry, ev):
 MONOIDS = ("plac", "hypo", "sylv", "stal", "taig", "baxt")
 
 
+def mirrored_by(symmetry):
+    """The records whose ``mirror`` is ``symmetry``: the engine serves each evaluation's reverse through it."""
+    return {name for name in MONOIDS if HANDLES[name].mirror is symmetry}
+
+
+def test_an_image_shares_the_mirror_of_its_finer_record():
+    # so both records serve an evaluation from the same canonical form
+    for h in HANDLES.values():
+        if h.image_of is not None:
+            assert h.mirror is HANDLES[h.image_of].mirror, h.name
+
+
 @pytest.mark.parametrize(
     ("ev", "by_reverse_complement", "by_complement"),
     [
+        # with repeated symbols each record's mirror is the one map that respects it
         *(
-            (ev, {"plac", "hypo", "baxt"}, {"stal", "taig"})
+            (ev, mirrored_by(reverse_complement), mirrored_by(complement))
             for ev in [(2, 1, 2), (1, 2, 2), (2, 2, 1, 1), (2, 2, 2)]
         ),
         # on standard words complement respects every record, sylv included
