@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import sylvester
-from .trees import Node, labels, replay, serialize, spine_sizes, to_json as tree_json
-from .words import Word
+from .trees import Node, labels, replay, rotation_orders, serialize, spine_sizes, to_json as tree_json
+from .words import Evaluation, Word
 
 
 def check_left_strict(root: Node | None) -> None:
@@ -119,6 +119,13 @@ def word_form(word: Word) -> tuple[int, ...]:
     """
     order = sorted(range(len(word)), key=word.__getitem__)
     return tuple(sorted(word) + spine_sizes([-p for p in order]) + spine_sizes(order))
+
+
+def rotation_forms(word: Word, ev: Evaluation, period: int) -> list[tuple[int, ...]]:
+    """``word_form`` of each rotation ``word[i:] + word[:i]``, i < ``period``, as sylv's kernel forms it."""
+    head = sorted(word)
+    orders = rotation_orders(word, period)
+    return [tuple(head + spine_sizes([-p for p in order]) + spine_sizes(order)) for order in orders]
 
 
 def format_form(form: tuple[int, ...]) -> str:

@@ -17,7 +17,8 @@ declares: ``relabel_invariant``, ``saturates`` (stal, taig: counts capped at
 2) and ``mirror`` (reverse-complement for plac, hypo and baxt, complement for
 stal and taig; none for sylv, which reverse-complement sends to sylv#).
 taig's record names stal's as ``image_of``: every taig class is a union of
-stal classes, so the engine maps stal's graphs onto taig's.
+stal classes, so the engine maps stal's graphs onto taig's.  sylv, baxt and
+stal form each necklace's rotations in one pass (``rotation_forms``).
 
 ``MonoidHandle.law`` is the one home of the paper's table of diameter laws;
 ``path_bound`` reads its upper ends, and ``verify``'s c4 and c6 read it too.
@@ -44,7 +45,7 @@ from .plactic import YoungTableau
 from .stalactic import StalacticTableau
 from .trees import labels, to_json as tree_json
 from .words import (
-    Word, check_total, complement, evaluation, format_word, reverse_complement, words_with_evaluation,
+    Evaluation, Word, check_total, complement, evaluation, format_word, reverse_complement, words_with_evaluation,
 )
 
 
@@ -79,6 +80,9 @@ class MonoidHandle:
     #: word -> hashable class form, the one the graph engine calls per word
     word_form: Callable[[Word], Hashable] = field(kw_only=True)
     format_form: Callable[[Hashable], str] = field(kw_only=True)
+    #: (necklace word, ev, period) -> ``word_form`` of each rotation ``w[i:] + w[:i]``,
+    #: i < period, computed in one pass; the necklace engine calls it when given
+    rotation_forms: Callable[[Word, Evaluation, int], list[Hashable]] | None = field(default=None, kw_only=True)
     #: word -> class key in one call, ``format_form(word_form(w))`` unless given
     key_of: Callable[[Word], str] | None = field(default=None, kw_only=True)
     #: word -> the words one step away; those that stay in a class connect it (``class_of``)
@@ -195,6 +199,7 @@ HANDLES: dict[str, MonoidHandle] = {
         labels, sylvester.check_right_strict,
         sylvester.shift_path, law=_tree_law,
         word_form=sylvester.word_form, format_form=sylvester.format_form,
+        rotation_forms=sylvester.rotation_forms,
     ),
     "stal": MonoidHandle(
         "stal", stalactic.stalactic_tableau,
@@ -202,7 +207,7 @@ HANDLES: dict[str, MonoidHandle] = {
         StalacticTableau.symbols, StalacticTableau.check,
         stalactic.shift_path, law=_stal_law,
         word_form=stalactic.word_form, format_form=stalactic.format_form, saturates=True,
-        mirror=complement,
+        mirror=complement, rotation_forms=stalactic.rotation_forms,
     ),
     "taig": MonoidHandle(
         "taig", taiga.mult_bst,
@@ -217,6 +222,7 @@ HANDLES: dict[str, MonoidHandle] = {
         TwinPair.key, TwinPair.draw, TwinPair.to_json,
         TwinPair.symbols, TwinPair.check,
         word_form=baxter.word_form, format_form=baxter.format_form, mirror=reverse_complement,
+        rotation_forms=baxter.rotation_forms,
     ),
     # the form is the class's canonical word; the object is that word formatted as its key
     "counterexample": MonoidHandle(

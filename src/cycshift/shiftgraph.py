@@ -8,16 +8,17 @@ pairwise adjacent, so the graph is the union of one clique per necklace
 (rotation class).  The necklaces of an evaluation are streamed, each once
 (``words.necklaces``: starting with the least symbol used once, or else at
 its least rotation), and the ids of its distinct rotations are joined
-pairwise: every word is formed once (``handle.word_form``, a tuple), every
-class formatted once (``handle.format_form``) through a form-to-id table,
-and no map from words is kept.  Until the graph is frozen, each edge waits
+pairwise: every word is formed once (``handle.word_form``, a tuple; a
+handle's ``rotation_forms`` forms a whole necklace in one pass), every class
+formatted once (``handle.format_form``) through a form-to-id table, and no
+map from words is kept.  Until the graph is frozen, each edge waits
 once, in a scratch list at its smaller end that is deduplicated as it grows,
 so memory follows the classes and edges.  A handle's ``class_graph``
 (hypo's) replaces the necklaces and forms one word per class.  An evaluation
 with a count of 2 or more keys one word per class of its canonical form's
-graph (``evaluation_graph``), which a bounded cache keeps, taig's as the
-image of stal's.  ``neighbors`` forms no necklace: it rotates the members
-that ``class_of`` walks to and formats only its answer.
+graph (``evaluation_graph``), which a bounded cache keeps when the form is
+small, taig's as the image of stal's.  ``neighbors`` forms no necklace: it
+rotates the members that ``class_of`` walks to and formats only its answer.
 A component is a view: the ids of its members over its parent's own ``keys``
 and ``nbrs``.  Searches, components and diameters run on ids; keys appear
 only at the edge, through the read-only ``adjacency`` mapping and a key-to-id
@@ -38,7 +39,7 @@ from functools import cached_property, lru_cache
 from math import gcd
 
 from .handles import HANDLES, MonoidHandle
-from .words import Evaluation, Word, check_total, check_word, evaluation as ev_of, necklaces
+from .words import Evaluation, Word, check_total, check_word, evaluation as ev_of, multinomial, necklaces
 
 
 def _freeze(ids: Iterable[int]) -> array:
@@ -212,16 +213,19 @@ def _rotation_forms(handle: MonoidHandle, ev: Evaluation):
     """A map from each necklace of ``ev`` to the forms of its distinct rotations.
 
     The forms are listed in rotation order, ``w[i:] + w[:i]`` for i = 0, 1, ...
-    up to the period, so each word is formed once.  A period divides the
-    length n, and n/period divides every count of ``ev``.
+    up to the period, so each word is formed once, by the handle's
+    ``rotation_forms`` when it has one.  A period divides the length n, and
+    n/period divides every count of ``ev``.
     """
     n = sum(ev)
     folds = gcd(*ev)
     periods = [n // f for f in range(folds, 1, -1) if folds % f == 0]
-    word_form = handle.word_form
+    word_form, kernel = handle.word_form, handle.rotation_forms
 
     def of(w: Word) -> list:
         p = next((d for d in periods if w[d:] + w[:d] == w), n or 1)
+        if kernel is not None:
+            return kernel(w, ev, p)
         ww = w + w
         return [word_form(ww[i:i + n]) for i in range(p)]
 
@@ -251,7 +255,8 @@ def evaluation_graph(
     """The full shift graph of one evaluation; ``representatives`` gets a word per class.
 
     An evaluation with a count of 2 or more is served from the graph of its
-    canonical form (``_canonical``), kept in a bounded cache.  Each class
+    canonical form (``_canonical``), kept in a bounded cache when the form
+    has at most ``_CACHED_WORDS`` words.  Each class
     keeps its id and neighbours, and takes the key of its word taken back to
     ``ev``: mirrored, relabeled onto the used symbols, and padded by
     repeating the first copy of each symbol whose count is above 2.  Each
@@ -296,7 +301,7 @@ def evaluation_graph(
     if max(ev, default=0) < 2:
         return _build(handle, ev, limit, representatives)
     key, mirrored = _canonical(handle, ev)
-    keys, nbrs, words = _canonical_graph(handle, key)
+    keys, nbrs, words = _served(handle, key)
     if key != ev:
         if mirrored:
             words = [handle.mirror(w, len(key)) for w in words]
@@ -326,10 +331,20 @@ def _canonical(handle: MonoidHandle, ev: Evaluation) -> tuple[Evaluation, bool]:
     return key, False
 
 
+#: a form with more words is built uncached, as in a scan: a baxt entry grows
+#: with its words, 0.48 MB for (2,2,2,1,1) and 3.8 MB for (2,2,2,2,2) (``tracemalloc``)
+_CACHED_WORDS = 5040
+
+
+def _served(handle: MonoidHandle, key: Evaluation):
+    """``_canonical_graph`` of ``key``, through the cache when it has at most ``_CACHED_WORDS`` words."""
+    build = _canonical_graph if multinomial(key) <= _CACHED_WORDS else _canonical_graph.__wrapped__
+    return build(handle, key)
+
+
 #: one record's census of the paper's table (rank 4, total <= 7) meets at most
-#: 35 forms, and taig's keeps stal's beside its own.  A scan keeps none: a
-#: rank-6, total-9 one meets 253 forms with a count of 2 (459 for sylv, 57 for
-#: stal), and baxt's would keep 122 MB, 2.9 MB for (2,1,1,2,1,2) (``tracemalloc``)
+#: 35 forms of at most 630 words, and taig's keeps stal's beside its own.  A
+#: scan keeps none: a rank-6, total-9 one meets 253 forms with a count of 2
 @lru_cache(maxsize=64)
 def _canonical_graph(handle: MonoidHandle, key: Evaluation):
     """The keys, frozen rows and one word per class of a canonical evaluation with a count of 2.
@@ -340,7 +355,7 @@ def _canonical_graph(handle: MonoidHandle, key: Evaluation):
     ids, rows and words are those of its own necklace build.
     """
     if handle.image_of is not None:
-        _, finer_nbrs, finer_words = _canonical_graph(HANDLES[handle.image_of], key)
+        _, finer_nbrs, finer_words = _served(HANDLES[handle.image_of], key)
         return _image(handle, finer_nbrs, finer_words)
     reps: dict[str, Word] = {}
     g = _build(handle, key, sum(key), reps)

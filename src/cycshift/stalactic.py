@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .paths import ShiftPath, follow
-from .words import Word, rotations
+from .words import Evaluation, Word, rotations
 
 
 def word_form(word: Word) -> tuple[int, ...]:
@@ -24,6 +24,24 @@ def word_form(word: Word) -> tuple[int, ...]:
     """
     last = dict.fromkeys(reversed(word))
     return (*last, *map(word.count, last))
+
+
+def rotation_forms(word: Word, ev: Evaluation, period: int) -> list[tuple[int, ...]]:
+    """``word_form`` of each rotation ``word[i:] + word[:i]``, i < ``period``, in one pass.
+
+    Rotation i+1 ends with ``word[i]``: its order is rotation i's with ``word[i]``
+    and its height moved to the front; heights come from ``ev``, never recounted.
+    """
+    order = list(dict.fromkeys(reversed(word)))
+    heights = [ev[a - 1] for a in order]
+    forms = [(*order, *heights)]
+    for a in word[:period - 1]:
+        k = order.index(a)
+        del order[k]
+        order.insert(0, a)
+        heights.insert(0, heights.pop(k))
+        forms.append((*order, *heights))
+    return forms
 
 
 @lru_cache(maxsize=64)

@@ -69,8 +69,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .paths import ShiftPath
-from .trees import Node, labels, replay, serialize, spine_sizes
-from .words import Word
+from .trees import Node, labels, replay, rotation_orders, serialize, spine_sizes
+from .words import Evaluation, Word
 
 #: a run ``[lo, hi)`` of postfix positions; ``lo >= hi`` reads nothing
 Run = tuple[int, int]
@@ -121,6 +121,12 @@ def word_form(word: Word) -> tuple[int, ...]:
     """
     order = sorted(range(len(word)), key=word.__getitem__)
     return tuple(sorted(word) + spine_sizes(order))
+
+
+def rotation_forms(word: Word, ev: Evaluation, period: int) -> list[tuple[int, ...]]:
+    """``word_form`` of each rotation ``word[i:] + word[:i]``, i < ``period``: one head, no sort per rotation."""
+    head = sorted(word)
+    return [tuple(head + spine_sizes(order)) for order in rotation_orders(word, period)]
 
 
 @lru_cache(maxsize=4096)

@@ -45,6 +45,25 @@ def spine_sizes(priorities) -> list[int]:
     return sizes
 
 
+def rotation_orders(word, period: int):
+    """The stable symbol order of each rotation ``word[i:] + word[:i]``, i < ``period``.
+
+    Rotation i reads positions i .. i+n-1 of ``word + word``, sorted stably by
+    symbol.  From rotation i to i+1, position i leaves the front of its
+    symbol's block for the end of that block as i+n, the new maximum; blocks
+    keep their places, so only the first order is sorted.  One list is yielded,
+    updated in place; ``spine_sizes`` reads only its relative order.
+    """
+    n = len(word)
+    order = sorted(range(n), key=word.__getitem__)
+    end = {word[p]: k for k, p in enumerate(order, 1)}  # where each symbol's block ends
+    yield order
+    for i in range(period - 1):
+        order.remove(i)
+        order.insert(end[word[i]] - 1, i + n)
+        yield order
+
+
 def replay(labels, sizes) -> Node | None:
     """The tree with these in-order labels and ``spine_sizes``."""
     stack: list[Node] = []

@@ -189,3 +189,16 @@ def test_forms_agree_exactly_when_keys_agree(w, rng):
         h = HANDLES[name]
         assert h.format_form(h.word_form(w)) == h.key(h.element(w))
         assert (h.word_form(w) == h.word_form(v)) == (h.key_of(w) == h.key_of(v))
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(1, 9), max_size=7), st.integers(1, 3), st.integers(0, 9))
+def test_rotation_kernels_form_each_rotation_as_word_form_does(base, repeats, shift):
+    # a rotated power of a word: a necklace of any rotation, often periodic
+    w = tuple(base * repeats)
+    w = w[shift % len(w):] + w[:shift % len(w)] if w else w
+    period = next((d for d in range(1, len(w)) if w[d:] + w[:d] == w), len(w) or 1)
+    for h in HANDLES.values():
+        if h.rotation_forms is not None:
+            forms = h.rotation_forms(w, evaluation(w, 9), period)
+            assert forms == [h.word_form(w[i:] + w[:i]) for i in range(period)], h.name

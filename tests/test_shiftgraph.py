@@ -25,7 +25,9 @@ from cycshift.shiftgraph import (
     to_dot,
     to_json,
 )
-from cycshift.words import LimitExceededError, evaluation, multinomial, parse_word, words_with_evaluation
+from cycshift.words import (
+    LimitExceededError, evaluation, multinomial, necklaces, parse_word, words_with_evaluation,
+)
 
 
 def distances_from(adj, start):
@@ -77,14 +79,17 @@ def _counting(h):
         formats.append(form)
         return h.format_form(form)
 
-    return dataclasses.replace(h, word_form=word_form, format_form=format_form), forms, formats
+    # a rotation kernel would form the words without the counting word_form
+    return dataclasses.replace(h, word_form=word_form, format_form=format_form, rotation_forms=None), forms, formats
 
 
 def _necklace_engine(h, **fields):
-    """``h`` with every shortcut of the engine cleared: each evaluation is built from its own necklaces."""
-    return dataclasses.replace(
-        h, class_graph=None, saturates=False, image_of=None, mirror=None, relabel_invariant=False, **fields
+    """``h`` with every shortcut of the engine cleared: each evaluation is built
+    from its own necklaces, one ``word_form`` per word, unless ``fields`` say otherwise."""
+    cleared = dict(
+        class_graph=None, saturates=False, image_of=None, mirror=None, relabel_invariant=False, rotation_forms=None
     )
+    return dataclasses.replace(h, **{**cleared, **fields})
 
 
 def _rotations(words):
@@ -116,6 +121,12 @@ def test_every_word_is_keyed_once(ev):
         assert sorted(forms) == list(words_with_evaluation(ev)), (name, ev)
         assert len(forms) == multinomial(ev)
         assert len(formats) == len(set(formats)) == classes, (name, ev)
+        if h.rotation_forms is not None:
+            # the rotation kernel forms every word once too
+            outputs, kernel = [], h.rotation_forms
+            with_kernel = _necklace_engine(h, rotation_forms=lambda *args: outputs.append(kernel(*args)) or outputs[-1])
+            evaluation_graph(with_kernel, ev)
+            assert sum(map(len, outputs)) == multinomial(ev), (name, ev)
         words = {w: h.word_form(w) for w in words_with_evaluation(ev)}
         for word in words:
             members = {w for w, form in words.items() if form == words[word]}
@@ -331,6 +342,41 @@ def test_engine_matches_reference(name):
             assert [diameter(c) for c in comps] == ref_diameters, ev
 
 
+def _period(w):
+    return next(d for d in range(1, len(w) + 1) if w[d:] + w[:d] == w) if w else 1
+
+
+#: every evaluation of rank 4 and total <= 8, unused symbols included (a lower
+#: rank's words are those of its zero-padded rank-4 form), the standard ones
+#: of rank <= 7, and three whose necklaces are often periodic
+KERNEL_EVALUATIONS = [ev for ev in itertools.product(range(9), repeat=4) if sum(ev) <= 8] + [
+    (1,) * 5, (1,) * 6, (1,) * 7, (2, 2, 2), (3, 3), (2, 2, 2, 2),
+]
+
+
+@pytest.mark.parametrize("name", [name for name, h in HANDLES.items() if h.rotation_forms])
+def test_rotation_kernel_forms_each_rotation_as_word_form_does(name):
+    h = handle(name)
+    for ev in KERNEL_EVALUATIONS:
+        for w in necklaces(ev, sum(ev)):
+            p = _period(w)
+            assert h.rotation_forms(w, ev, p) == [h.word_form(w[i:] + w[:i]) for i in range(p)], (name, w)
+
+
+@pytest.mark.parametrize("name", [name for name, h in HANDLES.items() if h.rotation_forms])
+def test_rotation_kernel_leaves_every_graph_as_it_was(name):
+    # the record's own build, served or direct, with and without its kernel:
+    # the same ids, keys, rows and words, in order
+    h = handle(name)
+    plain = dataclasses.replace(h, rotation_forms=None)
+    for ev in DIFFERENTIAL_EVALUATIONS + [(1,) * 6, (2, 2, 2), (3, 3)]:
+        reps, want_reps = {}, {}
+        g = evaluation_graph(h, ev, representatives=reps)
+        want = evaluation_graph(plain, ev, representatives=want_reps)
+        assert g.keys == want.keys and g.nbrs == want.nbrs, ev
+        assert list(reps.items()) == list(want_reps.items()), ev
+
+
 #: every evaluation of rank 4 and total <= 8 with a count above 2; a lower
 #: rank's graph is that of its zero-padded rank-4 form
 SATURATED_EVALUATIONS = [
@@ -391,6 +437,20 @@ def test_an_image_keeps_the_ids_of_its_own_saturated_build(name):
         want = evaluation_graph(own, ev, representatives=want_reps)
         assert g.keys == want.keys and g.nbrs == want.nbrs, ev
         assert list(reps.items()) == list(want_reps.items()), ev
+
+
+def test_a_canonical_form_with_many_words_is_not_kept():
+    baxt = handle("baxt")
+    cached = shiftgraph._canonical_graph
+    cached.cache_clear()
+    # 45,360 and 113,400 words: each built when asked, then dropped
+    for ev in [(2, 1, 1, 2, 1, 2), (2, 2, 2, 2, 2)]:
+        evaluation_graph(baxt, ev)
+        assert cached.cache_info().currsize == 0, ev
+    # the largest census form (630 words) and (2, 2, 2, 2) (2,520) are kept
+    for ev in [(2, 2, 2, 1), (2, 2, 2, 2)]:
+        evaluation_graph(baxt, ev)
+    assert cached.cache_info().currsize == 2
 
 
 def test_only_saturations_with_a_count_of_2_are_kept():
