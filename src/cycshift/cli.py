@@ -162,8 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, word_args=("--word",), enumerates=True):
+    def command(name, func, help, word_args=("--word",), enumerates=True):
         p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--monoid", required=True, choices=sorted(HANDLES))
         for wa in word_args:
             p.add_argument(wa, required=True)
@@ -173,45 +174,34 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
         return p
 
-    psymbol = command("psymbol", "print the canonical key and a drawing", enumerates=False)
+    psymbol = command("psymbol", cmd_psymbol, "print the canonical key and a drawing", enumerates=False)
     psymbol.add_argument("--format", choices=("text", "json"), default="text")
     psymbol.add_argument("--max-total", type=_count, default=None, dest="max_total")
-    cls = command("class", "list every word of the congruence class")
+    cls = command("class", cmd_class, "list every word of the congruence class")
     cls.add_argument("--max-class", type=_count, default=DEFAULT_MAX_CLASS, dest="max_class")
-    command("neighbors", "canonical keys one shift away")
-    comp = command("component", "the connected component of the class")
+    command("neighbors", cmd_neighbors, "canonical keys one shift away")
+    comp = command("component", cmd_component, "the connected component of the class")
     comp.add_argument("--format", choices=("text", "dot", "json"), default="text")
-    command("diameter", "diameter of the component")
-    command("path", "constructive and shortest paths", ("--word1", "--word2"))
+    command("diameter", cmd_diameter, "diameter of the component")
+    command("path", cmd_path, "constructive and shortest paths", ("--word1", "--word2"))
 
-    scan = command("scan", "per-evaluation component census", (), enumerates=False)
+    scan = command("scan", cmd_scan, "per-evaluation component census", (), enumerates=False)
     scan.add_argument("--rank", type=int, required=True)
     scan.add_argument("--max-total", type=_count, default=DEFAULT_MAX_TOTAL, dest="max_total")
     scan.add_argument("--distinct", action="store_true",
                       help="one evaluation per count multiset (relabeling symmetry)")
 
     ver = sub.add_parser("verify", help="run the acceptance suite")
+    ver.set_defaults(func=cmd_verify)
     ver.add_argument("--criteria", default=None, help="comma separated subset, e.g. 1,3,7")
     return parser
-
-
-COMMANDS = {
-    "psymbol": cmd_psymbol,
-    "class": cmd_class,
-    "neighbors": cmd_neighbors,
-    "component": cmd_component,
-    "diameter": cmd_diameter,
-    "path": cmd_path,
-    "scan": cmd_scan,
-    "verify": cmd_verify,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        return args.func(args)
     except (ValueError, LimitExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

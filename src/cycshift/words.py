@@ -6,30 +6,17 @@ alongside words, never inferred, so that a rank-6 scan sees unused symbols.
 
 from __future__ import annotations
 
-import os
 from math import factorial
 from typing import Iterator
 
 Word = tuple[int, ...]
 Evaluation = tuple[int, ...]
 
-
-def _limit_from_env(name: str, default: int) -> int:
-    text = os.environ.get(name, str(default))
-    try:
-        value = int(text)
-        if value < 0:
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"{name} must be a non-negative integer, got {text!r}") from None
-    return value
-
-
 #: Global guard for exponential enumerations (number of symbols enumerated).
-DEFAULT_MAX_TOTAL = _limit_from_env("CYCSHIFT_MAX_TOTAL", 10)
+DEFAULT_MAX_TOTAL = 10
 
 #: Default for ``class --max-class``: the most words the ``class`` command lists.
-DEFAULT_MAX_CLASS = _limit_from_env("CYCSHIFT_MAX_CLASS", 12)
+DEFAULT_MAX_CLASS = 12
 
 
 class LimitExceededError(ValueError):

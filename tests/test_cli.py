@@ -177,7 +177,7 @@ def test_key_error_in_a_command_is_not_a_usage_error(monkeypatch, capsys):
     def broken(args):
         raise KeyError("internal")
 
-    monkeypatch.setitem(cli.COMMANDS, "psymbol", broken)
+    monkeypatch.setattr(cli, "cmd_psymbol", broken)
     code, out, err = run_cli(capsys, "psymbol", "--monoid", "plac", "--word", "1")
     assert code == 3 and out == ""
     assert "Traceback" in err and "KeyError: 'internal'" in err
