@@ -10,9 +10,10 @@ pairwise adjacent, so the graph is the union of one clique per necklace
 its least rotation), and the ids of its distinct rotations are joined
 pairwise: every word is formed once (``handle.word_form``, a tuple; a
 handle's ``rotation_forms`` forms a whole necklace in one pass), every class
-formatted once (``handle.format_form``) through a form-to-id table, and no
-map from words is kept.  Until the graph is frozen, each edge waits
-once, in a scratch list at its smaller end that is deduplicated as it grows,
+formatted (``handle.format_form``) at most once, on first read of ``keys``
+(a direct build formats as it builds), from a form-to-id table, and no map
+from words is kept.  Until the graph is frozen, each edge waits once, in a
+scratch list at its smaller end that is deduplicated as it grows,
 so memory follows the classes and edges.  A handle's ``class_graph``
 (hypo's) replaces the necklaces and forms one word per class.  An evaluation
 with a count of 2 or more keys one word per class of its canonical form's
@@ -33,7 +34,7 @@ import json
 from array import array
 from bisect import bisect_left
 from collections import deque  # noqa: F401  unused here; perfbench/spans.py patches this name
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
@@ -46,20 +47,42 @@ def _freeze(ids: Iterable[int]) -> array:
     return array("I", sorted(ids))
 
 
+class _Keys:
+    """Class keys, ``format`` of one item per class in id order, formatted on the first read."""
+
+    def __init__(self, items: Sequence, format: Callable[..., str] | None = None):
+        self.items, self.format = items, format
+
+    def read(self) -> list[str]:
+        if self.format is not None:
+            self.items, self.format = list(map(self.format, self.items)), None
+        return self.items
+
+
 @dataclass(eq=False)
 class ShiftGraph:
-    """Class keys and frozen neighbour arrays; a component view shares both with its parent."""
+    """Class keys and frozen neighbour arrays; a component view shares both with its parent.
+
+    ``held``, a key list or a ``_Keys`` shared with the views, is formatted at
+    most once, on first read; a direct build formats as it builds.
+    """
     monoid: str
     rank: int
     evaluation: Evaluation
-    keys: list[str]
+    held: _Keys | list[str]
     nbrs: list[array]
     #: the member ids in increasing order; every class when not given
     ids: Sequence[int] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.held, _Keys):
+            self.held = _Keys(self.held)
         if self.ids is None:
-            self.ids = range(len(self.keys))
+            self.ids = range(len(self.nbrs))
+
+    @property
+    def keys(self) -> list[str]:
+        return self.held.read()
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -110,18 +133,20 @@ class ShiftGraph:
     def _view(self, start: int) -> "ShiftGraph":
         """The component of id ``start``, over this graph's keys and arrays."""
         members = _freeze(set().union(*_levels(self.nbrs, start)))
-        return ShiftGraph(self.monoid, self.rank, self.evaluation, self.keys, self.nbrs, members)
+        return ShiftGraph(self.monoid, self.rank, self.evaluation, self.held, self.nbrs, members)
 
     def component_of(self, start: str) -> "ShiftGraph":
         return self._view(self.id_of(start))
 
     def components(self) -> list["ShiftGraph"]:
-        """Every component, ordered by its least vertex."""
+        """Every component, ordered by its least vertex; one alone reads no key."""
         out, seen = [], set()
         for v in self.ids:
             if v not in seen:
                 out.append(self._view(v))
                 seen.update(out[-1].ids)
+        if len(out) < 2:
+            return out
         key = self.keys.__getitem__
         return sorted(out, key=lambda c: min(map(key, c.ids)))
 
@@ -294,12 +319,18 @@ def evaluation_graph(
       classes: taig's saturated graph is the image of stal's
       (``MonoidHandle.image_of``).
 
-    An evaluation with every count at most 1 is built directly and not kept,
-    so standard graphs, the largest, leave no entry behind.
+    An evaluation with every count at most 1 is built directly, formatted as
+    it is built, and not kept, so standard graphs, the largest, leave no entry
+    behind.  A served graph's keys are formatted at most once, on first read.
     """
     check_total(ev, limit)
     if max(ev, default=0) < 2:
-        return _build(handle, ev, limit, representatives)
+        words = None if representatives is None else []
+        g = _build(handle, ev, limit, words)
+        keys = g.keys  # read now: nothing keeps a direct build, so deferring saves nothing
+        if representatives is not None:
+            representatives.update(zip(keys, words))
+        return g
     key, mirrored = _canonical(handle, ev)
     keys, nbrs, words = _served(handle, key)
     if key != ev:
@@ -310,10 +341,10 @@ def evaluation_graph(
             words = [tuple(used[a - 1] for a in w) for w in words]
         if handle.saturates and max(ev) > 2:
             words = [_pad(w, ev) for w in words]
-        keys = [handle.format_form(handle.word_form(w)) for w in words]
+        keys = _Keys(words, lambda w: handle.format_form(handle.word_form(w)))
     if representatives is not None:
-        representatives.update(zip(keys, words))
-    return ShiftGraph(handle.name, len(ev), ev, list(keys), list(nbrs))
+        representatives.update(zip(keys.read(), words))
+    return ShiftGraph(handle.name, len(ev), ev, keys, list(nbrs))
 
 
 def _canonical(handle: MonoidHandle, ev: Evaluation) -> tuple[Evaluation, bool]:
@@ -349,64 +380,63 @@ def _served(handle: MonoidHandle, key: Evaluation):
 def _canonical_graph(handle: MonoidHandle, key: Evaluation):
     """The keys, frozen rows and one word per class of a canonical evaluation with a count of 2.
 
-    The words are each class's first in the necklace stream.  A record with
-    ``image_of`` maps that record's graph instead of forming necklaces: a
-    class's word is kept from the finer class that first lands in it, so its
-    ids, rows and words are those of its own necklace build.
+    The keys, a ``_Keys`` every served graph shares, are formatted at most
+    once, on first read.  The words are each class's first in the necklace
+    stream.  A record with ``image_of`` maps that record's graph instead of
+    forming necklaces: a class's word is kept from the finer class that
+    first lands in it, so its ids, rows and words are its own build's.
     """
     if handle.image_of is not None:
         _, finer_nbrs, finer_words = _served(HANDLES[handle.image_of], key)
         return _image(handle, finer_nbrs, finer_words)
-    reps: dict[str, Word] = {}
-    g = _build(handle, key, sum(key), reps)
-    return tuple(g.keys), tuple(g.nbrs), tuple(reps[k] for k in g.keys)
+    words: list[Word] = []
+    g = _build(handle, key, sum(key), words)
+    return g.held, tuple(g.nbrs), tuple(words)
 
 
 def _image(handle: MonoidHandle, nbrs: Sequence[array], words: Sequence[Word]):
     """``handle``'s graph on a finer record's classes, given by their rows and words.
 
-    Each word is formed once; a class of ``handle`` takes the id, and the
-    word, of the first finer class in it.  Its row joins the rows of its
-    finer classes, mapped, with the loop dropped: every member of a class
+    Each word is formed once; a class of ``handle`` takes the id, the word
+    and the form of the first finer class in it.  Its row joins the rows of
+    its finer classes, mapped, with the loop dropped: every member of a class
     lies in one finer class, so every edge comes from a finer edge.
     """
-    word_form, format_form = handle.word_form, handle.format_form
-    table: dict = {}
-    keys, kept, ids = [], [], []
+    word_form = handle.word_form
+    table: dict = {}  # form -> id, in id order
+    kept, ids = [], []
     for w in words:
         f = word_form(w)
         i = table.get(f)
         if i is None:
-            i = table[f] = len(keys)
-            keys.append(format_form(f))
+            i = table[f] = len(kept)
             kept.append(w)
         ids.append(i)
-    rows: list[set[int]] = [set() for _ in keys]
+    rows: list[set[int]] = [set() for _ in kept]
     for i, row in zip(ids, nbrs):
         rows[i].update(map(ids.__getitem__, row))
-    return tuple(keys), tuple(_freeze(r - {i}) for i, r in enumerate(rows)), tuple(kept)
+    return _Keys(list(table), handle.format_form), tuple(_freeze(r - {i}) for i, r in enumerate(rows)), tuple(kept)
 
 
 def _build(
     handle: MonoidHandle, ev: Evaluation, limit: int | None,
-    representatives: dict[str, Word] | None,
+    representatives: list[Word] | None,
 ) -> ShiftGraph:
     """The graph of ``ev`` from the handle's ``class_graph``, or else from the necklaces.
 
-    Each class is formatted once, through a form-to-id table or from the
-    word the ``class_graph`` gives for it.
+    ``representatives`` gets one word per class, in id order.  Each class is
+    formatted at most once: from its form, on first read of ``keys``, or from
+    the word the ``class_graph`` gives for it, as it builds.
     """
     if handle.class_graph is not None:
         model = handle.class_graph(ev)
         keys = {w: handle.format_form(handle.word_form(w)) for w in model}
         if representatives is not None:
-            representatives.update({key: w for w, key in keys.items()})
+            representatives.extend(model)
         adj = {keys[w]: {keys[x] for x in nbrs} for w, nbrs in model.items()}
         return from_adjacency(handle.name, len(ev), ev, adj)
     rotation_forms = _rotation_forms(handle, ev)
-    format_form = handle.format_form
-    table: dict = {}
-    keys: list[str] = []
+    table: dict = {}  # form -> id, in id order
     # per class: the ids of its neighbours above it, repeats allowed, and the
     # length at which that list is next deduplicated
     larger: list[list[int]] = []
@@ -416,13 +446,12 @@ def _build(
         for f in rotation_forms(w):
             i = table.get(f)
             if i is None:
-                i = table[f] = len(keys)
-                keys.append(format_form(f))
+                i = table[f] = len(larger)
                 larger.append([])
                 dedup_at.append(_SLACK)
                 if representatives is not None:
                     r = len(rotations)
-                    representatives.setdefault(keys[i], w[r:] + w[:r])
+                    representatives.append(w[r:] + w[:r])
             rotations.append(i)
         clique = sorted(set(rotations))
         for k, i in enumerate(clique[:-1], 1):
@@ -431,9 +460,10 @@ def _build(
             if len(ids) > dedup_at[i]:
                 larger[i] = ids = list(set(ids))
                 dedup_at[i] = 2 * len(ids) + _SLACK
+    keys = _Keys(list(table), handle.format_form)
     del table
     # row i: its smaller neighbours, which the rows before it hand down in order, then its larger
-    nbrs = [array("I") for _ in keys]
+    nbrs = [array("I") for _ in larger]
     for i, ids in enumerate(larger):
         ids = sorted(set(ids))
         for j in ids:
@@ -575,9 +605,9 @@ def diameter_scan(
                 g = _build(handle, key, max_total, None)
             else:
                 keys, nbrs, _ = _canonical_graph.__wrapped__(handle, key)
-                g = ShiftGraph(handle.name, len(key), key, list(keys), list(nbrs))
+                g = ShiftGraph(handle.name, len(key), key, keys, list(nbrs))
             comps = g.components()
-            rows[key] = len(g.keys), len(comps), max((diameter(c) for c in comps), default=0), len(comps) <= 1
+            rows[key] = len(g.nbrs), len(comps), max((diameter(c) for c in comps), default=0), len(comps) <= 1
     return ScanReport(handle.name, rank, max_total, [ScanRow(ev, *rows[_canonical(handle, ev)[0]]) for ev in evs])
 
 

@@ -362,6 +362,11 @@ PINNED_OUTPUTS = [
     ("scan --monoid baxt --rank 3 --max-total 6 --distinct", "08807acef1c20d9022fbe44f263b89b2d403c1852373088224fa7b50df476f8b"),
     ("component --monoid plac --word 2111 --format json", "7ea8e4455584c2224680fc8b6193a0db95a566ba7e6628537e619569298994b3"),
     ("component --monoid hypo --word 3321 --format dot", "49489bf09d76037b7a6756ae3b16e2b7ef29746243c7f41efb2fdd90af7180f0"),
+    # the paper's table (rank 4, total <= 7): served single-component graphs, whose rows read no key
+    ("scan --monoid sylv --rank 4 --max-total 7", "61cdcbf55ba13ae0337018f1273cc2584fe9632349a99557c95b1db49370c24b"),
+    ("scan --monoid plac --rank 4 --max-total 7", "8415b923ba48d2034f985c7aa72cd3bb3fb6d9b4f96caf59fd39b4d4af7642c5"),
+    ("scan --monoid taig --rank 4 --max-total 7", "539a11530bc59ce9b1883750b991b2c789a93a91dc25d867e2ea8da2458eeddb"),
+    ("scan --monoid hypo --rank 4 --max-total 7", "25e8ab07a1a6b266a8fea2b986b31363312017741663289d9488a94abbd880c4"),
 ]
 
 

@@ -105,8 +105,13 @@ def test_every_word_is_keyed_once(ev):
             # an image one word per class of the finer record's saturation when
             # some count is 2, and one padded word per class when some count is above 2
             counted, forms, formats = _counting(h)
-            classes = len(evaluation_graph(counted, ev).adjacency)
             sat = tuple(min(c, 2) for c in ev)
+            g = evaluation_graph(counted, ev)
+            # keys are formatted on their first read, and a padded graph reads
+            # only its own: read the saturation's first, then the padded ones
+            if sat != ev:
+                evaluation_graph(counted, sat).keys
+            classes = len(g.keys)
             padded = 0 if sat == ev else classes
             built = multinomial(sat)
             if h.image_of is not None and 2 in sat:
@@ -117,7 +122,7 @@ def test_every_word_is_keyed_once(ev):
         # the necklace engine, also for a record that builds its graph from a
         # model, its saturation, a finer record's graph or its mirror's
         counted, forms, formats = _counting(_necklace_engine(h))
-        classes = len(evaluation_graph(counted, ev).adjacency)
+        classes = len(evaluation_graph(counted, ev).keys)
         assert sorted(forms) == list(words_with_evaluation(ev)), (name, ev)
         assert len(forms) == multinomial(ev)
         assert len(formats) == len(set(formats)) == classes, (name, ev)
@@ -340,6 +345,24 @@ def test_engine_matches_reference(name):
             comps = g.components()
             assert [dict(c.adjacency) for c in comps] == ref_comp_adjs, ev
             assert [diameter(c) for c in comps] == ref_diameters, ev
+
+
+@pytest.mark.parametrize(
+    ("name", "ev"), [("plac", (2, 1, 1)), ("sylv", (1, 1, 2)), ("stal", (1, 3, 1)), ("taig", (2, 2, 1))]
+)
+def test_keys_are_formatted_on_first_read(name, ev):
+    # served graphs: plac's mirrored, sylv's its own canonical form, stal's
+    # padded from its saturation, taig's the image of stal's (mirrored)
+    counted, _, formats = _counting(handle(name))
+    g = evaluation_graph(counted, ev)
+    assert len(g.adjacency) == len(g.nbrs)
+    (comp,) = g.components()
+    assert diameter(comp) == diameter(g) >= 1
+    assert formats == []
+    # the first read formats each class once, for the graph and its views
+    assert g.vertices == evaluation_graph(_necklace_engine(handle(name)), ev).vertices
+    assert comp.vertices == g.vertices and g.keys is comp.keys
+    assert len(formats) == len(set(formats)) == len(g.nbrs), (name, ev)
 
 
 def _period(w):
